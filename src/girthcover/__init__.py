@@ -1,6 +1,6 @@
 """girthcover: high-girth graph constructions and even-cycle-free decompositions.
 
-Library surface: prime-field arithmetic, exact graph kernels (girth, cycle
+Library surface: primality helpers, exact graph kernels (girth, cycle
 search, degeneracy, forests), algebraic quadrangle/hexagon graphs and their
 shifted families, exact partitions of complete (bipartite) graphs into
 high-girth parts, rainbow-coloring decompositions of bounded-degree graphs
@@ -8,7 +8,7 @@ into C_6-free / C_10-free classes, randomized permuted-copy covers, and
 closed-form degree Ramsey bound calculators.
 """
 
-from .field import FieldElement, PrimeField, is_prime, next_prime_at_least
+from .field import is_prime, next_prime_at_least
 from .graph import (
     INFINITE,
     DegeneracyOrder,

@@ -22,8 +22,12 @@ complete bipartite graph on the two coordinate spaces: for any point/line
 pair the triangular system above has a unique shift solution.
 
 Sign conventions are kept exactly as written; re-normalizing the equations
-would silently change the graph.  Adjacency is generated per point via the
-free parameter l1 (q neighbors each), never by testing all pairs.
+would silently change the graph.  One vectorised generator,
+``_incident_lines``, solves the system for the line through each point with
+each first coordinate l1 (q neighbors per point), for all points at once;
+the builders and the bipartite partitions both use it, and nothing tests all
+pairs.  ``is_edge_q`` and ``is_edge_h`` evaluate the equations directly for
+a single pair, as an independent check.
 
 Each built graph carries an automorphism certificate for its girth search:
 coordinate translations that preserve the incidence equations for every
@@ -129,32 +133,39 @@ class PointLineGraph:
         return "L:" + ",".join(map(str, self.line_coords(vid)))
 
 
-def quadrangle_neighbor(p: tuple[int, int, int], l1: int, shift: ShiftQ, q: int):
-    """The unique line through point p with first coordinate l1."""
-    p1, p2, p3 = p
-    s2 = (p2 + shift.a2) % q
-    s3 = (p3 + shift.a3) % q
-    l2 = (s2 + l1 * p1) % q
-    l3 = (2 * s3 - 2 * l1 * s2) % q
-    return (l1, l2, l3)
+def _coords(idx: np.ndarray, q: int, arity: int) -> list[np.ndarray]:
+    """Coordinate arrays, first coordinate first, of the canonical indices ``idx``."""
+    return [(idx // q ** (arity - 1 - i)) % q for i in range(arity)]
 
 
-def hexagon_neighbor(p: tuple[int, ...], l1: int, shift: ShiftH, q: int):
-    """The unique line through point p with first coordinate l1.
+def _index(coords, q: int) -> np.ndarray:
+    """Canonical indices of coordinate arrays, each reduced mod q first."""
+    idx = 0
+    for c in coords:
+        idx = idx * q + c % q
+    return idx
 
-    The system is triangular in l2, l3, l4; l5 needs the inverse of 2.
+
+def _incident_lines(q: int, arity: int, shift: tuple[int, ...], n_points: int) -> np.ndarray:
+    """Line indices of the edges of points 0..n_points-1 in one shifted copy.
+
+    Entry [p, l1] of the (n_points, q) result is the canonical index of the
+    unique line through point p with first coordinate l1, for the shift
+    (a2, a3) or (b2, b3, b4, b5); read row by row, it lists the edges in
+    point-major order.  The incidence equations are solved for l2, l3, l4
+    in turn; l5 needs the inverse of 2.
     """
-    p1, p2, p3, p4, p5 = p
-    s2 = (p2 + shift.b2) % q
-    s3 = (p3 + shift.b3) % q
-    s4 = (p4 + shift.b4) % q
-    s5 = (p5 + shift.b5) % q
+    p1, *rest = _coords(np.arange(n_points, dtype=np.int64)[:, None], q, arity)
+    s2, s3, *s45 = (c + b for c, b in zip(rest, shift))
+    l1 = np.arange(q, dtype=np.int64)
     l2 = (s2 + l1 * p1) % q
     l3 = (2 * s3 - 2 * l1 * s2) % q
+    if arity == 3:
+        return _index((l1, l2, l3), q)
+    s4, s5 = s45
     l4 = (3 * s4 - 3 * l1 * s3) % q
-    inv2 = pow(2, -1, q)
-    l5 = (inv2 * (3 * s5 + 3 * l3 * s2 - 3 * l2 * s3 + l4 * p1)) % q
-    return (l1, l2, l3, l4, l5)
+    l5 = pow(2, -1, q) * (3 * s5 + 3 * l3 * s2 - 3 * l2 * s3 + l4 * p1)
+    return _index((l1, l2, l3, l4, l5), q)
 
 
 def is_edge_q(p: tuple[int, int, int], l: tuple[int, int, int], shift: ShiftQ, q: int) -> bool:
@@ -205,54 +216,39 @@ _HEXAGON_AUTOMORPHISMS = (
 def _automorphisms(q: int, arity: int) -> list[np.ndarray]:
     """The construction's automorphism generators as vertex permutations."""
     n_side = q**arity
-    idx = np.arange(n_side)
-    coords = tuple((idx // q ** (arity - 1 - i)) % q for i in range(arity))
-
-    def index(image):
-        idx = np.zeros(n_side, np.int64)
-        for c in image:
-            idx = idx * q + c % q
-        return idx
-
+    coords = _coords(np.arange(n_side, dtype=np.int64), q, arity)
     maps = _QUADRANGLE_AUTOMORPHISMS if arity == 3 else _HEXAGON_AUTOMORPHISMS
     perms = []
     for f in maps:
         points, lines = f(coords, coords)
-        perms.append(np.concatenate([index(points), n_side + index(lines)]))
+        perms.append(np.concatenate([_index(points, q), n_side + _index(lines, q)]))
     return perms
 
 
-def _build(q: int, arity: int, shift: Shift, with_labels: bool) -> PointLineGraph:
+def _build(q: int, arity: int, shift: Shift) -> PointLineGraph:
     n_side = q**arity
-    edges = []
-    neighbor = quadrangle_neighbor if arity == 3 else hexagon_neighbor
-    for pid in range(n_side):
-        p = index_to_tuple(pid, q, arity)
-        for l1 in range(q):
-            l = neighbor(p, l1, shift, q)
-            edges.append((pid, n_side + tuple_to_index(l, q)))
+    # One Python list per point: each point id is then a single int object
+    # shared by its q edges, which keeps the peak memory of large builds down.
+    rows = (n_side + _incident_lines(q, arity, shift.as_tuple(), n_side)).tolist()
+    edges = ((p, l) for p, row in enumerate(rows) for l in row)
     side = [0] * n_side + [1] * n_side
-    labels = None
-    if with_labels:
-        labels = ["P:" + ",".join(map(str, index_to_tuple(i, q, arity))) for i in range(n_side)]
-        labels += ["L:" + ",".join(map(str, index_to_tuple(i, q, arity))) for i in range(n_side)]
     automorphisms = partial(_automorphisms, q, arity)
-    g = Graph(2 * n_side, edges, labels=labels, side=side, automorphisms=automorphisms)
+    g = Graph(2 * n_side, edges, side=side, automorphisms=automorphisms)
     return PointLineGraph(q=q, arity=arity, shift=shift, graph=g)
 
 
-def build_quadrangle(q: int, shift: Optional[ShiftQ] = None, with_labels: bool = False) -> PointLineGraph:
+def build_quadrangle(q: int, shift: Optional[ShiftQ] = None) -> PointLineGraph:
     """The (shifted) quadrangle graph: 2q^3 vertices, q-regular, girth 8."""
     _check_q(q)
     shift = (shift or ShiftQ()).reduced(q)
-    return _build(q, 3, shift, with_labels)
+    return _build(q, 3, shift)
 
 
-def build_hexagon(q: int, shift: Optional[ShiftH] = None, with_labels: bool = False) -> PointLineGraph:
+def build_hexagon(q: int, shift: Optional[ShiftH] = None) -> PointLineGraph:
     """The (shifted) hexagon graph: 2q^5 vertices, q-regular, girth 12."""
     _check_q(q)
     shift = (shift or ShiftH()).reduced(q)
-    return _build(q, 5, shift, with_labels)
+    return _build(q, 5, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +317,8 @@ def solve_shift_q(p: tuple[int, int, int], l: tuple[int, int, int], q: int) -> S
     inv2 = pow(2, -1, q)
     a3 = (inv2 * (l3 + 2 * l1 * ((p2 + a2) % q)) - p3) % q
     shift = ShiftQ(a2, a3)
-    assert is_edge_q(p, l, shift, q)
+    if not is_edge_q(p, l, shift, q):
+        raise AssertionError(f"solved shift {shift} does not join {p} and {l}")
     return shift
 
 
@@ -339,5 +336,6 @@ def solve_shift_h(p: tuple[int, ...], l: tuple[int, ...], q: int) -> ShiftH:
     b4 = (inv3 * (l4 + 3 * l1 * s3) - p4) % q
     b5 = (inv3 * (2 * l5 - 3 * l3 * s2 + 3 * l2 * s3 - l4 * p1) - p5) % q
     shift = ShiftH(b2, b3, b4, b5)
-    assert is_edge_h(p, l, shift, q)
+    if not is_edge_h(p, l, shift, q):
+        raise AssertionError(f"solved shift {shift} does not join {p} and {l}")
     return shift

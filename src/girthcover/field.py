@@ -1,7 +1,8 @@
-"""Arithmetic in the prime field F_q for q >= 5.
+"""Primality helpers for the moduli of the algebraic constructions.
 
-All coordinate tuples of the algebraic graph constructions live over a
-prime field.  q >= 5 guarantees that 2 and 3 are invertible, which the
+``is_prime`` validates a modulus q and ``next_prime_at_least`` picks the
+smallest sufficient one.  The constructions compute in F_q with plain
+integers mod q; q >= 5 guarantees that 2 and 3 are invertible, which the
 defining equation systems and the shift solvers rely on.
 """
 
@@ -32,106 +33,3 @@ def next_prime_at_least(m: int) -> int:
     while not is_prime(p):
         p += 1
     return p
-
-
-class PrimeField:
-    """The field of integers mod q, q >= 5 prime."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        if q < 5 or not is_prime(q):
-            raise ValueError(f"modulus must be a prime >= 5, got {q}")
-        self.q = q
-
-    def __call__(self, value: int) -> "FieldElement":
-        return FieldElement(value, self.q)
-
-    def elements(self):
-        return (FieldElement(v, self.q) for v in range(self.q))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self):
-        return f"PrimeField({self.q})"
-
-
-class FieldElement:
-    """An element of F_q, stored as its canonical representative in [0, q)."""
-
-    __slots__ = ("value", "q")
-
-    def __init__(self, value: int, q: int):
-        self.q = q
-        self.value = value % q
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ValueError(f"mismatched moduli: {self.q} vs {other.q}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(other, self.q)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + o.value, self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - o.value, self.q)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(o.value - self.value, self.q)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * o.value, self.q)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.q}")
-        return FieldElement(pow(self.value, -1, self.q), self.q)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inv()
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.q == other.q and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.q))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.q})"

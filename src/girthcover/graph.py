@@ -35,11 +35,10 @@ _CHECK_BLOCK = 512  # rows per block of the automorphism check
 class Graph:
     """A simple undirected graph, frozen after construction.
 
-    Vertices are 0..n-1.  Optional ``labels`` attach an opaque string per
-    vertex; optional ``side`` tags (0/1 per vertex) declare a bipartition,
-    in which case every edge must cross it.  Loops and duplicate edges in
-    the input are errors, not silently merged: partition exactness checks
-    need multiplicity awareness.
+    Vertices are 0..n-1.  Optional ``side`` tags (0/1 per vertex) declare a
+    bipartition, in which case every edge must cross it.  Loops and
+    duplicate edges in the input are errors, not silently merged: partition
+    exactness checks need multiplicity awareness.
 
     ``automorphisms``, if given, is a zero-argument callable returning
     generator permutations of 0..n-1 (each a sequence with ``perm[v]`` the
@@ -49,13 +48,12 @@ class Graph:
     search uses it to root at one vertex per orbit.
     """
 
-    __slots__ = ("n", "_adj", "_m", "labels", "side", "_csr", "_nbr_sets", "_automorphisms")
+    __slots__ = ("n", "_adj", "_m", "side", "_csr", "_nbr_sets", "_automorphisms")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence[str]] = None,
         side: Optional[Sequence[int]] = None,
         automorphisms: Optional[Callable[[], Sequence[Sequence[int]]]] = None,
     ):
@@ -81,7 +79,6 @@ class Graph:
         self.n = n
         self._m = m
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.labels = tuple(labels) if labels is not None else None
         self.side = tuple(side) if side is not None else None
         self._csr = None
         self._nbr_sets = None
@@ -271,7 +268,7 @@ class Graph:
 
     def subgraph_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Spanning subgraph on the same vertex set with the given edges."""
-        return Graph(self.n, edges, labels=self.labels, side=self.side)
+        return Graph(self.n, edges, side=self.side)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -424,8 +421,8 @@ def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyO
             shell_edges.append((u, v))
         else:
             core_edges.append((u, v))
-    core = Graph(g.n, core_edges, labels=g.labels, side=g.side)
-    shell = Graph(g.n, shell_edges, labels=g.labels, side=g.side)
+    core = Graph(g.n, core_edges, side=g.side)
+    shell = Graph(g.n, shell_edges, side=g.side)
     full_order = tuple(peel) + tuple(core_vertices)
     pos = {v: i for i, v in enumerate(full_order)}
     rdeg = [0] * g.n

@@ -2,12 +2,12 @@
 
 Three layers:
 
-* ``partition_bipartite_exact`` splits the complete bipartite graph on two
-  q^arity-point coordinate spaces into q^(arity-1) shifted algebraic copies,
-  one per shift tuple (girth 8 for arity 3, girth 12 for arity 5).
-* ``cover_bipartite`` handles arbitrary K_{m,m} by embedding the first m
-  points and m lines of the smallest sufficient prime construction;
-  subgraphs only ever have larger girth.
+* ``cover_bipartite`` partitions K_{m,m} into q^(arity-1) shifted algebraic
+  copies, one per shift tuple (girth 8 for arity 3, girth 12 for arity 5),
+  restricted to the first m points and m lines of the smallest sufficient
+  prime construction; subgraphs only ever have larger girth.
+  ``partition_bipartite_exact`` is its case m = q^arity, where every copy
+  is whole.
 * ``cover_complete`` partitions K_n by recursive halving.  Crossing edges of
   all sibling block pairs at one level share a single set of part ids: the
   disjoint union of same-id pieces keeps the girth, and sharing is what
@@ -21,19 +21,17 @@ the host complete graph would be far too large to enumerate.
 
 from __future__ import annotations
 
+import itertools
 import os
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .algebraic import (
-    ShiftH,
-    ShiftQ,
-    hexagon_neighbor,
+    _check_q,
+    _incident_lines,
     index_to_tuple,
-    quadrangle_neighbor,
     solve_shift_h,
     solve_shift_q,
-    tuple_to_index,
 )
 from .field import next_prime_at_least
 from .graph import Graph, read_edge_list, write_edge_list
@@ -173,45 +171,19 @@ def verify_partition(
 # Exact bipartite partitions
 
 
-def _all_shifts(q: int, arity: int):
-    if arity == 3:
-        return [ShiftQ(a2, a3) for a2 in range(q) for a3 in range(q)]
-    return [
-        ShiftH(b2, b3, b4, b5)
-        for b2 in range(q)
-        for b3 in range(q)
-        for b4 in range(q)
-        for b5 in range(q)
-    ]
-
-
-def _shift_name(shift) -> str:
-    return "s" + "_".join(map(str, shift.as_tuple()))
-
-
 def partition_bipartite_exact(q: int, arity: int) -> EdgePartition:
     """Partition the complete bipartite graph on q^arity + q^arity vertices
     into q^(arity-1) shifted algebraic copies.
 
-    Each part is q-regular with q^(arity+1) edges; coverage plus regularity
-    makes the cover an exact partition (also checked directly in tests via
-    the uniqueness of the shift solvers).
+    This is :func:`cover_bipartite` with m = q^arity, where the embedding
+    is the whole construction.  Each part is q-regular with q^(arity+1)
+    edges; coverage plus regularity makes the cover an exact partition (also
+    checked directly in tests via the uniqueness of the shift solvers).
     """
     if arity not in (3, 5):
         raise ValueError(f"arity must be 3 or 5, got {arity}")
-    n_side = q**arity
-    girth = 8 if arity == 3 else 12
-    neighbor = quadrangle_neighbor if arity == 3 else hexagon_neighbor
-    parts = []
-    for shift in _all_shifts(q, arity):
-        edges = []
-        for pid in range(n_side):
-            p = index_to_tuple(pid, q, arity)
-            for l1 in range(q):
-                l = neighbor(p, l1, shift, q)
-                edges.append((pid, n_side + tuple_to_index(l, q)))
-        parts.append(Part(name=_shift_name(shift), edges=edges, girth_target=girth))
-    return EdgePartition(host=HostSpec.bipartite(n_side, n_side), parts=parts)
+    _check_q(q)
+    return cover_bipartite(q**arity, 8 if arity == 3 else 12)
 
 
 def prime_for_side(m: int, arity: int) -> int:
@@ -227,24 +199,19 @@ def cover_bipartite(m: int, target_girth: int) -> EdgePartition:
 
     Embeds the host as the first m points and first m lines (canonical
     tuple order) of the smallest sufficient prime construction; restriction
-    never decreases girth.
+    never decreases girth.  Parts are named ``s<shift>`` and come in
+    lexicographic shift order, with edges in point-major order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     arity = _GIRTH_ARITY[target_girth]
     q = prime_for_side(m, arity)
-    n_side = q**arity
-    neighbor = quadrangle_neighbor if arity == 3 else hexagon_neighbor
     parts = []
-    for shift in _all_shifts(q, arity):
-        edges = []
-        for pid in range(m):
-            p = index_to_tuple(pid, q, arity)
-            for l1 in range(q):
-                lid = tuple_to_index(neighbor(p, l1, shift, q), q)
-                if lid < m:
-                    edges.append((pid, m + lid))
-        parts.append(Part(name=_shift_name(shift), edges=edges, girth_target=target_girth))
+    for shift in itertools.product(range(q), repeat=arity - 1):
+        rows = _incident_lines(q, arity, shift, m).tolist()
+        edges = [(p, m + l) for p, row in enumerate(rows) for l in row if l < m]
+        name = "s" + "_".join(map(str, shift))
+        parts.append(Part(name=name, edges=edges, girth_target=target_girth))
     return EdgePartition(host=HostSpec.bipartite(m, m), parts=parts)
 
 
@@ -366,7 +333,9 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 #     # girthcover partition manifest v1
 #     host complete 250            (or "host bipartite 125 125" / "host file host.edges")
 #     parts 25
-#     part <name> <relative-path> girth 8        (or "... cycle-free 6")
+#     part <name> <relative-path> girth 8        (or "... cycle-free 6" / "... none")
+#
+# Relative paths must stay inside the manifest directory.
 
 
 def write_manifest(p: EdgePartition, directory) -> str:
@@ -400,7 +369,17 @@ def write_manifest(p: EdgePartition, directory) -> str:
 
 
 def read_manifest(manifest_path) -> EdgePartition:
+    """Parse a manifest; any malformed line raises ``ValueError`` naming it."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
+    prefix = os.path.join(directory, "")
+
+    def inside(rel: str, line: str) -> str:
+        # A lexical check on the normalised path: O(1), no file system calls.
+        path = os.path.normpath(os.path.join(directory, rel))
+        if not path.startswith(prefix):
+            raise ValueError(f"{manifest_path}: path outside the manifest directory: {line}")
+        return path
+
     host = None
     n_parts = None
     parts = []
@@ -409,39 +388,39 @@ def read_manifest(manifest_path) -> EdgePartition:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            tok = line.split()
-            if tok[0] == "host":
-                if tok[1] == "complete":
-                    host = HostSpec.complete(int(tok[2]))
-                elif tok[1] == "bipartite":
-                    host = HostSpec.bipartite(int(tok[2]), int(tok[3]))
-                elif tok[1] == "file":
-                    g = read_edge_list(os.path.join(directory, tok[2]))
+            match line.split():
+                case ["host", "complete", n]:
+                    host = HostSpec.complete(int(n))
+                case ["host", "bipartite", a, b]:
+                    host = HostSpec.bipartite(int(a), int(b))
+                case ["host", "file", rel]:
+                    g = read_edge_list(inside(rel, line))
                     host = HostSpec.explicit(g.n, g.edges())
-                else:
-                    raise ValueError(f"unknown host kind {tok[1]!r}")
-            elif tok[0] == "parts":
-                n_parts = int(tok[1])
-            elif tok[0] == "part":
-                name, rel = tok[1], tok[2]
-                g = read_edge_list(os.path.join(directory, rel))
-                girth_target = None
-                forbidden = None
-                if len(tok) > 3:
-                    if tok[3] == "girth":
-                        girth_target = int(tok[4])
-                    elif tok[3] == "cycle-free":
-                        forbidden = int(tok[4])
-                parts.append(
-                    Part(
-                        name=name,
-                        edges=list(g.edges()),
-                        girth_target=girth_target,
-                        forbidden_cycle=forbidden,
+                case ["parts", count]:
+                    n_parts = int(count)
+                case ["part", name, rel, *claim]:
+                    girth_target = None
+                    forbidden = None
+                    match claim:
+                        case [] | ["none"]:
+                            pass
+                        case ["girth", value]:
+                            girth_target = int(value)
+                        case ["cycle-free", value]:
+                            forbidden = int(value)
+                        case _:
+                            raise ValueError(f"{manifest_path}: malformed part claim: {line}")
+                    g = read_edge_list(inside(rel, line))
+                    parts.append(
+                        Part(
+                            name=name,
+                            edges=list(g.edges()),
+                            girth_target=girth_target,
+                            forbidden_cycle=forbidden,
+                        )
                     )
-                )
-            else:
-                raise ValueError(f"unrecognized manifest line: {line}")
+                case _:
+                    raise ValueError(f"{manifest_path}: malformed manifest line: {line}")
     if host is None:
         raise ValueError(f"{manifest_path}: missing host line")
     if n_parts is not None and n_parts != len(parts):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .graph import (
@@ -58,7 +58,6 @@ class DecompositionConfig:
     target_cycle: int = 6  # 6 or 10
     color_multiplier: int = 200
     retention: float = 0.1
-    decay: float = 0.9
     rng_seed: int = 0
     max_retries: int = 20
 
@@ -95,13 +94,16 @@ class RainbowRetentionError(RuntimeError):
     """Raised when no retry achieves the per-vertex retention floor.
 
     Usually signals that the minimum-degree precondition (degree at least
-    ~log^2 of the max degree) did not hold for the input.
+    ~log^2 of the max degree) did not hold for the input.  ``rounds`` holds
+    the logs of the rounds :func:`decompose` completed before the failure
+    (empty when raised outside it), for diagnosis.
     """
 
     def __init__(self, worst_vertex: int, worst_ratio: float, retries: int):
         self.worst_vertex = worst_vertex
         self.worst_ratio = worst_ratio
         self.retries = retries
+        self.rounds: list[RoundLog] = []
         super().__init__(
             f"retention not achieved after {retries} retries; "
             f"worst vertex {worst_vertex} kept only {worst_ratio:.3f} of its degree"
@@ -109,23 +111,29 @@ class RainbowRetentionError(RuntimeError):
 
 
 def check_rainbow_coloring(rc: RainbowColoring, cfg: DecompositionConfig) -> None:
-    """Assert every RainbowColoring invariant; raises AssertionError on violation."""
+    """Check every RainbowColoring invariant; raises AssertionError on violation.
+
+    The checks are explicit raises, so they also run under ``python -O``.
+    """
     g, h = rc.host, rc.retained
-    assert h.n == g.n
-    assert rc.palette_size <= cfg.color_multiplier * max(g.max_degree(), 1)
+    if h.n != g.n:
+        raise AssertionError(f"retained graph has {h.n} vertices, host has {g.n}")
+    if rc.palette_size > cfg.color_multiplier * max(g.max_degree(), 1):
+        raise AssertionError(f"palette {rc.palette_size} exceeds multiplier * max degree")
     host_edges = set(g.edges())
     for e in h.edges():
-        assert e in host_edges, f"retained edge {e} not in host"
+        if e not in host_edges:
+            raise AssertionError(f"retained edge {e} not in host")
     for u, v in h.edges():
-        assert rc.color[u] != rc.color[v], f"monochromatic retained edge ({u},{v})"
+        if rc.color[u] == rc.color[v]:
+            raise AssertionError(f"monochromatic retained edge ({u},{v})")
     for v in range(h.n):
         seen = [rc.color[w] for w in h.neighbors(v)]
-        assert len(set(seen)) == len(seen), f"repeated color in neighborhood of {v}"
+        if len(set(seen)) != len(seen):
+            raise AssertionError(f"repeated color in neighborhood of {v}")
     for v in range(g.n):
-        if g.degree(v) > 0:
-            assert h.degree(v) >= cfg.retention * g.degree(v), (
-                f"vertex {v} retains {h.degree(v)}/{g.degree(v)}"
-            )
+        if g.degree(v) > 0 and h.degree(v) < cfg.retention * g.degree(v):
+            raise AssertionError(f"vertex {v} retains {h.degree(v)}/{g.degree(v)}")
 
 
 def _try_rainbow(g: Graph, palette: int, rng: random.Random):
@@ -309,19 +317,12 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             # everything peeled into forests; no rainbow round happened
             current = core
             break
-        sub_cfg = DecompositionConfig(
-            target_cycle=cfg.target_cycle,
-            color_multiplier=cfg.color_multiplier,
-            retention=cfg.retention,
-            decay=cfg.decay,
-            rng_seed=cfg.rng_seed + seed_step,
-            max_retries=cfg.max_retries,
-        )
+        sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + seed_step)
         seed_step += cfg.max_retries
         try:
             rc = rainbow_color(core, sub_cfg)
         except RainbowRetentionError as err:
-            err.rounds = rounds  # attach progress for diagnosis
+            err.rounds = rounds
             raise
         if rc.palette_size not in locators:
             locators[rc.palette_size] = CompleteCoverLocator(

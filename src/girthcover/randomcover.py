@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebraic import build_hexagon, build_quadrangle
+from .field import next_prime_at_least
 from .graph import Graph
 from .partition import EdgePartition, HostSpec, Part
 
@@ -142,13 +143,13 @@ def builtin_seed_for_cycle(n: int, k: int) -> SeedGraph:
     q = 5
     while 2 * q**3 <= n:
         candidates.append((q**4, 3, q))
-        q = _next_prime(q + 1)
+        q = next_prime_at_least(q + 1)
     if k == 5:
         candidates = []
     q = 5
     while 2 * q**5 <= n:
         candidates.append((q**6, 5, q))
-        q = _next_prime(q + 1)
+        q = next_prime_at_least(q + 1)
     if not candidates:
         raise ValueError(
             f"no built-in seed with girth >= {2 * k + 2} fits in {n} vertices; "
@@ -157,12 +158,6 @@ def builtin_seed_for_cycle(n: int, k: int) -> SeedGraph:
     _, arity, q = max(candidates)
     built = build_quadrangle(q) if arity == 3 else build_hexagon(q)
     return SeedGraph.certify(built.graph, min_girth=2 * k + 2)
-
-
-def _next_prime(m: int) -> int:
-    from .field import next_prime_at_least
-
-    return next_prime_at_least(m)
 
 
 def cover_for_cycle(

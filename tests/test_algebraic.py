@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -222,3 +223,19 @@ def test_tuple_index_roundtrip():
             assert tuple_to_index(t, q) == idx
     with pytest.raises(ValueError):
         tuple_to_index((0, 5, 0), 5)
+
+
+# Recorded from the per-point generator that the vectorised one replaced.
+BUILD_SHA256 = {
+    (build_quadrangle, 5): "9745877915db9f898718163fcb588f541ebbdf45c1e35988f3f197ae727f10e7",
+    (build_quadrangle, 7): "9bd67be5b1785f239d01650d46f0a3a2b9382d0657f761dc302c35d474ce8ec2",
+    (build_hexagon, 5): "be62ce46956395707fe30b3558fb871d686fcba7a09778ee4fb4682ed442a103",
+    (build_hexagon, 7): "342603a6f1112e8a3cf55284161efbed4de8b01aa97519698bc43c0d32b0909e",
+}
+
+
+@pytest.mark.parametrize("build, q", sorted(BUILD_SHA256, key=lambda k: (k[0].__name__, k[1])))
+def test_shifted_builds_match_recorded_hashes(build, q):
+    shift = ShiftQ(1, 2) if build is build_quadrangle else ShiftH(3, 1, 4, 2)
+    edges = list(build(q, shift).graph.edges())
+    assert hashlib.sha256(repr(edges).encode()).hexdigest() == BUILD_SHA256[(build, q)]

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
-from girthcover.graph import read_edge_list, write_edge_list
+from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
 from conftest import random_regular
 
 
@@ -81,3 +81,20 @@ def test_usage_errors():
     assert run(["no-such-command"]) == EXIT_USAGE
     assert run(["build-q", "--q", "6", "--out", "/tmp/x.edges"]) == EXIT_USAGE
     assert run(["verify", "--manifest", "/nonexistent/manifest.txt"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("q", ["6", "4"])
+def test_partition_bipartite_rejects_non_prime_q(tmp_path, q):
+    out = str(tmp_path / "pb")
+    assert run(["partition-bipartite", "--q", q, "--arity", "3", "--out", out]) == EXIT_USAGE
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("line", ["host", "part a", "part a ../outside.edges girth 8"])
+def test_verify_malformed_manifest_line(tmp_path, capsys, line):
+    write_edge_list(cycle_graph(10), tmp_path / "outside.edges")
+    (tmp_path / "m").mkdir()
+    manifest = tmp_path / "m" / "manifest.txt"
+    manifest.write_text(f"host complete 10\n{line}\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert line in capsys.readouterr().err

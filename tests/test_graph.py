@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import os
@@ -331,6 +332,30 @@ def test_bad_certificate_rejected(perm):
         g.girth_exceeds(7)
 
 
+# Self-checks that raise AssertionError: a coloring with palette 10^9 or a
+# monochromatic edge, and shift solvers whose result fails the oracle.
+SELF_CHECKS_SCRIPT = (
+    "import girthcover.algebraic as algebraic\n"
+    "from girthcover.graph import Graph\n"
+    "from girthcover.rainbow import DecompositionConfig, RainbowColoring, check_rainbow_coloring\n"
+    "edge = Graph(2, [(0, 1)])\n"
+    "for color, palette in (([0, 1], 10**9), ([0, 0], 2)):\n"
+    "    rc = RainbowColoring(host=edge, retained=edge, color=color, palette_size=palette)\n"
+    "    try:\n"
+    "        check_rainbow_coloring(rc, DecompositionConfig())\n"
+    "    except AssertionError:\n"
+    "        continue\n"
+    "    raise SystemExit(f'accepted coloring {color} with palette {palette}')\n"
+    "algebraic.is_edge_q = algebraic.is_edge_h = lambda *args: False\n"
+    "for solve, arity in ((algebraic.solve_shift_q, 3), (algebraic.solve_shift_h, 5)):\n"
+    "    try:\n"
+    "        solve((0,) * arity, (0,) * arity, 5)\n"
+    "    except AssertionError:\n"
+    "        continue\n"
+    "    raise SystemExit(f'{solve.__name__} skipped its self-check')\n"
+)
+
+
 def test_bad_certificate_rejected_under_optimize():
     script = (
         "from girthcover.graph import Graph, cycle_graph\n"
@@ -342,13 +367,25 @@ def test_bad_certificate_rejected_under_optimize():
         "        except ValueError:\n"
         "            continue\n"
         "        raise SystemExit(f'accepted {perm}')\n"
-    )
+    ) + SELF_CHECKS_SCRIPT
     src = os.path.dirname(os.path.dirname(girthcover.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_library_has_no_assert_statements():
+    # assert is stripped under python -O; every check must be an explicit raise
+    package = os.path.dirname(girthcover.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the library: {found}"
 
 
 def test_derived_graphs_drop_certificate(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -194,3 +195,23 @@ def test_manifest_explicit_host(tmp_path):
     assert back.host.kind == "explicit"
     rep = verify_partition(back)
     assert rep.passed
+
+
+# Recorded from the per-point generator that the vectorised one replaced:
+# part names and ordered edge lists must not change.
+PARTITION_SHA256 = {
+    ("exact", 5, 3): "a3412a279767bba2c17ea6bed307243b7c806601d801497280c521b9f5e97dc6",
+    ("exact", 7, 3): "83282b193e89a8d20d1965cabf2037f59820c8734655b52849611ffbabb4b599",
+    ("cover", 100, 8): "27e0ef4ce9b94e171cea267c8f08f307ecbbe5654afbff96c31b159ed6e60694",
+    ("cover", 20, 12): "49268d74fcceb34eda8d664be670878cf25b7aa666f6bcdebd2e5e0f1485addc",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARTITION_SHA256))
+def test_bipartite_partitions_match_recorded_hashes(key):
+    kind, a, b = key
+    ep = partition_bipartite_exact(a, b) if kind == "exact" else cover_bipartite(a, b)
+    h = hashlib.sha256()
+    for part in ep.parts:
+        h.update(f"{part.name}:{part.edges}\n".encode())
+    assert h.hexdigest() == PARTITION_SHA256[key]

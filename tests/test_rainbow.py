@@ -66,6 +66,17 @@ def test_rainbow_retention_failure_surfaced():
     assert 0 <= exc.value.worst_ratio < 0.9
 
 
+def test_retention_failure_in_decompose_carries_completed_rounds():
+    g = random_regular(60, 32, seed=1)
+    cfg = DecompositionConfig(color_multiplier=1, retention=0.06, max_retries=1, rng_seed=4)
+    with pytest.raises(RainbowRetentionError) as exc:
+        decompose(g, cfg)
+    assert [log.round_index for log in exc.value.rounds] == [1]
+    assert exc.value.rounds[0].max_degree_before == 32
+    outside = RainbowRetentionError(worst_vertex=0, worst_ratio=0.0, retries=1)
+    assert outside.rounds == []
+
+
 def test_pullback_empty_retained():
     from girthcover.rainbow import RainbowColoring
 
