@@ -1,4 +1,4 @@
-"""Compiled inner loops for the exact girth search.
+"""Inner loop of the exact girth search.
 
 The kernel runs a pruned BFS from each of the given roots over a CSR
 adjacency and returns the length of the shortest cycle found below a cap.
@@ -8,10 +8,14 @@ containing a cycle of at most that length.  It equals the girth as soon as
 one root lies on a shortest cycle.  Rooting at every vertex guarantees that;
 so does rooting at one vertex per orbit of a group of automorphisms, because
 an automorphism carries a shortest cycle through any vertex onto a shortest
-cycle through that vertex's orbit representative.
+cycle through that vertex's orbit representative; and so does rooting at a
+set of vertices that meets every cycle.
 
-numba, when installed, compiles the kernel; without it the same function
-runs as plain Python.
+The loop is written once, in ``_bfs_scan``.  numba, when installed,
+compiles it and runs it on numpy buffers.  Without numba it runs as plain
+Python on lists (the CSR arrays converted with ``tolist``), because indexing
+a list is several times faster than indexing a numpy array one scalar at a
+time.
 """
 
 from __future__ import annotations
@@ -19,21 +23,18 @@ from __future__ import annotations
 import numpy as np
 
 
-def _girth_scan(indptr, indices, n, cap, roots):
+def _bfs_scan(indptr, indices, cap, roots, dist, parent, stamp, queue):
     # cap is exclusive: returns min(girth, cap); cap means "no cycle < cap".
-    # roots must be distinct vertices; each one stamps the vertices it reaches.
+    # roots must be distinct vertices; each one stamps the vertices it reaches,
+    # so stamp must start with no vertex id in it.  dist, parent and queue
+    # are scratch space of length n.
     best = cap
-    dist = np.empty(n, np.int32)
-    parent = np.empty(n, np.int32)
-    stamp = np.full(n, -1, np.int32)
-    queue = np.empty(n, np.int32)
     for r in roots:
         if best <= 3:
             break
         head = 0
-        tail = 0
-        queue[tail] = r
-        tail += 1
+        tail = 1
+        queue[0] = r
         stamp[r] = r
         dist[r] = 0
         parent[r] = -1
@@ -45,8 +46,7 @@ def _girth_scan(indptr, indices, n, cap, roots):
             if 2 * du + 1 >= best:
                 break
             pu = parent[u]
-            for e in range(indptr[u], indptr[u + 1]):
-                w = indices[e]
+            for w in indices[indptr[u] : indptr[u + 1]]:
                 if w == pu:
                     continue
                 if stamp[w] == r:
@@ -63,9 +63,30 @@ def _girth_scan(indptr, indices, n, cap, roots):
     return best
 
 
+def _girth_scan(indptr, indices, n, cap, roots):
+    """min(girth, cap) over BFS from ``roots``, run as Python on lists."""
+    return _bfs_scan(
+        indptr.tolist(), indices.tolist(), cap, roots.tolist(), [0] * n, [0] * n, [-1] * n, [0] * n
+    )
+
+
 try:  # pragma: no cover - exercised implicitly
     from numba import njit
-
-    girth_scan = njit(cache=True)(_girth_scan)
 except ImportError:  # pragma: no cover
     girth_scan = _girth_scan
+else:  # pragma: no cover - numba is an optional extra
+    _bfs_scan_compiled = njit(cache=True)(_bfs_scan)
+
+    @njit(cache=True)
+    def girth_scan(indptr, indices, n, cap, roots):
+        """min(girth, cap) over BFS from ``roots``, compiled on numpy buffers."""
+        return _bfs_scan_compiled(
+            indptr,
+            indices,
+            cap,
+            roots,
+            np.empty(n, np.int32),
+            np.empty(n, np.int32),
+            np.full(n, -1, np.int32),
+            np.empty(n, np.int32),
+        )

@@ -6,15 +6,19 @@ injective homomorphism check are all computed combinatorially, never
 approximated.  Cycle detection deliberately avoids walk-counting shortcuts
 (matrix traces count closed walks, not cycles).
 
-The girth search runs a BFS from a set of roots that must meet every orbit
-of some group of automorphisms.  A graph built without an automorphism
-certificate roots at every vertex.  A graph that carries one (generator
-permutations, as the algebraic constructions attach) has every generator
-checked to be an automorphism on each girth query, and then roots at one
-vertex per orbit of the group they generate: an automorphism carries a
-shortest cycle through any vertex onto a shortest cycle through that
-vertex's orbit representative, so the minimum over these roots is still
-the exact girth.  Certificates are never inherited by derived graphs.
+The girth search runs a BFS from a set of roots that must contain a vertex
+of some shortest cycle.  A graph built without an automorphism certificate
+roots at a set that meets every cycle: every cycle lies in the 2-core, and
+in a bipartite component of the 2-core every cycle alternates between the
+two colour classes, so the smaller class of each bipartite core component
+together with all of every other core component will do (a forest gets no
+roots).  A graph that carries a certificate (generator permutations, as the
+algebraic constructions attach) has every generator checked to be an
+automorphism on each girth query, and then roots at one vertex per orbit
+of the group they generate: an automorphism carries a shortest cycle
+through any vertex onto a shortest cycle through that vertex's orbit
+representative, so the minimum over these roots is still the exact girth.
+Certificates are never inherited by derived graphs.
 """
 
 from __future__ import annotations
@@ -133,9 +137,10 @@ class Graph:
     def girth(self):
         """Exact girth: length of a shortest cycle, ``math.inf`` for forests.
 
-        Pruned BFS from every vertex, or from one vertex per orbit when the
-        graph carries a checked automorphism certificate; O(roots*E) worst
-        case, exact by the min-over-roots argument in the kernel module.
+        Pruned BFS from a vertex set meeting every cycle, or from one vertex
+        per orbit when the graph carries a checked automorphism certificate;
+        O(roots*E) worst case, exact by the min-over-roots argument in the
+        kernel module.
         """
         cap = self.n + 1
         best = self._girth_search(cap)
@@ -152,15 +157,15 @@ class Graph:
     def _girth_search(self, cap: int) -> int:
         # min(girth, cap); the certificate is checked even when m == 0.
         roots = self._girth_roots()
-        if self._m == 0:
+        if self._m == 0 or len(roots) == 0:  # no edges, or no cycle to meet
             return cap
         indptr, indices = self._csr_arrays()
         return int(girth_scan(indptr, indices, self.n, cap, roots))
 
     def _girth_roots(self):
-        """One root per orbit of the certified automorphisms, else all vertices."""
+        """One root per orbit of the certified automorphisms, else cycle-hitting roots."""
         if self._automorphisms is None:
-            return np.arange(self.n, dtype=np.int32)
+            return self._cycle_hitting_roots()
         if callable(self._automorphisms):  # built on the first girth query
             self._automorphisms = tuple(self._automorphisms())
         checked = [self._checked_automorphism(perm) for perm in self._automorphisms]
@@ -178,6 +183,47 @@ class Graph:
                 if rv != rw:
                     parent[max(rv, rw)] = min(rv, rw)
         return np.array([v for v in range(self.n) if parent[v] == v], dtype=np.int32)
+
+    def _cycle_hitting_roots(self):
+        """Sorted vertices meeting every cycle, per component of the 2-core:
+        its smaller colour class if it is bipartite, else all of it."""
+        adj = self._adj
+        n = self.n
+        deg = [len(nbrs) for nbrs in adj]
+        in_core = [d >= 2 for d in deg]
+        peel = [v for v in range(n) if not in_core[v]]
+        while peel:
+            for w in adj[peel.pop()]:
+                if in_core[w]:
+                    deg[w] -= 1
+                    if deg[w] < 2:
+                        in_core[w] = False
+                        peel.append(w)
+        colour = [-1] * n
+        roots = []
+        for s in range(n):
+            if not in_core[s] or colour[s] >= 0:
+                continue
+            colour[s] = 0
+            component = [s]
+            bipartite = True
+            for u in component:  # BFS: the loop also visits what it appends
+                cu = colour[u]
+                for w in adj[u]:
+                    if not in_core[w]:
+                        continue
+                    if colour[w] < 0:
+                        colour[w] = 1 - cu
+                        component.append(w)
+                    elif colour[w] == cu:
+                        bipartite = False
+            if bipartite:
+                zeros = [v for v in component if colour[v] == 0]
+                ones = [v for v in component if colour[v] == 1]
+                component = ones if len(ones) < len(zeros) else zeros
+            roots.extend(component)
+        roots.sort()
+        return np.array(roots, dtype=np.int32)
 
     def _checked_automorphism(self, perm):
         """``perm`` as an int64 array, or ``ValueError`` unless it is an automorphism."""
@@ -500,11 +546,11 @@ def read_edge_list(path) -> Graph:
             edges.append((int(u), int(v)))
     if header is None:
         raise ValueError(f"{path}: empty edge-list file")
+    if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
+        raise ValueError(f"{path}: malformed header {' '.join(header)}")
     n, m = int(header[0]), int(header[1])
     side = None
-    if len(header) > 2:
-        if header[2] != "bipartite" or len(header) != 5:
-            raise ValueError(f"{path}: malformed header {' '.join(header)}")
+    if len(header) == 5:
         a, b = int(header[3]), int(header[4])
         if a + b != n:
             raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")

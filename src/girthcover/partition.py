@@ -39,6 +39,13 @@ from .graph import Graph, read_edge_list, write_edge_list
 _GIRTH_ARITY = {8: 3, 12: 5}
 
 
+def _arity_for(target_girth: int) -> int:
+    """Arity of the construction for a target girth, or ``ValueError``."""
+    if target_girth not in _GIRTH_ARITY:
+        raise ValueError(f"target girth must be one of {sorted(_GIRTH_ARITY)}")
+    return _GIRTH_ARITY[target_girth]
+
+
 # ---------------------------------------------------------------------------
 # Partition containers
 
@@ -204,7 +211,7 @@ def cover_bipartite(m: int, target_girth: int) -> EdgePartition:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    arity = _GIRTH_ARITY[target_girth]
+    arity = _arity_for(target_girth)
     q = prime_for_side(m, arity)
     parts = []
     for shift in itertools.product(range(q), repeat=arity - 1):
@@ -254,11 +261,9 @@ class CompleteCoverLocator:
     def __init__(self, n: int, target_girth: int):
         if n < 2:
             raise ValueError("host must have at least 2 vertices")
-        if target_girth not in _GIRTH_ARITY:
-            raise ValueError(f"target girth must be one of {sorted(_GIRTH_ARITY)}")
+        self.arity = _arity_for(target_girth)
         self.n = n
         self.target_girth = target_girth
-        self.arity = _GIRTH_ARITY[target_girth]
         levels = []
         size = n
         level = 1

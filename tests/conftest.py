@@ -1,8 +1,10 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from girthcover._kernels import girth_scan
 from girthcover.graph import Graph
 
 
@@ -18,6 +20,19 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def all_roots_girth(g: Graph, cap=None):
+    """min(girth, cap) by the kernel's BFS from every vertex (cap n + 1 by default).
+
+    Independent of the root sets that ``Graph`` chooses: the oracle for
+    certified and cycle-hitting roots.
+    """
+    cap = g.n + 1 if cap is None else cap
+    if g.m == 0:
+        return cap
+    indptr, indices = g._csr_arrays()
+    return girth_scan(indptr, indices, g.n, cap, np.arange(g.n))
 
 
 @pytest.fixture

@@ -18,10 +18,11 @@ from girthcover.algebraic import (
     tuple_to_index,
 )
 from girthcover.graph import Graph
+from conftest import all_roots_girth
 
 
 def without_certificate(g):
-    """The same graph, built again so that its girth search roots everywhere."""
+    """The same graph, built again without its automorphism certificate."""
     return Graph(g.n, list(g.edges()), side=g.side)
 
 
@@ -72,9 +73,8 @@ def test_quadrangle_certified_girth_matches_all_roots(q, shift):
     plain = without_certificate(g)
     # one point orbit, and one line orbit per value of l1
     assert len(g._girth_roots()) == q + 1
-    assert len(plain._girth_roots()) == g.n
-    assert g.girth() == plain.girth()
-    assert g.girth_exceeds(7) == plain.girth_exceeds(7)
+    assert g.girth() == plain.girth() == all_roots_girth(g)
+    assert g.girth_exceeds(7) == plain.girth_exceeds(7) == (all_roots_girth(g, 8) > 7)
 
 
 def test_quadrangle_rejects_bad_q():
@@ -116,7 +116,7 @@ def test_hexagon_girth_12_shifted():
 def test_hexagon_certified_girth_matches_all_roots():
     g = build_hexagon(5, ShiftH(3, 1, 4, 2)).graph
     assert len(g._girth_roots()) == 2 * 5**3
-    assert g.girth() == without_certificate(g).girth()
+    assert g.girth() == without_certificate(g).girth() == all_roots_girth(g)
 
 
 # -- shift isomorphisms -----------------------------------------------------

@@ -98,3 +98,11 @@ def test_verify_malformed_manifest_line(tmp_path, capsys, line):
     manifest.write_text(f"host complete 10\n{line}\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
     assert line in capsys.readouterr().err
+
+
+def test_verify_one_token_edge_list_header(tmp_path, capsys):
+    (tmp_path / "a.edges").write_text("10\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("host complete 10\npart a a.edges girth 8\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert "a.edges" in capsys.readouterr().err

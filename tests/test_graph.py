@@ -24,7 +24,7 @@ from girthcover.graph import (
     read_edge_list,
     write_edge_list,
 )
-from conftest import random_graph
+from conftest import all_roots_girth, random_graph
 
 
 # -- independent oracles ----------------------------------------------------
@@ -86,6 +86,96 @@ def test_girth_exceeds():
     assert p.girth_exceeds(4)
     assert not p.girth_exceeds(5)
     assert path_graph(5).girth_exceeds(100)
+
+
+# -- cycle-hitting roots and the kernel backend -----------------------------
+
+
+def mixed_graph(seed: int) -> Graph:
+    """Seeded graph mixing isolated vertices, trees, bipartite components,
+    components with odd cycles and pendant trees, randomly relabelled."""
+    rng = random.Random(seed)
+    edges = []
+    n = rng.randint(0, 3)  # isolated vertices
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(4, 14)
+        vs = list(range(n, n + size))
+        n += size
+        kind = rng.choice(("tree", "bipartite", "odd"))
+        left, right, p = vs[: size // 2], vs[size // 2 :], rng.uniform(0.0, 1.0 / size)
+        if kind == "tree":
+            ring, chords = [], []
+            edges += [(vs[rng.randrange(i)], vs[i]) for i in range(1, size)]
+        elif kind == "bipartite":  # an even ring across the sides, cross chords
+            k = rng.randint(2, size // 2)
+            ring = [v for pair in zip(rng.sample(left, k), rng.sample(right, k)) for v in pair]
+            chords = [(u, v) for u in left for v in right]
+        else:  # an odd ring, any chords
+            ring = rng.sample(vs, rng.choice([k for k in (3, 5, 7, 9, 11, 13) if k <= size]))
+            chords = list(itertools.combinations(vs, 2))
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        edges += [e for e in chords if rng.random() < p]
+        for _ in range(rng.randint(0, 3)):  # a pendant tree hung on the component
+            tree = [rng.choice(vs)]
+            for w in range(n, n + rng.randint(1, 4)):
+                edges.append((rng.choice(tree), w))
+                tree.append(w)
+            n += len(tree) - 1
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, {tuple(sorted((label[u], label[v]))) for u, v in edges})
+
+
+def test_girth_matches_networkx_on_mixed_graphs():
+    import networkx as nx
+
+    for seed in range(600):
+        g = mixed_graph(seed)
+        oracle = nx.Graph()
+        oracle.add_nodes_from(range(g.n))
+        oracle.add_edges_from(g.edges())
+        want = nx.girth(oracle)
+        assert g.girth() == want, f"seed {seed}"
+        for bound in range(12):
+            assert g.girth_exceeds(bound) == (want > bound), f"seed {seed}, bound {bound}"
+
+
+def test_cycle_hitting_roots():
+    assert path_graph(7)._girth_roots().tolist() == []
+    star_with_path = Graph(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])
+    assert star_with_path._girth_roots().tolist() == []
+    assert cycle_graph(8)._girth_roots().tolist() == [0, 2, 4, 6]
+    assert petersen_graph()._girth_roots().tolist() == list(range(10))
+    # K_{2,3} on {0, 1} + {2, 3, 4}, with pendant paths 4-5-6-7 and 0-8-9
+    pendant = [(4, 5), (5, 6), (6, 7), (0, 8), (8, 9)]
+    core_with_paths = Graph(10, [(u, v) for u in (0, 1) for v in (2, 3, 4)] + pendant)
+    assert core_with_paths._girth_roots().tolist() == [0, 1]
+    assert core_with_paths.girth() == 4
+
+
+def test_python_backend_without_numba():
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        pass
+    else:
+        pytest.skip("numba is installed, so the compiled entry runs")
+    import numpy as np
+
+    from girthcover import _kernels
+
+    assert _kernels.girth_scan is _kernels._girth_scan
+    g = petersen_graph()
+    indptr, indices = g._csr_arrays()
+    assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
+    every = np.arange(g.n)
+    for roots, cap, want in ((g._girth_roots(), g.n + 1, 5), (every, 5, 5), (every, 4, 4)):
+        got = _kernels.girth_scan(indptr, indices, g.n, cap, roots)
+        assert type(got) is int and got == want
+    # The loop the compiled entry runs gives the same answer on its numpy buffers.
+    buffers = [np.empty(g.n, np.int32) for _ in range(4)]
+    buffers[2].fill(-1)  # stamp
+    assert _kernels._bfs_scan(indptr, indices, g.n + 1, g._girth_roots(), *buffers) == 5
 
 
 # -- fixed-length cycle detection ------------------------------------------
@@ -401,8 +491,8 @@ def test_derived_graphs_drop_certificate(tmp_path):
         SeedGraph.certify(g).padded_to(9).graph,
     ]
     for d in derived:
-        assert len(d._girth_roots()) == d.n
-        assert d.girth() == 8
+        assert d._automorphisms is None
+        assert d.girth() == 8 == all_roots_girth(d)
 
 
 # -- disjoint union ---------------------------------------------------------

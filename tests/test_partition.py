@@ -70,6 +70,12 @@ def test_cover_bipartite_degenerate():
     assert nonempty[0].edges == [(0, 1)]
 
 
+@pytest.mark.parametrize("build", [cover_bipartite, CompleteCoverLocator])
+def test_unsupported_target_girth_rejected(build):
+    with pytest.raises(ValueError, match="target girth must be one of"):
+        build(10, 10)
+
+
 def test_cover_bipartite_m100():
     ep = cover_bipartite(100, 8)
     assert len(ep.parts) == 25
