@@ -227,10 +227,8 @@ def _automorphisms(q: int, arity: int) -> list[np.ndarray]:
 
 def _build(q: int, arity: int, shift: Shift) -> PointLineGraph:
     n_side = q**arity
-    # One Python list per point: each point id is then a single int object
-    # shared by its q edges, which keeps the peak memory of large builds down.
-    rows = (n_side + _incident_lines(q, arity, shift.as_tuple(), n_side)).tolist()
-    edges = ((p, l) for p, row in enumerate(rows) for l in row)
+    lines = n_side + _incident_lines(q, arity, shift.as_tuple(), n_side)
+    edges = np.stack([np.repeat(np.arange(n_side), q), lines.ravel()], axis=1)
     side = [0] * n_side + [1] * n_side
     automorphisms = partial(_automorphisms, q, arity)
     g = Graph(2 * n_side, edges, side=side, automorphisms=automorphisms)

@@ -4,7 +4,8 @@ Everything downstream leans on this module being exact: girth, fixed-length
 cycle detection, degeneracy peeling, forest decompositions and the locally
 injective homomorphism check are all computed combinatorially, never
 approximated.  Cycle detection deliberately avoids walk-counting shortcuts
-(matrix traces count closed walks, not cycles).
+(matrix traces count closed walks, not cycles).  A graph stores its
+adjacency once, as CSR arrays built with numpy, and every kernel reads them.
 
 The girth search runs a BFS from a set of roots that must contain a vertex
 of some shortest cycle.  A graph built without an automorphism certificate
@@ -23,6 +24,7 @@ Certificates are never inherited by derived graphs.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -39,10 +41,12 @@ _CHECK_BLOCK = 512  # rows per block of the automorphism check
 class Graph:
     """A simple undirected graph, frozen after construction.
 
-    Vertices are 0..n-1.  Optional ``side`` tags (0/1 per vertex) declare a
-    bipartition, in which case every edge must cross it.  Loops and
-    duplicate edges in the input are errors, not silently merged: partition
-    exactness checks need multiplicity awareness.
+    Vertices are 0..n-1.  The adjacency is stored once, as CSR arrays with
+    sorted rows: int64 ``indptr`` (n + 1) and int32 ``indices`` (2m).
+    ``edges`` is any iterable of (u, v) pairs or an (m, 2) integer array.
+    Optional ``side`` tags (0/1 per vertex) declare a bipartition, which
+    every edge must cross.  Loops and duplicate edges are errors, not
+    silently merged: partition exactness checks need multiplicity awareness.
 
     ``automorphisms``, if given, is a zero-argument callable returning
     generator permutations of 0..n-1 (each a sequence with ``perm[v]`` the
@@ -52,7 +56,7 @@ class Graph:
     search uses it to root at one vertex per orbit.
     """
 
-    __slots__ = ("n", "_adj", "_m", "side", "_csr", "_nbr_sets", "_automorphisms")
+    __slots__ = ("n", "side", "_csr", "_automorphisms")
 
     def __init__(
         self,
@@ -63,74 +67,83 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
-        m = 0
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            if side is not None and side[u] == side[v]:
-                raise ValueError(f"edge {key} does not cross the bipartition")
-            adj[u].append(v)
-            adj[v].append(u)
-            m += 1
+        pairs = np.asarray(edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges))
+        if len(pairs) == 0:
+            pairs = np.empty((0, 2), np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer vertex ids")
+        u, w = pairs.astype(np.int64, copy=False).T
+        lo, hi = np.minimum(u, w), np.maximum(u, w)
+
+        def first(mask):  # the first edge the mask flags, as (lo, hi), or None
+            i = np.flatnonzero(mask)
+            return (int(lo[i[0]]), int(hi[i[0]])) if i.size else None
+
+        if bad := first((lo < 0) | (hi >= n)):
+            raise ValueError(f"edge {bad} out of range for n={n}")
+        if bad := first(lo == hi):
+            raise ValueError(f"loop at vertex {bad[0]}")
+        # Both orientations of every edge, sorted: the CSR rows in order, and
+        # an edge given twice (either way round) shows as two equal keys.
+        keys = np.sort(np.concatenate([u * n + w, w * n + u]))
+        if (keys[1:] == keys[:-1]).any():
+            repeat = np.ones(len(u), bool)
+            repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
+            raise ValueError(f"duplicate edge {first(repeat)}")
+        if side is not None:
+            side = np.asarray(side)
+            if side.shape != (n,) or not np.isin(side, (0, 1)).all():
+                raise ValueError(f"side must be 0 or 1 for each of the {n} vertices")
+            if bad := first(side[u] == side[w]):
+                raise ValueError(f"edge {bad} does not cross the bipartition")
+            side = tuple(side.astype(np.int64).tolist())
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
         self.n = n
-        self._m = m
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.side = tuple(side) if side is not None else None
-        self._csr = None
-        self._nbr_sets = None
+        self.side = side
+        self._csr = (indptr, (keys % n).astype(np.int32))
         self._automorphisms = automorphisms
 
     # -- basic queries -------------------------------------------------
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self._csr[1]) // 2
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> list[int]:
+        lo, hi = self._csr[0][v : v + 2].tolist()
+        return self._csr[1][lo:hi].tolist()
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        lo, hi = self._csr[0][v : v + 2].tolist()
+        return hi - lo
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(np.diff(self._csr[0]).max(initial=0))
 
     def edges(self):
-        """Iterate edges as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Iterate edges as (u, v) with u < v, in sorted order.  The tuples
+        share one int object per vertex, as parts and host specs keep them."""
+        vertex = list(range(self.n)).__getitem__
+        tails, heads = self._pairs().T.tolist()
+        return zip(map(vertex, tails), map(vertex, heads))
+
+    def _pairs(self):
+        """The (m, 2) int64 array of edges (u, v), u < v, in sorted order."""
+        indptr, indices = self._csr
+        tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+        upper = tails < indices
+        return np.stack([tails[upper], indices[upper]], axis=1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self._nbr_sets is None:
-            self._nbr_sets = tuple(frozenset(a) for a in self._adj)
-        return v in self._nbr_sets[u]
+        return v in self.neighbors(u)
 
     def _csr_arrays(self):
-        if self._csr is None:
-            indptr = np.zeros(self.n + 1, np.int64)
-            for v in range(self.n):
-                indptr[v + 1] = indptr[v] + len(self._adj[v])
-            indices = np.empty(indptr[-1], np.int32)
-            pos = 0
-            for v in range(self.n):
-                for w in self._adj[v]:
-                    indices[pos] = w
-                    pos += 1
-            self._csr = (indptr, indices)
+        """The stored adjacency: (int64 indptr, int32 indices)."""
         return self._csr
 
     def __repr__(self):
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     # -- cycle structure -----------------------------------------------
 
@@ -157,9 +170,9 @@ class Graph:
     def _girth_search(self, cap: int) -> int:
         # min(girth, cap); the certificate is checked even when m == 0.
         roots = self._girth_roots()
-        if self._m == 0 or len(roots) == 0:  # no edges, or no cycle to meet
+        if self.m == 0 or len(roots) == 0:  # no edges, or no cycle to meet
             return cap
-        indptr, indices = self._csr_arrays()
+        indptr, indices = self._csr
         return int(girth_scan(indptr, indices, self.n, cap, roots))
 
     def _girth_roots(self):
@@ -187,29 +200,30 @@ class Graph:
     def _cycle_hitting_roots(self):
         """Sorted vertices meeting every cycle, per component of the 2-core:
         its smaller colour class if it is bipartite, else all of it."""
-        adj = self._adj
-        n = self.n
-        deg = [len(nbrs) for nbrs in adj]
-        in_core = [d >= 2 for d in deg]
-        peel = [v for v in range(n) if not in_core[v]]
+        deg = np.diff(self._csr[0])
+        peel = np.flatnonzero(deg < 2).tolist()
+        in_core = (deg >= 2).tolist()
+        deg = deg.tolist()
+        indptr, indices = (a.tolist() for a in self._csr)
         while peel:
-            for w in adj[peel.pop()]:
+            v = peel.pop()
+            for w in indices[indptr[v] : indptr[v + 1]]:
                 if in_core[w]:
                     deg[w] -= 1
                     if deg[w] < 2:
                         in_core[w] = False
                         peel.append(w)
-        colour = [-1] * n
+        colour = [-1] * self.n
         roots = []
-        for s in range(n):
-            if not in_core[s] or colour[s] >= 0:
+        for s in np.flatnonzero(in_core).tolist():
+            if colour[s] >= 0:
                 continue
             colour[s] = 0
             component = [s]
             bipartite = True
             for u in component:  # BFS: the loop also visits what it appends
                 cu = colour[u]
-                for w in adj[u]:
+                for w in indices[indptr[u] : indptr[u + 1]]:
                     if not in_core[w]:
                         continue
                     if colour[w] < 0:
@@ -235,7 +249,7 @@ class Graph:
         perm = perm.astype(np.int64)
         if (np.bincount(perm, minlength=n) != 1).any():
             raise ValueError(not_permutation)
-        indptr, indices = self._csr_arrays()
+        indptr, indices = self._csr
         # The directed-edge keys u*n + w come out sorted, because the CSR rows
         # and each row's neighbours are.  A bijection on vertices that maps
         # every edge to an edge maps E onto E.  Rows are checked in blocks so
@@ -257,27 +271,23 @@ class Graph:
         """
         if not 3 <= length <= 16:
             raise ValueError(f"cycle length {length} outside supported range [3, 16]")
-        if self._m < length:
+        if self.m < length:
             return False
         if self.side is not None and length % 2 == 1:
             return False
-        for s in range(self.n):
-            if len(self._adj[s]) < 2:
-                continue
-            if self._cycle_through(s, length):
-                return True
-        return False
+        starts = np.flatnonzero(np.diff(self._csr[0]) >= 2).tolist()
+        indptr, indices = (a.tolist() for a in self._csr)
+        return any(self._cycle_through(s, length, indptr, indices) for s in starts)
 
-    def _cycle_through(self, s: int, length: int) -> bool:
+    def _cycle_through(self, s: int, length: int, indptr: list, indices: list) -> bool:
         # Search cycles whose minimum vertex is s, using vertices > s only.
-        dist = self._bfs_dist_from(s)
-        adj = self._adj
+        dist = self._bfs_dist_from(s, indptr, indices)
         on_path = [False] * self.n
         on_path[s] = True
 
         def dfs(v: int, steps: int) -> bool:
             remaining = length - steps
-            for w in adj[v]:
+            for w in indices[indptr[v] : indptr[v + 1]]:
                 if w == s:
                     if remaining == 1:
                         return True
@@ -295,7 +305,7 @@ class Graph:
 
         return dfs(s, 0)
 
-    def _bfs_dist_from(self, s: int) -> list[int]:
+    def _bfs_dist_from(self, s: int, indptr: list, indices: list) -> list[int]:
         # Distances from s in the subgraph induced on {v : v >= s}.
         dist = [self.n + 1] * self.n
         dist[s] = 0
@@ -303,7 +313,7 @@ class Graph:
         while frontier:
             nxt = []
             for u in frontier:
-                for w in self._adj[u]:
+                for w in indices[indptr[u] : indptr[u + 1]]:
                     if w >= s and dist[w] > dist[u] + 1:
                         dist[w] = dist[u] + 1
                         nxt.append(w)
@@ -348,13 +358,9 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 
     The girth of the result is the minimum girth of the inputs.
     """
-    n = sum(g.n for g in graphs)
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((offset + u, offset + v) for u, v in g.edges())
-        offset += g.n
-    return Graph(n, edges)
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    blocks = [g._pairs() + offset for g, offset in zip(graphs, offsets.tolist())]
+    return Graph(int(offsets[-1]), np.concatenate([np.empty((0, 2), np.int64)] + blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +411,10 @@ class DegeneracyOrder:
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Greedy minimum-degree peel, ties broken by smallest vertex id."""
-    import heapq
-
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = np.diff(g._csr_arrays()[0]).tolist()
+    indptr, indices = (a.tolist() for a in g._csr_arrays())
     removed = [False] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
     order = []
     rdeg = [0] * g.n
@@ -420,7 +425,7 @@ def degeneracy_order(g: Graph) -> DegeneracyOrder:
         removed[v] = True
         order.append(v)
         rdeg[v] = deg[v]
-        for w in g.neighbors(v):
+        for w in indices[indptr[v] : indptr[v + 1]]:
             if not removed[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
@@ -436,14 +441,13 @@ def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyO
     degeneracy < threshold (every vertex has right_degree < threshold in the
     shell).  Peeling removes the smallest-id eligible vertex first.
     """
-    import heapq
-
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = np.diff(g._csr_arrays()[0])
+    heap = np.flatnonzero(deg < threshold).tolist()  # sorted, so already a heap
+    deg = deg.tolist()
+    indptr, indices = (a.tolist() for a in g._csr_arrays())
     removed = [False] * g.n
-    heap = [v for v in range(g.n) if deg[v] < threshold]
-    heapq.heapify(heap)
     in_heap = set(heap)
     peel = []
     while heap:
@@ -453,29 +457,24 @@ def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyO
             continue
         removed[v] = True
         peel.append(v)
-        for w in g.neighbors(v):
+        for w in indices[indptr[v] : indptr[v + 1]]:
             if not removed[w]:
                 deg[w] -= 1
                 if deg[w] < threshold and w not in in_heap:
                     heapq.heappush(heap, w)
                     in_heap.add(w)
-    core_vertices = [v for v in range(g.n) if not removed[v]]
-    core_edges = []
-    shell_edges = []
-    for u, v in g.edges():
-        if removed[u] or removed[v]:
-            shell_edges.append((u, v))
-        else:
-            core_edges.append((u, v))
-    core = Graph(g.n, core_edges, side=g.side)
-    shell = Graph(g.n, shell_edges, side=g.side)
-    full_order = tuple(peel) + tuple(core_vertices)
-    pos = {v: i for i, v in enumerate(full_order)}
-    rdeg = [0] * g.n
-    for u, v in shell_edges:
-        earlier = u if pos[u] < pos[v] else v
-        rdeg[earlier] += 1
-    return core, shell, DegeneracyOrder(full_order, tuple(rdeg))
+    removed = np.array(removed, dtype=bool)
+    full_order = peel + np.flatnonzero(~removed).tolist()
+    pairs = g._pairs()
+    in_shell = removed[pairs].any(axis=1)
+    core = Graph(g.n, pairs[~in_shell], side=g.side)
+    shell = Graph(g.n, pairs[in_shell], side=g.side)
+    pos = np.empty(g.n, np.int64)
+    pos[full_order] = np.arange(g.n)
+    tails, heads = pairs[in_shell].T
+    earlier = np.where(pos[tails] < pos[heads], tails, heads)
+    rdeg = np.bincount(earlier, minlength=g.n)
+    return core, shell, DegeneracyOrder(tuple(full_order), tuple(rdeg.tolist()))
 
 
 def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
@@ -520,11 +519,11 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 
 
 def write_edge_list(g: Graph, path) -> None:
+    if g.side is not None and list(g.side) != sorted(g.side):
+        raise ValueError("the header can only record sides of the form [0]*a + [1]*b")
     with open(path, "w") as fh:
         if g.side is not None:
-            a = sum(1 for s in g.side if s == 0)
-            b = g.n - a
-            fh.write(f"{g.n} {g.m} bipartite {a} {b}\n")
+            fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n")
         else:
             fh.write(f"{g.n} {g.m}\n")
         for u, v in g.edges():
@@ -535,15 +534,20 @@ def read_edge_list(path) -> Graph:
     header = None
     edges = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if header is None:
                 header = line.split()
                 continue
-            u, v = line.split()
-            edges.append((int(u), int(v)))
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: malformed edge line {line!r}") from None
+            if not u < v:
+                raise ValueError(f"{path}, line {lineno}: edge ({u},{v}) not in u < v form")
+            edges.append((u, v))
     if header is None:
         raise ValueError(f"{path}: empty edge-list file")
     if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
@@ -557,7 +561,4 @@ def read_edge_list(path) -> Graph:
         side = [0] * a + [1] * b
     if m != len(edges):
         raise ValueError(f"{path}: header claims {m} edges, file has {len(edges)}")
-    for u, v in edges:
-        if not u < v:
-            raise ValueError(f"{path}: edge ({u},{v}) not in u < v form")
     return Graph(n, edges, side=side)

@@ -236,6 +236,60 @@ def test_bipartition_enforced():
         Graph(4, [(0, 1)], side=[0, 0, 1, 1])
     g = Graph(4, [(0, 2), (1, 3)], side=[0, 0, 1, 1])
     assert g.m == 2
+    with pytest.raises(ValueError, match="side"):  # shorter than n
+        Graph(4, [(0, 3)], side=[0, 1])
+    with pytest.raises(ValueError, match="side"):  # longer than n
+        Graph(3, [(0, 1)], side=[0, 1, 0, 1, 1])
+    with pytest.raises(ValueError, match="side"):  # values other than 0 and 1
+        Graph(3, [(0, 1)], side=[0, 5, 7])
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize(
+    "n, edges, side, message",
+    [
+        (4, [(0, 1), (2, 4), (5, 1)], None, r"edge \(2, 4\) out of range for n=4"),
+        (4, [(0, 1), (-1, 2)], None, r"edge \(-1, 2\) out of range"),
+        (4, [(0, 1), (3, 3), (2, 2)], None, "loop at vertex 3"),
+        (4, [(0, 1), (1, 2), (3, 2), (2, 1), (1, 0)], None, r"duplicate edge \(1, 2\)"),
+        (4, [(0, 2), (3, 1), (3, 2), (1, 0)], [0, 0, 1, 1], r"edge \(2, 3\) does not cross"),
+    ],
+)
+def test_constructor_names_first_bad_edge(n, edges, side, message, as_array):
+    import numpy as np
+
+    with pytest.raises(ValueError, match=message):
+        Graph(n, np.array(edges) if as_array else edges, side=side)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1, 2)], [(0,)], [(0.5, 1)], [("0", "1")]])
+def test_constructor_rejects_non_pairs(edges):
+    with pytest.raises(ValueError, match="pairs of integer"):
+        Graph(3, edges)
+
+
+def test_graph_matches_networkx_on_random_graphs():
+    import networkx as nx
+    import numpy as np
+
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        oracle = nx.gnp_random_graph(n, rng.uniform(0.0, 0.5), seed=seed)
+        pairs = list(oracle.edges())
+        rng.shuffle(pairs)
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        want = sorted((min(e), max(e)) for e in pairs)
+        for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+            g = Graph(n, edges)
+            assert (g.n, g.m) == (n, len(pairs))
+            assert list(g.edges()) == want, f"seed {seed}"
+            assert g.max_degree() == max((d for _, d in oracle.degree()), default=0)
+            for v in range(n):
+                assert g.degree(v) == oracle.degree(v)
+                assert list(g.neighbors(v)) == sorted(oracle.neighbors(v))
+                for w in range(n):
+                    assert g.has_edge(v, w) == oracle.has_edge(v, w)
 
 
 # -- locally injective homomorphisms ---------------------------------------
@@ -529,6 +583,23 @@ def test_edge_list_bipartite_roundtrip(tmp_path):
     h = read_edge_list(path)
     assert h.side == (0, 0, 1, 1)
     assert sorted(h.edges()) == sorted(g.edges())
+
+
+def test_write_edge_list_rejects_sides_the_header_cannot_record(tmp_path):
+    # The header records sides as [0]*a + [1]*b; this graph would read back
+    # with other sides and fail the bipartition check.
+    g = Graph(4, [(0, 1), (2, 3), (0, 3)], side=[0, 1, 0, 1])
+    with pytest.raises(ValueError, match=r"\[0\]\*a \+ \[1\]\*b"):
+        write_edge_list(g, tmp_path / "g.edges")
+    assert not (tmp_path / "g.edges").exists()
+
+
+@pytest.mark.parametrize("bad", ["0 1 2", "0", "0 x"])
+def test_edge_list_malformed_edge_line_names_file_and_line(tmp_path, bad):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"# comment\n3 2\n0 1\n{bad}\n")
+    with pytest.raises(ValueError, match=rf"bad\.edges, line 4: malformed edge line '{bad}'"):
+        read_edge_list(path)
 
 
 def test_edge_list_rejects_bad_header(tmp_path):

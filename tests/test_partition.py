@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import pytest
 
@@ -221,3 +222,19 @@ def test_bipartite_partitions_match_recorded_hashes(key):
     for part in ep.parts:
         h.update(f"{part.name}:{part.edges}\n".encode())
     assert h.hexdigest() == PARTITION_SHA256[key]
+
+
+def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
+    # Recorded before the graph core moved to CSR arrays: every file of the
+    # manifest directory, names and bytes, must not change.
+    ep, _ = cover_complete(60, 8)
+    root = tmp_path / "m"
+    write_manifest(ep, root)
+    h = hashlib.sha256()
+    for dirpath, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    assert h.hexdigest() == "d1214f20ea229a2d221c7acd584b9caf7bebd8e45e4dfa616a10d783d4939cc3"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -171,3 +172,24 @@ def test_decompose_round_log_consistent():
     # final forests may add more beyond the per-round numbers
     assert res.total_parts >= planned
     assert res.threshold == default_threshold(16)
+
+
+# Recorded before the graph core moved to CSR arrays: part names, ordered
+# edges, claims, round logs and counts of seeded decompositions must not change.
+DECOMPOSE_SHA256 = {
+    (300, 24, 1): "8afc8acc3e72b148220834457c936f794836934775142d3fdc2b63c4a574a4de",
+    (600, 40, 2): "c71083db01628d20fc5d8e3e55de7e73600ab3dedf3755c9bdbda3ce964d60b1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(DECOMPOSE_SHA256))
+def test_decompose_matches_recorded_hash(key):
+    n, d, seed = key
+    res = decompose(random_regular(n, d, seed), DecompositionConfig(target_cycle=6, rng_seed=seed))
+    h = hashlib.sha256()
+    for part in res.partition.parts:
+        h.update(f"{part.name}:{part.edges}:{part.forbidden_cycle}\n".encode())
+    for log in res.rounds:
+        h.update(f"{log!r}\n".encode())
+    h.update(f"{res.total_parts} {res.threshold}\n".encode())
+    assert h.hexdigest() == DECOMPOSE_SHA256[key]
