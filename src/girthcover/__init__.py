@@ -13,7 +13,6 @@ from .graph import (
     INFINITE,
     DegeneracyOrder,
     Graph,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     degeneracy_order,

@@ -127,11 +127,6 @@ class PointLineGraph:
     def line_coords(self, vid: int) -> tuple[int, ...]:
         return index_to_tuple(vid - self.n_side, self.q, self.arity)
 
-    def vertex_label(self, vid: int) -> str:
-        if vid < self.n_side:
-            return "P:" + ",".join(map(str, self.point_coords(vid)))
-        return "L:" + ",".join(map(str, self.line_coords(vid)))
-
 
 def _coords(idx: np.ndarray, q: int, arity: int) -> list[np.ndarray]:
     """Coordinate arrays, first coordinate first, of the canonical indices ``idx``."""

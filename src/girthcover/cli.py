@@ -13,8 +13,10 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import algebraic, bounds, partition, rainbow, randomcover
-from .graph import read_edge_list, write_edge_list
+from .graph import _write_rows, read_edge_list, write_edge_list
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -29,10 +31,14 @@ def _parse_shift(text: str, count: int) -> list[int]:
 
 
 def _write_labels(plg, path) -> None:
+    """One "vid P:c1,...,ck" line per point, then one "vid L:..." per line."""
+    ids = np.arange(plg.n_side, dtype=np.int64)
+    coords = ",".join(["%d"] * plg.arity)
     with open(path, "w") as fh:
         fh.write("# vertex-id class coords\n")
-        for vid in range(plg.graph.n):
-            fh.write(f"{vid} {plg.vertex_label(vid)}\n")
+        for offset, kind in ((0, "P"), (plg.n_side, "L")):
+            rows = np.column_stack([ids + offset, *algebraic._coords(ids, plg.q, plg.arity)])
+            _write_rows(fh, f"%d {kind}:{coords}\n", rows)
 
 
 def _cmd_build_q(args) -> int:

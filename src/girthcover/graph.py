@@ -20,12 +20,20 @@ of the group they generate: an automorphism carries a shortest cycle
 through any vertex onto a shortest cycle through that vertex's orbit
 representative, so the minimum over these roots is still the exact girth.
 Certificates are never inherited by derived graphs.
+
+Edge lists are text.  The first line that is neither blank nor a comment is
+the header, ``n m`` or ``n m bipartite a b``; every later one is an edge
+``u v`` with u < v: exactly two ASCII decimal integers (optionally signed)
+separated by whitespace.  A comment line has ``#`` as its first non-blank
+character, and ``#`` anywhere else is an error.  Line ends may be LF or CRLF.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -268,6 +276,9 @@ class Graph:
 
         DFS path enumeration anchored at the smallest cycle vertex, pruned by
         BFS distance back to the anchor.  Supported for 3 <= length <= 16.
+        The search runs on the non-isolated vertices relabelled 0..k-1 in
+        order, so a sparse part of a large host costs O(k + m) per start,
+        not O(n); the relabelling keeps vertex order, hence the anchoring.
         """
         if not 3 <= length <= 16:
             raise ValueError(f"cycle length {length} outside supported range [3, 16]")
@@ -275,14 +286,20 @@ class Graph:
             return False
         if self.side is not None and length % 2 == 1:
             return False
-        starts = np.flatnonzero(np.diff(self._csr[0]) >= 2).tolist()
-        indptr, indices = (a.tolist() for a in self._csr)
+        indptr, indices = self._csr
+        deg = np.diff(indptr)
+        active = np.flatnonzero(deg)
+        label = np.cumsum(deg > 0) - 1  # new id of each non-isolated vertex
+        starts = np.flatnonzero(deg[active] >= 2).tolist()
+        indptr = indptr[np.append(active, self.n)].tolist()
+        indices = label[indices].tolist()
         return any(self._cycle_through(s, length, indptr, indices) for s in starts)
 
-    def _cycle_through(self, s: int, length: int, indptr: list, indices: list) -> bool:
+    @staticmethod
+    def _cycle_through(s: int, length: int, indptr: list, indices: list) -> bool:
         # Search cycles whose minimum vertex is s, using vertices > s only.
-        dist = self._bfs_dist_from(s, indptr, indices)
-        on_path = [False] * self.n
+        dist = Graph._bfs_dist_from(s, indptr, indices)
+        on_path = [False] * (len(indptr) - 1)
         on_path[s] = True
 
         def dfs(v: int, steps: int) -> bool:
@@ -305,9 +322,11 @@ class Graph:
 
         return dfs(s, 0)
 
-    def _bfs_dist_from(self, s: int, indptr: list, indices: list) -> list[int]:
+    @staticmethod
+    def _bfs_dist_from(s: int, indptr: list, indices: list) -> list[int]:
         # Distances from s in the subgraph induced on {v : v >= s}.
-        dist = [self.n + 1] * self.n
+        n = len(indptr) - 1
+        dist = [n + 1] * n
         dist[s] = 0
         frontier = [s]
         while frontier:
@@ -339,11 +358,6 @@ def path_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    side = [0] * a + [1] * b
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)], side=side)
 
 
 def petersen_graph() -> Graph:
@@ -512,10 +526,20 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Shared edge-list text format
-#
-# Header line: "n m" or "n m bipartite a b"; then one "u v" pair per line,
-# 0-indexed with u < v.  Lines starting with '#' are comments.
+# Shared edge-list text format (grammar in the module docstring).  The body is
+# parsed by numpy's C reader; a file that fails is read again line by line only
+# to name the first bad line.
+
+_WRITE_BLOCK = 8192  # rows formatted per write call
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_COMMENT_AFTER_DATA = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.M)
+
+
+def _write_rows(fh, line_format: str, rows: np.ndarray) -> None:
+    """Write each row of the 2-d integer array ``rows`` with ``line_format``."""
+    for lo in range(0, len(rows), _WRITE_BLOCK):
+        block = rows[lo : lo + _WRITE_BLOCK]
+        fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -526,30 +550,33 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n")
         else:
             fh.write(f"{g.n} {g.m}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
+        _write_rows(fh, "%d %d\n", g._pairs())
 
 
 def read_edge_list(path) -> Graph:
-    header = None
-    edges = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
+        header = None
+        header_line = 0
+        while header is None:
+            line = fh.readline()
+            if not line:
+                raise ValueError(f"{path}: empty edge-list file")
+            header_line += 1
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
+            if line and not line.startswith("#"):
                 header = line.split()
-                continue
-            try:
-                u, v = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: malformed edge line {line!r}") from None
-            if not u < v:
-                raise ValueError(f"{path}, line {lineno}: edge ({u},{v}) not in u < v form")
-            edges.append((u, v))
-    if header is None:
-        raise ValueError(f"{path}: empty edge-list file")
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():  # a body without edges is valid
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise _edge_line_error(path, header_line, exc) from None
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        fh.seek(body)
+        if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
+            raise _edge_line_error(path, header_line, "bad edge line")
     if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
         raise ValueError(f"{path}: malformed header {' '.join(header)}")
     n, m = int(header[0]), int(header[1])
@@ -559,6 +586,30 @@ def read_edge_list(path) -> Graph:
         if a + b != n:
             raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
         side = [0] * a + [1] * b
-    if m != len(edges):
-        raise ValueError(f"{path}: header claims {m} edges, file has {len(edges)}")
-    return Graph(n, edges, side=side)
+    if m != len(pairs):
+        raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {len(pairs)}")
+    return Graph(n, pairs, side=side)
+
+
+def _comment_after_data(fh) -> bool:
+    """Does a line of the rest of ``fh`` hold a '#' after other text?"""
+    text = fh.read()
+    return "#" in text and _COMMENT_AFTER_DATA.search(text) is not None
+
+
+def _edge_line_error(path, header_line: int, reason) -> ValueError:
+    """The error for the first edge line after ``header_line`` that the
+    format rejects, found line by line.  Called only once the array parse or
+    its checks have failed; with no line to name, the error gives ``reason``."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if lineno <= header_line or not line or line.startswith("#"):
+                continue
+            fields = line.split()
+            if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
+                return ValueError(f"{path}, line {lineno}: malformed edge line {line!r}")
+            u, v = map(int, fields)
+            if not u < v:
+                return ValueError(f"{path}, line {lineno}: edge ({u},{v}) not in u < v form")
+    return ValueError(f"{path}: malformed edge list ({reason})")

@@ -1,7 +1,10 @@
+import hashlib
 import os
 
 import pytest
 
+from girthcover import cli, graph
+from girthcover.algebraic import ShiftQ, build_quadrangle
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
 from conftest import random_regular
@@ -28,6 +31,51 @@ def test_build_h_with_shift(tmp_path):
     assert run(["build-h", "--q", "5", "--shift", "1,2,3,4", "--out", edges]) == EXIT_PASS
     g = read_edge_list(edges)
     assert g.n == 6250 and g.m == 15625
+
+
+# sha256 of the edge list and label file each build writes, recorded before
+# the writers formatted rows in numpy blocks: the bytes must not change.
+BUILD_FILE_SHA256 = {
+    ("build-q", "--q", "5"): (
+        "51c93754d4f0c382659328919a2a7a7c723640345c95a3737a80180c5247f8e8",
+        "215c4cb8eee36d72489a05f6b2a7b3e47af726c7ccd6f32a011380a4f85f224e",
+    ),
+    ("build-h", "--q", "5", "--shift", "1,2,3,4"): (
+        "c4a4064c0337d71b38947aaa1fb55822636e314fe84cd39b6318425abc636d9a",
+        "2e03ed172d53ee9bf3f3be0af7f8ce75721864e156d4f27962e02bf495cb4a2c",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(BUILD_FILE_SHA256))
+def test_build_files_match_recorded_bytes(tmp_path, argv):
+    edges = tmp_path / "g.edges"
+    assert run([*argv, "--out", str(edges)]) == EXIT_PASS
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (edges, tmp_path / "g.edges.labels")
+    )
+    assert digests == BUILD_FILE_SHA256[argv]
+
+
+@pytest.mark.parametrize("block", [7, 8192])
+def test_writers_match_line_by_line_format(tmp_path, monkeypatch, block):
+    # The block writers against one f-string per line; block 7 splits every
+    # file into many blocks with a short last one.
+    monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
+    plg = build_quadrangle(5, ShiftQ(1, 2))
+    cli._write_labels(plg, tmp_path / "g.labels")
+    labels = [f"{v} P:{','.join(map(str, plg.point_coords(v)))}\n" for v in range(plg.n_side)]
+    labels += [f"{v} L:{','.join(map(str, plg.line_coords(v)))}\n" for v in range(plg.n_side, plg.graph.n)]
+    assert (tmp_path / "g.labels").read_text() == "# vertex-id class coords\n" + "".join(labels)
+    for g, header in [
+        (plg.graph, "250 625 bipartite 125 125\n"),
+        (cycle_graph(14), "14 14\n"),
+        (graph.Graph(3, []), "3 0\n"),
+    ]:
+        write_edge_list(g, tmp_path / "g.edges")
+        want = header + "".join(f"{u} {v}\n" for u, v in g.edges())
+        assert (tmp_path / "g.edges").read_text() == want
 
 
 def test_verify_planted_cycle_fails(tmp_path):

@@ -24,7 +24,7 @@ from girthcover.graph import (
     read_edge_list,
     write_edge_list,
 )
-from conftest import all_roots_girth, random_graph
+from conftest import all_roots_girth, random_graph, read_edge_list_lines
 
 
 # -- independent oracles ----------------------------------------------------
@@ -197,6 +197,26 @@ def test_has_cycle_of_length_petersen_oracle():
     lengths = {len(c) for c in nx.simple_cycles(nxg)}
     for L in range(3, 10):
         assert p.has_cycle_of_length(L) == (L in lengths), f"L={L}"
+
+
+def test_has_cycle_of_length_matches_networkx_on_sparse_graphs():
+    # Parts of a decomposition: a few dozen edges on a few vertices of a
+    # large host, with a planted cycle so that every length shows up.
+    import networkx as nx
+
+    rng = random.Random(17)
+    for trial in range(60):
+        n = rng.choice([100, 700, 2000])
+        pool = rng.sample(range(n), rng.randrange(4, 26))
+        k = rng.randrange(3, min(len(pool), 12) + 1)
+        edges = {tuple(sorted((pool[i], pool[(i + 1) % k]))) for i in range(k)}
+        for _ in range(rng.randrange(0, 2 * len(pool))):
+            u, v = rng.sample(pool, 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(n, sorted(edges))
+        lengths = {len(c) for c in nx.simple_cycles(nx.Graph(list(edges)), length_bound=16)}
+        for L in range(3, 17):
+            assert g.has_cycle_of_length(L) == (L in lengths), f"trial {trial}, L={L}"
 
 
 def test_has_cycle_of_length_range_checked():
@@ -607,3 +627,113 @@ def test_edge_list_rejects_bad_header(tmp_path):
     path.write_text("3 2\n0 1\n")
     with pytest.raises(ValueError):
         read_edge_list(path)
+
+
+# -- edge-list reader against the line-by-line oracle ------------------------
+
+
+def _decorated_text(g, rng):
+    """The edge-list text of ``g`` with every allowed decoration sprinkled in:
+    comment and blank lines, CRLF ends, tabs, leading and trailing blanks."""
+    eol = rng.choice(["\n", "\r\n"])
+    header = f"{g.n} {g.m}"
+    if g.side is not None:
+        header += f" bipartite {g.side.count(0)} {g.side.count(1)}"
+    lines = ["# leading comment", ""] if rng.random() < 0.5 else []
+    lines.append(header)
+    for u, v in g.edges():
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(["# comment", "  # indented comment", "#"]))
+        elif r < 0.2:
+            lines.append(rng.choice(["", " ", "\t", " \t "]))
+        lead, sep, trail = (rng.choice(c) for c in (["", " ", "\t"], [" ", "  ", "\t", " \t"], ["", " ", "\t", "  "]))
+        lines.append(f"{lead}{u}{sep}{v}{trail}")
+    return eol.join(lines) + rng.choice([eol, ""])
+
+
+def test_edge_list_reader_matches_line_oracle(tmp_path):
+    rng = random.Random(23)
+    path = tmp_path / "g.edges"
+    graphs = [Graph(0, []), Graph(7, []), Graph(4, [], side=[0, 0, 1, 1])]
+    for seed in range(40):
+        n = rng.randrange(2, 40)
+        if seed % 3 == 0:  # bipartite, sides [0]*a + [1]*b
+            a = rng.randrange(1, n)
+            side = [0] * a + [1] * (n - a)
+            pairs = [(u, w) for u in range(a) for w in range(a, n)]
+        else:
+            side = None
+            pairs = list(itertools.combinations(range(n), 2))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randrange(0, min(len(pairs), 90) + 1)), side=side))
+    for g in graphs:
+        with open(path, "w", newline="") as fh:  # keep CRLF as written
+            fh.write(_decorated_text(g, rng))
+        got, want = read_edge_list(path), read_edge_list_lines(path)
+        assert (got.n, got.side, list(got.edges())) == (want.n, want.side, list(want.edges()))
+        assert (got.n, got.side, list(got.edges())) == (g.n, g.side, list(g.edges()))
+
+
+def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
+    # Random edge lines, about half of them mangled with forms the old int()
+    # reader accepted or rejected; the new reader may reject more, never less.
+    weird = ["+1", "-1", "01", "1.0", "1.5", "1_0", "\u0661", "\uff11", "1e0", "0x1", "#", "1#", "x", ""]
+    blanks = [" ", "\t", "\xa0", "\x0b", "\x0c", " # x"]
+    rng = random.Random(29)
+    path = tmp_path / "f.edges"
+    accepted = 0
+    for trial in range(600):
+        lines = []
+        for _ in range(rng.randrange(1, 4)):
+            fields = [str(x) for x in sorted(rng.sample(range(5), 2))]
+            if rng.random() < 0.5:
+                fields[rng.randrange(2)] = rng.choice(weird)
+            if rng.random() < 0.2:
+                fields.insert(rng.randrange(3), rng.choice(weird))
+            lines.append(rng.choice(blanks if rng.random() < 0.4 else [" "]).join(fields))
+        path.write_text(f"5 {len(lines)}\n" + "\n".join(lines) + "\n")
+        try:
+            want = read_edge_list_lines(path)
+        except ValueError:
+            want = None
+        try:
+            got = read_edge_list(path)
+        except ValueError:
+            got = None
+        if got is not None:
+            accepted += 1
+            assert want is not None, path.read_text()
+            assert list(got.edges()) == list(want.edges())
+    assert accepted > 100
+
+
+def test_edge_list_without_edges_reads_without_warning(tmp_path):
+    import warnings
+
+    for text, n in [("0 0\n", 0), ("5 0\n", 5), ("# c\n5 0\n\n# d\n", 5), ("4 0 bipartite 2 2", 4)]:
+        path = tmp_path / "empty.edges"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = read_edge_list(path)
+        assert (g.n, g.m) == (n, 0)
+
+
+@pytest.mark.parametrize(
+    "body, line, message",
+    [
+        ("0 1\n0 1 # x\n", 3, "malformed edge line '0 1 # x'"),
+        ("0 1 2\n1 2 3\n", 2, "malformed edge line '0 1 2'"),
+        ("0 1\n1.5 2\n", 3, "malformed edge line '1.5 2'"),
+        ("0 1\n\n2 1\n", 4, r"edge \(2,1\) not in u < v form"),
+        ("0 1\n1", 3, "malformed edge line '1'"),
+        ("0 1\n1 2\n2 3\n", 1, "header claims 2 edges, file has 3"),
+    ],
+)
+def test_edge_list_faults_name_file_and_line(tmp_path, body, line, message):
+    path = tmp_path / "bad.edges"
+    path.write_text("4 2\n" + body)
+    with pytest.raises(ValueError, match=rf"bad\.edges, line {line}: {message}"):
+        read_edge_list(path)
+    with pytest.raises(ValueError):
+        read_edge_list_lines(path)

@@ -181,12 +181,14 @@ def test_manifest_tamper_detected(tmp_path):
     import glob
 
     part_file = sorted(glob.glob(str(tmp_path / "m" / "parts" / "*.edges")))[0]
-    lines = open(part_file).read().splitlines()
+    with open(part_file) as fh:
+        lines = fh.read().splitlines()
     header = lines[0].split()
     u, v = map(int, lines[1].split())
     other = (u, v + 1) if v + 1 < 40 and v + 1 != u else (u, v - 1)
     lines[1] = f"{other[0]} {other[1]}"
-    open(part_file, "w").write("\n".join(lines) + "\n")
+    with open(part_file, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     back = read_manifest(path)
     assert not verify_partition(back).passed
 
