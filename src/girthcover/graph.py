@@ -567,10 +567,14 @@ def read_edge_list(path) -> Graph:
                 header = line.split()
         body = fh.tell()
         try:
-            with warnings.catch_warnings():  # a body without edges is valid
+            with warnings.catch_warnings():
+                # A body without edges is valid.  Older numpy parses a field
+                # such as '1.5' as a float and casts it, with a deprecation
+                # warning; as an error, that warning fails the parse.
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
                 pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-        except ValueError as exc:
+        except (ValueError, DeprecationWarning) as exc:
             raise _edge_line_error(path, header_line, exc) from None
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)

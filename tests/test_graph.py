@@ -5,7 +5,9 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 import girthcover
@@ -697,7 +699,9 @@ def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
         except ValueError:
             want = None
         try:
-            got = read_edge_list(path)
+            with warnings.catch_warnings():  # as outside pytest: warnings are no errors
+                warnings.simplefilter("ignore")
+                got = read_edge_list(path)
         except ValueError:
             got = None
         if got is not None:
@@ -707,9 +711,39 @@ def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
     assert accepted > 100
 
 
-def test_edge_list_without_edges_reads_without_warning(tmp_path):
-    import warnings
+@pytest.mark.parametrize("line", ["1.5 2", "1e0 2", "0 2.0"])
+def test_edge_list_rejects_float_fields_with_warnings_ignored(tmp_path, line):
+    path = tmp_path / "float.edges"
+    path.write_text(f"4 1\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=rf"float\.edges, line 2: malformed edge line '{line}'"):
+            read_edge_list(path)
 
+
+def test_edge_list_rejects_float_fields_that_numpy_casts_with_a_warning(tmp_path, monkeypatch):
+    # Older numpy parses '1.5' into an integer array by way of a float and
+    # only warns; the reader must turn that into a rejected line.
+    real_loadtxt = np.loadtxt
+
+    def casting_loadtxt(fh, dtype, ndmin):
+        text = fh.read()
+        if "." in text:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return real_loadtxt(text.splitlines(), dtype=float, ndmin=ndmin).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+    path = tmp_path / "cast.edges"
+    path.write_text("4 2\n0 1\n1.5 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"cast\.edges, line 3: malformed edge line '1\.5 2'"):
+            read_edge_list(path)
+    path.write_text("4 2\n0 1\n1 2\n")
+    assert list(read_edge_list(path).edges()) == [(0, 1), (1, 2)]
+
+
+def test_edge_list_without_edges_reads_without_warning(tmp_path):
     for text, n in [("0 0\n", 0), ("5 0\n", 5), ("# c\n5 0\n\n# d\n", 5), ("4 0 bipartite 2 2", 4)]:
         path = tmp_path / "empty.edges"
         path.write_text(text)
