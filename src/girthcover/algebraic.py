@@ -26,8 +26,9 @@ would silently change the graph.  One vectorised generator,
 ``_incident_lines``, solves the system for the line through each point with
 each first coordinate l1 (q neighbors per point), for all points at once;
 the builders and the bipartite partitions both use it, and nothing tests all
-pairs.  ``is_edge_q`` and ``is_edge_h`` evaluate the equations directly for
-a single pair, as an independent check.
+pairs.  ``_shift_index`` solves it for the shift of many point/line pairs
+at once, for the complete-graph locator.  ``is_edge_q/h`` and
+``solve_shift_q/h`` check and solve it for a single pair, as oracles.
 
 Each built graph carries an automorphism certificate for its girth search:
 coordinate translations that preserve the incidence equations for every
@@ -161,6 +162,25 @@ def _incident_lines(q: int, arity: int, shift: tuple[int, ...], n_points: int) -
     l4 = (3 * s4 - 3 * l1 * s3) % q
     l5 = pow(2, -1, q) * (3 * s5 + 3 * l3 * s2 - 3 * l2 * s3 + l4 * p1)
     return _index((l1, l2, l3, l4, l5), q)
+
+
+def _shift_index(points: np.ndarray, lines: np.ndarray, q: int, arity: int) -> np.ndarray:
+    """Canonical index of the unique shift joining point ``points[i]`` and line
+    ``lines[i]``, for all pairs at once: :func:`solve_shift_q` and
+    :func:`solve_shift_h` on index arrays."""
+    p1, p2, p3, *p45 = _coords(points, q, arity)
+    l1, l2, l3, *l45 = _coords(lines, q, arity)
+    b2 = (l2 - p2 - l1 * p1) % q
+    s2 = (p2 + b2) % q
+    b3 = (pow(2, -1, q) * (l3 + 2 * l1 * s2) - p3) % q
+    if arity == 3:
+        return _index((b2, b3), q)
+    (p4, p5), (l4, l5) = p45, l45
+    inv3 = pow(3, -1, q)
+    s3 = (p3 + b3) % q
+    b4 = inv3 * (l4 + 3 * l1 * s3) - p4
+    b5 = inv3 * (2 * l5 - 3 * l3 * s2 + 3 * l2 * s3 - l4 * p1) - p5
+    return _index((b2, b3, b4, b5), q)
 
 
 def is_edge_q(p: tuple[int, int, int], l: tuple[int, int, int], shift: ShiftQ, q: int) -> bool:

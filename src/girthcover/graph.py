@@ -146,10 +146,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
 
-    def _csr_arrays(self):
-        """The stored adjacency: (int64 indptr, int32 indices)."""
-        return self._csr
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -425,8 +421,8 @@ class DegeneracyOrder:
 
 def degeneracy_order(g: Graph) -> DegeneracyOrder:
     """Greedy minimum-degree peel, ties broken by smallest vertex id."""
-    deg = np.diff(g._csr_arrays()[0]).tolist()
-    indptr, indices = (a.tolist() for a in g._csr_arrays())
+    deg = np.diff(g._csr[0]).tolist()
+    indptr, indices = (a.tolist() for a in g._csr)
     removed = [False] * g.n
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
@@ -457,10 +453,10 @@ def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyO
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    deg = np.diff(g._csr_arrays()[0])
+    deg = np.diff(g._csr[0])
     heap = np.flatnonzero(deg < threshold).tolist()  # sorted, so already a heap
     deg = deg.tolist()
-    indptr, indices = (a.tolist() for a in g._csr_arrays())
+    indptr, indices = (a.tolist() for a in g._csr)
     removed = [False] * g.n
     in_heap = set(heap)
     peel = []
@@ -532,6 +528,7 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 
 _WRITE_BLOCK = 8192  # rows formatted per write call
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
 _COMMENT_AFTER_DATA = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.M)
 
 
@@ -581,12 +578,16 @@ def read_edge_list(path) -> Graph:
         fh.seek(body)
         if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
             raise _edge_line_error(path, header_line, "bad edge line")
+    malformed = ValueError(f"{path}, line {header_line}: malformed header {' '.join(header)}")
     if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
-        raise ValueError(f"{path}: malformed header {' '.join(header)}")
-    n, m = int(header[0]), int(header[1])
+        raise malformed
+    try:
+        n, m, *sides = map(int, header[:2] + header[3:])
+    except ValueError:
+        raise malformed from None
     side = None
-    if len(header) == 5:
-        a, b = int(header[3]), int(header[4])
+    if sides:
+        a, b = sides
         if a + b != n:
             raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
         side = [0] * a + [1] * b
@@ -614,6 +615,8 @@ def _edge_line_error(path, header_line: int, reason) -> ValueError:
             if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
                 return ValueError(f"{path}, line {lineno}: malformed edge line {line!r}")
             u, v = map(int, fields)
+            if not all(_INT64.min <= x <= _INT64.max for x in (u, v)):
+                return ValueError(f"{path}, line {lineno}: vertex id outside int64 in {line!r}")
             if not u < v:
                 return ValueError(f"{path}, line {lineno}: edge ({u},{v}) not in u < v form")
     return ValueError(f"{path}: malformed edge list ({reason})")

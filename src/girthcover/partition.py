@@ -15,28 +15,29 @@ Three layers:
   gaining a log factor.
 
 ``CompleteCoverLocator`` exposes the same partition without materializing
-it: an O(1) edge -> part-id map, used by the decomposition pipeline where
-the host complete graph would be far too large to enumerate.
+it: ``locate`` maps arrays of edges to part ids, so ``cover_complete``
+locates every edge of K_n in one call, and the decomposition pipeline only
+the colour pairs of its retained edges, where K_n would be far too large to
+enumerate.  Both group the edges with ``group_edges`` and name parts with
+the locator.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebraic import (
-    _check_q,
-    _incident_lines,
-    index_to_tuple,
-    solve_shift_h,
-    solve_shift_q,
-)
+import numpy as np
+
+from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple
 from .field import next_prime_at_least
 from .graph import Graph, read_edge_list, write_edge_list
 
 _GIRTH_ARITY = {8: 3, 12: 5}
+_LOCATE_BLOCK = 8192  # edges per block of the array locate
 
 
 def _arity_for(target_girth: int) -> int:
@@ -155,14 +156,13 @@ def verify_partition(
     """
     checks = []
     n = p.host.n
+    override = (girth_target, forbidden_cycle)
     for part in p.parts:
         g = part.graph(n)
-        target = girth_target if girth_target is not None else part.girth_target
-        forbid = forbidden_cycle if forbidden_cycle is not None else part.forbidden_cycle
-        if girth_target is not None or forbidden_cycle is not None:
-            # explicit override: ignore the part's own claim entirely
-            target = girth_target
-            forbid = forbidden_cycle
+        if override == (None, None):
+            target, forbid = part.girth_target, part.forbidden_cycle
+        else:  # an explicit override ignores the part's own claim entirely
+            target, forbid = override
         if target is not None:
             ok = g.girth_exceeds(target - 1)
             checks.append(PartCheck(part.name, f"girth>={target}", ok))
@@ -248,14 +248,15 @@ class CoverPlan:
 
 
 class CompleteCoverLocator:
-    """Lazy edge -> part-id map for the recursive-halving cover of K_n.
+    """Edge -> part-id map for the recursive-halving cover of K_n.
 
     Blocks are intervals; a block [lo, hi) splits into [lo, mid) and
     [mid, hi) with mid = lo + ceil(size/2) ("sizes as equal as possible").
     An edge belongs to the level at which its endpoints first separate; its
     part within the level is the unique shift adjacent to the local
-    (point, line) coordinate pair.  Part ids are (level, shift tuple) and
-    are shared by every sibling pair of the level.
+    (point, line) coordinate pair.  Parts are (level, shift tuple), shared
+    by every sibling pair of the level; a part id is the level's offset
+    plus the shift's canonical index, so ids sort as (level, shift).
     """
 
     def __init__(self, n: int, target_girth: int):
@@ -264,68 +265,82 @@ class CompleteCoverLocator:
         self.arity = _arity_for(target_girth)
         self.n = n
         self.target_girth = target_girth
-        levels = []
-        size = n
-        level = 1
-        while size >= 2:
-            half = (size + 1) // 2  # the larger sibling
+        levels, half = [], n
+        while half >= 2:
+            half = (half + 1) // 2  # the larger sibling
             q = prime_for_side(half, self.arity)
-            levels.append(
-                CoverLevel(level=level, block_size=half, prime=q, parts=q ** (self.arity - 1))
-            )
-            size = half
-            level += 1
+            levels.append(CoverLevel(len(levels) + 1, half, q, parts=q ** (self.arity - 1)))
         self.plan = CoverPlan(n=n, target_girth=target_girth, levels=levels)
+        self._offsets = list(itertools.accumulate((lv.parts for lv in levels), initial=0))
 
-    def locate(self, u: int, v: int):
-        """Return ((level, shift), point_coords, line_coords) for edge uv."""
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"({u},{v}) is not an edge of K_{self.n}")
-        if u > v:
-            u, v = v, u
-        lo, hi = 0, self.n
-        level = 0
-        while True:
-            level += 1
+    def locate(self, u, v) -> np.ndarray:
+        """Part ids of the edges (u[i], v[i]) of K_n, as an int64 array.
+
+        Per block of edges: the levels by halving all intervals at once, the
+        shifts by one array solve per level.  A loop or an id outside 0..n-1
+        raises ``ValueError`` naming the first such pair.
+        """
+        u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+        ids = np.empty(len(u), np.int64)
+        for lo in range(0, len(u), _LOCATE_BLOCK):
+            block = slice(lo, lo + _LOCATE_BLOCK)
+            ids[block] = self._locate(u[block], v[block])
+        return ids
+
+    def _locate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+        if (bad := np.flatnonzero((u == v) | (u < 0) | (v >= self.n))).size:
+            raise ValueError(f"({u[bad[0]]},{v[bad[0]]}) is not an edge of K_{self.n}")
+        ids = np.empty(len(u), np.int64)
+        rows = np.arange(len(u))  # the edges not yet separated; lo, hi: their interval
+        lo, hi = np.zeros_like(u), np.full_like(u, self.n)
+        for info, offset in zip(self.plan.levels, self._offsets):
             mid = lo + (hi - lo + 1) // 2
-            if v < mid:
-                hi = mid
-            elif u >= mid:
-                lo = mid
-            else:
-                break
-        info = self.plan.levels[level - 1]
-        q = info.prime
-        p = index_to_tuple(u - lo, q, self.arity)
-        l = index_to_tuple(v - mid, q, self.arity)
-        if self.arity == 3:
-            shift = solve_shift_q(p, l, q)
-        else:
-            shift = solve_shift_h(p, l, q)
-        return (level, shift.as_tuple()), p, l
+            split = (u < mid) & (v >= mid)
+            points, lines = u[split] - lo[split], v[split] - mid[split]
+            ids[rows[split]] = offset + _shift_index(points, lines, info.prime, self.arity)
+            left = v < mid
+            lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+            rows, u, v, lo, hi = (a[~split] for a in (rows, u, v, lo, hi))
+        return ids
 
-    def part_of_edge(self, u: int, v: int):
-        return self.locate(u, v)[0]
+    def part_key(self, part_id: int) -> tuple[int, tuple[int, ...]]:
+        """(level, shift tuple) of a part id."""
+        k = bisect.bisect_right(self._offsets, part_id) - 1
+        info = self.plan.levels[k]
+        return info.level, index_to_tuple(part_id - self._offsets[k], info.prime, self.arity - 1)
+
+    def part_name(self, part_id: int) -> str:
+        """``L<level>_s<shift>``, the name of a part of the cover."""
+        level, shift = self.part_key(part_id)
+        return f"L{level}_s" + "_".join(map(str, shift))
+
+
+def group_edges(pairs: np.ndarray, ids: np.ndarray, n: int):
+    """Yield (id, edges) for the rows of the (m, 2) array ``pairs`` grouped by
+    ``ids``, in increasing id order, each group's edges in row order as (u, v)
+    tuples that share one int object per vertex."""
+    order = np.argsort(ids, kind="stable")
+    ids, pairs = ids[order], pairs[order]
+    bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1)).tolist()
+    vertex = list(range(n)).__getitem__
+    for lo, hi in zip(bounds, bounds[1:]):
+        tails, heads = pairs[lo:hi].T.tolist()
+        yield int(ids[lo]), list(zip(map(vertex, tails), map(vertex, heads)))
 
 
 def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]:
     """Materialized exact partition of E(K_n) into parts of girth >= target.
 
     Desk-scale only (enumerates all n(n-1)/2 edges); the decomposition
-    pipeline uses :class:`CompleteCoverLocator` directly instead.
+    pipeline locates only the edges it needs.  Parts come in (level, shift)
+    order, each with its edges in lexicographic order.
     """
     loc = CompleteCoverLocator(n, target_girth)
-    buckets: dict[tuple, list[tuple[int, int]]] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            buckets.setdefault(loc.part_of_edge(u, v), []).append((u, v))
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
     parts = [
-        Part(
-            name=f"L{level}_s" + "_".join(map(str, shift)),
-            edges=edges,
-            girth_target=target_girth,
-        )
-        for (level, shift), edges in sorted(buckets.items())
+        Part(name=loc.part_name(pid), edges=edges, girth_target=target_girth)
+        for pid, edges in group_edges(pairs, loc.locate(pairs[:, 0], pairs[:, 1]), n)
     ]
     return EdgePartition(host=HostSpec.complete(n), parts=parts), loc.plan
 
@@ -385,6 +400,12 @@ def read_manifest(manifest_path) -> EdgePartition:
             raise ValueError(f"{manifest_path}: path outside the manifest directory: {line}")
         return path
 
+    def number(token: str, line: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"{manifest_path}: malformed manifest line: {line}") from None
+
     host = None
     n_parts = None
     parts = []
@@ -395,14 +416,14 @@ def read_manifest(manifest_path) -> EdgePartition:
                 continue
             match line.split():
                 case ["host", "complete", n]:
-                    host = HostSpec.complete(int(n))
+                    host = HostSpec.complete(number(n, line))
                 case ["host", "bipartite", a, b]:
-                    host = HostSpec.bipartite(int(a), int(b))
+                    host = HostSpec.bipartite(number(a, line), number(b, line))
                 case ["host", "file", rel]:
                     g = read_edge_list(inside(rel, line))
                     host = HostSpec.explicit(g.n, g.edges())
                 case ["parts", count]:
-                    n_parts = int(count)
+                    n_parts = number(count, line)
                 case ["part", name, rel, *claim]:
                     girth_target = None
                     forbidden = None
@@ -410,9 +431,9 @@ def read_manifest(manifest_path) -> EdgePartition:
                         case [] | ["none"]:
                             pass
                         case ["girth", value]:
-                            girth_target = int(value)
+                            girth_target = number(value, line)
                         case ["cycle-free", value]:
-                            forbidden = int(value)
+                            forbidden = number(value, line)
                         case _:
                             raise ValueError(f"{manifest_path}: malformed part claim: {line}")
                     g = read_edge_list(inside(rel, line))

@@ -7,10 +7,13 @@ The pipeline per round:
    trivially free of any cycle;
 2. on the remaining core, find a proper rainbow coloring of a spanning
    subgraph that keeps at least a tenth of every vertex's degree;
-3. partition the retained subgraph by pulling back a partition of the
-   complete graph on the palette into high-girth parts: the color map is a
-   locally injective homomorphism from each pullback class into its palette
-   part, so a palette part of girth > 2k yields a C_{2k}-free class;
+3. partition the retained subgraph by pulling back the recursive-halving
+   cover of the complete graph on the palette into high-girth parts: one
+   ``CompleteCoverLocator.locate`` call maps the color pairs of all retained
+   edges to their palette parts, without materializing the cover.  The
+   color map is a locally injective homomorphism from each pullback class
+   into its palette part, so a palette part of girth > 2k yields a
+   C_{2k}-free class;
 4. remove the retained edges (max degree drops by a constant factor) and
    repeat until the remainder is low-degree, then finish with forests.
 
@@ -23,23 +26,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
-from .graph import (
-    Graph,
-    DegeneracyOrder,
-    degeneracy_order,
-    degeneracy_peel,
-    forest_decompose,
-)
-from .partition import (
-    CompleteCoverLocator,
-    EdgePartition,
-    HostSpec,
-    Part,
-)
+import numpy as np
+
+from .graph import Graph, degeneracy_order, degeneracy_peel, forest_decompose
+from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part, group_edges
 
 _CYCLE_GIRTH = {6: 8, 10: 12}
+_PRUNE_BLOCK = 512  # rows per block of the rainbow pruning
 
 
 def default_threshold(delta: int) -> int:
@@ -138,30 +133,24 @@ def check_rainbow_coloring(rc: RainbowColoring, cfg: DecompositionConfig) -> Non
 
 def _try_rainbow(g: Graph, palette: int, rng: random.Random):
     color = [rng.randrange(palette) for _ in range(g.n)]
-    # drop monochromatic edges, then keep one edge per repeated color class
-    # in each neighborhood (lowest neighbor id wins; deterministic given the
-    # colors).  Deleting extra edges can only help injectivity, so a single
-    # pruning pass suffices.
-    proper = [(u, v) for u, v in g.edges() if color[u] != color[v]]
-    nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in proper:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    dropped = set()
-    for v in range(g.n):
-        best_by_color: dict[int, int] = {}
-        for w in nbrs[v]:
-            c = color[w]
-            prev = best_by_color.get(c)
-            if prev is None:
-                best_by_color[c] = w
-            elif w < prev:
-                best_by_color[c] = w
-                dropped.add((v, prev) if v < prev else (prev, v))
-            else:
-                dropped.add((v, w) if v < w else (w, v))
-    kept = [e for e in proper if e not in dropped]
-    return color, kept
+    # Drop monochromatic edges, then keep one edge per repeated color class in
+    # each neighborhood (lowest neighbor id wins), so an edge stays iff each end
+    # is the lowest neighbor of its color at the other.  Deleting edges can only
+    # help injectivity, so one pass suffices.  The CSR arcs come in (tail, head)
+    # order, so the first arc of a (tail, head color) has the lowest head; in
+    # (head, tail) order they come in the CSR order of their reverses.
+    c = np.array(color, np.int64)
+    indptr, heads = g._csr
+    tails = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
+    keep = np.zeros(len(heads), bool)
+    for lo in range(0, g.n, _PRUNE_BLOCK):  # a block of rows at a time bounds the sort's memory
+        a, b = indptr[[lo, min(lo + _PRUNE_BLOCK, g.n)]].tolist()
+        tail, colors = tails[a:b], c[heads[a:b]]
+        lowest = np.unique(tail.astype(np.int64) * palette + colors, return_index=True)[1]
+        keep[a + lowest] = c[tail[lowest]] != colors[lowest]
+    keep &= keep[np.argsort(heads, kind="stable")]  # and so is the reverse arc
+    keep &= tails < heads
+    return color, np.stack([tails[keep], heads[keep]], axis=1)
 
 
 def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
@@ -175,26 +164,19 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
     if delta < 2:
         raise ValueError("rainbow coloring needs max degree >= 2")
     palette = cfg.color_multiplier * delta
+    degree = np.diff(g._csr[0])
     worst_v, worst_ratio = -1, 1.0
     for retry in range(cfg.max_retries):
         rng = random.Random(cfg.rng_seed * 1_000_003 + retry)
         color, kept = _try_rainbow(g, palette, rng)
-        deg_kept = [0] * g.n
-        for u, v in kept:
-            deg_kept[u] += 1
-            deg_kept[v] += 1
-        ok = True
-        for v in range(g.n):
-            d = g.degree(v)
-            if d > 0 and deg_kept[v] < cfg.retention * d:
-                ratio = deg_kept[v] / d
-                if ratio < worst_ratio:
-                    worst_v, worst_ratio = v, ratio
-                ok = False
-                break
-        if ok:
-            retained = Graph(g.n, kept)
-            return RainbowColoring(host=g, retained=retained, color=color, palette_size=palette)
+        kept_degree = np.bincount(kept.ravel(), minlength=g.n)
+        short = np.flatnonzero((degree > 0) & (kept_degree < cfg.retention * degree))
+        if short.size == 0:
+            return RainbowColoring(g, Graph(g.n, kept), color, palette_size=palette)
+        v = int(short[0])
+        ratio = int(kept_degree[v]) / int(degree[v])
+        if ratio < worst_ratio:
+            worst_v, worst_ratio = v, ratio
     raise RainbowRetentionError(worst_v, worst_ratio, cfg.max_retries)
 
 
@@ -202,58 +184,34 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
 # Pullback of a palette partition
 
 
-PaletteSource = Union[EdgePartition, CompleteCoverLocator]
-
-
-def _palette_part_lookup(palette: PaletteSource, palette_size: int):
-    if isinstance(palette, CompleteCoverLocator):
-        if palette.n != palette_size:
-            raise ValueError(
-                f"palette partition host has {palette.n} vertices, coloring uses {palette_size}"
-            )
-        return palette.part_of_edge
-    if palette.host.n != palette_size:
-        raise ValueError(
-            f"palette partition host has {palette.host.n} vertices, coloring uses {palette_size}"
-        )
-    table = {}
-    for part in palette.parts:
-        for u, v in part.edges:
-            table[(u, v) if u < v else (v, u)] = part.name
-    def lookup(u, v):
-        return table[(u, v) if u < v else (v, u)]
-    return lookup
-
-
 def pullback_partition(
     rc: RainbowColoring,
-    palette: PaletteSource,
+    palette: CompleteCoverLocator,
     target_cycle: int,
 ) -> EdgePartition:
     """Partition the retained subgraph by palette part of its color edges.
 
-    An edge uv lands in the class of the palette edge color(u)color(v); the
-    color map restricted to a class is a locally injective homomorphism into
-    the corresponding palette part, so girth transfers.
+    An edge uv lands in the class of the palette edge color(u)color(v),
+    found by one ``palette.locate`` call over all retained edges; the color
+    map restricted to a class is a locally injective homomorphism into the
+    corresponding palette part, so girth transfers.  Classes are named
+    ``pull_`` plus the palette part's name.
     """
-    lookup = _palette_part_lookup(palette, rc.palette_size)
-    buckets: dict[object, list[tuple[int, int]]] = {}
-    for u, v in rc.retained.edges():
-        buckets.setdefault(lookup(rc.color[u], rc.color[v]), []).append((u, v))
-
-    def part_name(key) -> str:
-        if isinstance(key, tuple):  # locator key: (level, shift tuple)
-            level, shift = key
-            return f"pull_L{level}_s" + "_".join(map(str, shift))
-        return f"pull_{key}"
-
-    parts = [
-        Part(name=part_name(key), edges=edges, forbidden_cycle=target_cycle)
-        for key, edges in sorted(buckets.items(), key=lambda kv: str(kv[0]))
-    ]
-    return EdgePartition(
-        host=HostSpec.explicit(rc.retained.n, rc.retained.edges()), parts=parts
+    if palette.n != rc.palette_size:
+        raise ValueError(
+            f"palette partition host has {palette.n} vertices, coloring uses {rc.palette_size}"
+        )
+    pairs = rc.retained._pairs()
+    color = np.array(rc.color, np.int64)
+    ids = palette.locate(color[pairs[:, 0]], color[pairs[:, 1]])
+    groups = sorted(
+        group_edges(pairs, ids, rc.retained.n), key=lambda g: str(palette.part_key(g[0]))
     )
+    parts = [
+        Part(name="pull_" + palette.part_name(pid), edges=edges, forbidden_cycle=target_cycle)
+        for pid, edges in groups
+    ]
+    return EdgePartition(HostSpec.explicit(rc.retained.n, rc.retained.edges()), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +263,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         core, shell, order = degeneracy_peel(current, threshold)
         forests = forest_decompose(shell, order)
         for i, f in enumerate(forests):
-            parts.append(
-                Part(
-                    name=f"r{rnd}_forest{i}",
-                    edges=list(f.edges()),
-                    forbidden_cycle=target,
-                )
-            )
+            parts.append(Part(f"r{rnd}_forest{i}", list(f.edges()), forbidden_cycle=target))
         planned += len(forests)
         if core.m == 0:
             # everything peeled into forests; no rainbow round happened
@@ -325,23 +277,23 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             err.rounds = rounds
             raise
         if rc.palette_size not in locators:
-            locators[rc.palette_size] = CompleteCoverLocator(
-                rc.palette_size, cfg.palette_girth
-            )
+            locators[rc.palette_size] = CompleteCoverLocator(rc.palette_size, cfg.palette_girth)
         locator = locators[rc.palette_size]
         pulled = pullback_partition(rc, locator, target)
         for part in pulled.parts:
             part.name = f"r{rnd}_{part.name}"
             parts.append(part)
         planned += locator.plan.total_parts
-        retained_edges = set(rc.retained.edges())
-        remaining = [e for e in core.edges() if e not in retained_edges]
-        current = Graph(g.n, remaining)
+        core_pairs = core._pairs()
+        key = [g.n, 1]  # pairs @ key: the edge keys u*n + v, sorted as the pairs are
+        remaining = np.ones(len(core_pairs), bool)
+        remaining[np.searchsorted(core_pairs @ key, rc.retained._pairs() @ key)] = False
+        current = Graph(g.n, core_pairs[remaining])
         rounds.append(
             RoundLog(
                 round_index=rnd,
                 max_degree_before=delta_before,
-                core_vertices=sum(1 for v in range(core.n) if core.degree(v) > 0),
+                core_vertices=int(np.count_nonzero(np.diff(core._csr[0]))),
                 forest_parts=len(forests),
                 palette_size=rc.palette_size,
                 palette_parts_planned=locator.plan.total_parts,
@@ -353,9 +305,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         order = degeneracy_order(current)
         forests = forest_decompose(current, order)
         for i, f in enumerate(forests):
-            parts.append(
-                Part(name=f"final_forest{i}", edges=list(f.edges()), forbidden_cycle=target)
-            )
+            parts.append(Part(f"final_forest{i}", list(f.edges()), forbidden_cycle=target))
         planned += len(forests)
     parts = [p for p in parts if p.edges]
     for part in parts:

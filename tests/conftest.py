@@ -31,7 +31,7 @@ def all_roots_girth(g: Graph, cap=None):
     cap = g.n + 1 if cap is None else cap
     if g.m == 0:
         return cap
-    indptr, indices = g._csr_arrays()
+    indptr, indices = g._csr
     return girth_scan(indptr, indices, g.n, cap, np.arange(g.n))
 
 

@@ -138,7 +138,17 @@ def test_partition_bipartite_rejects_non_prime_q(tmp_path, q):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("line", ["host", "part a", "part a ../outside.edges girth 8"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "host",
+        "part a",
+        "part a ../outside.edges girth 8",
+        "host complete x",
+        "parts y",
+        "part a e.edges girth z",
+    ],
+)
 def test_verify_malformed_manifest_line(tmp_path, capsys, line):
     write_edge_list(cycle_graph(10), tmp_path / "outside.edges")
     (tmp_path / "m").mkdir()
@@ -149,8 +159,9 @@ def test_verify_malformed_manifest_line(tmp_path, capsys, line):
 
 
 def test_verify_one_token_edge_list_header(tmp_path, capsys):
-    (tmp_path / "a.edges").write_text("10\n")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("host complete 10\npart a a.edges girth 8\n")
-    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
-    assert "a.edges" in capsys.readouterr().err
+    for header in ["10", "3 x", "3 1 bipartite 1 x"]:
+        (tmp_path / "a.edges").write_text(f"{header}\n")
+        assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+        assert f"a.edges, line 1: malformed header {header}" in capsys.readouterr().err

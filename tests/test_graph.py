@@ -168,7 +168,7 @@ def test_python_backend_without_numba():
 
     assert _kernels.girth_scan is _kernels._girth_scan
     g = petersen_graph()
-    indptr, indices = g._csr_arrays()
+    indptr, indices = g._csr
     assert (indptr.dtype, indices.dtype) == (np.int64, np.int32)
     every = np.arange(g.n)
     for roots, cap, want in ((g._girth_roots(), g.n + 1, 5), (every, 5, 5), (every, 4, 4)):
@@ -626,9 +626,14 @@ def test_edge_list_malformed_edge_line_names_file_and_line(tmp_path, bad):
 
 def test_edge_list_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.edges"
-    path.write_text("3 2\n0 1\n")
-    with pytest.raises(ValueError):
-        read_edge_list(path)
+    for text, line, message in [
+        ("3 2\n0 1\n", 1, "header claims 2 edges"),
+        ("3 x\n", 1, "malformed header 3 x"),
+        ("# c\n3 1 bipartite 1 x\n0 1\n", 2, "malformed header 3 1 bipartite 1 x"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.edges, line {line}: {message}"):
+            read_edge_list(path)
 
 
 # -- edge-list reader against the line-by-line oracle ------------------------
@@ -762,6 +767,8 @@ def test_edge_list_without_edges_reads_without_warning(tmp_path):
         ("0 1\n\n2 1\n", 4, r"edge \(2,1\) not in u < v form"),
         ("0 1\n1", 3, "malformed edge line '1'"),
         ("0 1\n1 2\n2 3\n", 1, "header claims 2 edges, file has 3"),
+        ("0 1\n0 99999999999999999999\n", 3, "vertex id outside int64 in '0 99999999999999999999'"),
+        ("-99999999999999999999 0\n", 2, "vertex id outside int64 in '-99999999999999999999 0'"),
     ],
 )
 def test_edge_list_faults_name_file_and_line(tmp_path, body, line, message):

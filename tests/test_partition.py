@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from girthcover.algebraic import solve_shift_q
+import numpy as np
+
+from girthcover.algebraic import index_to_tuple, solve_shift_h, solve_shift_q
 from girthcover.graph import Graph
 from girthcover.partition import (
     CompleteCoverLocator,
@@ -19,6 +21,7 @@ from girthcover.partition import (
     verify_partition,
     write_manifest,
 )
+from girthcover.rainbow import RainbowColoring, pullback_partition
 
 
 def test_partition_bipartite_exact_q5():
@@ -48,8 +51,6 @@ def test_partition_matches_shift_solver():
     # and compare with the constructed parts
     ep = partition_bipartite_exact(5, 3)
     by_name = {p.name: set(p.edges) for p in ep.parts}
-    from girthcover.algebraic import index_to_tuple
-
     for u in range(0, 125, 7):
         for v in range(0, 125, 11):
             shift = solve_shift_q(index_to_tuple(u, 5, 3), index_to_tuple(v, 5, 3), 5)
@@ -129,18 +130,73 @@ def test_locator_matches_materialized_partition():
     for part in ep.parts:
         for e in part.edges:
             membership[e] = part.name
-    for u in range(n):
-        for v in range(u + 1, n):
-            level, shift = loc.part_of_edge(u, v)
-            assert membership[(u, v)] == f"L{level}_s" + "_".join(map(str, shift))
+    u, v = np.triu_indices(n, 1)
+    for a, b, pid in zip(u.tolist(), v.tolist(), loc.locate(u, v).tolist()):
+        level, shift = loc.part_key(pid)
+        assert membership[(a, b)] == f"L{level}_s" + "_".join(map(str, shift))
 
 
 def test_locator_rejects_non_edges():
     loc = CompleteCoverLocator(10, 8)
     with pytest.raises(ValueError):
-        loc.part_of_edge(3, 3)
+        loc.locate([3], [3])
     with pytest.raises(ValueError):
-        loc.part_of_edge(0, 10)
+        loc.locate([0], [10])
+
+
+def scalar_locate(loc, u, v):
+    """(level, shift tuple) of the edge uv of K_n, one pair at a time: the
+    level by halving the interval, the shift by the scalar solvers."""
+    u, v = min(u, v), max(u, v)
+    lo, hi, level = 0, loc.n, 0
+    while True:
+        level += 1
+        mid = lo + (hi - lo + 1) // 2
+        if v < mid:
+            hi = mid
+        elif u >= mid:
+            lo = mid
+        else:
+            break
+    q = loc.plan.levels[level - 1].prime
+    p, l = index_to_tuple(u - lo, q, loc.arity), index_to_tuple(v - mid, q, loc.arity)
+    solve = solve_shift_q if loc.arity == 3 else solve_shift_h
+    return level, solve(p, l, q).as_tuple()
+
+
+@pytest.mark.parametrize("girth", [8, 12])
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 131])
+def test_array_locate_matches_scalar_reference(n, girth):
+    loc = CompleteCoverLocator(n, girth)
+    u, v = np.triu_indices(n, 1)
+    ids = loc.locate(u, v)
+    assert ids.dtype == np.int64
+    keys = [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert [loc.part_key(pid) for pid in ids.tolist()] == keys
+    # ids sort as (level, shift), and either orientation locates the same part
+    by_key = dict(zip(keys, ids.tolist()))
+    assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
+    assert (loc.locate(v, u) == ids).all()
+    # loops, negative ids and ids >= n are no edges of K_n
+    for a, b in [(1, 1), (-1, 0), (0, -1), (0, n), (n, 0), (n, n + 1)]:
+        with pytest.raises(ValueError, match=rf"is not an edge of K_{n}"):
+            loc.locate(np.r_[u, a], np.r_[v, b])
+    assert loc.locate([], []).size == 0
+    rc = RainbowColoring(host=Graph(n, []), retained=Graph(n, []), color=[0] * n, palette_size=n)
+    assert pullback_partition(rc, loc, 6).parts == []
+
+
+@pytest.mark.parametrize("n, girth", [(1000, 8), (9001, 12)])
+def test_array_locate_matches_scalar_reference_on_sampled_pairs(n, girth):
+    # Hosts large enough that every point and line coordinate takes all of
+    # F_q at the top levels, and a level with a prime above 5.
+    loc = CompleteCoverLocator(n, girth)
+    assert loc.plan.levels[0].prime > 5
+    rng = np.random.default_rng(n)
+    u, v = rng.integers(0, n, size=(2, 4000))
+    u, v = u[u != v], v[u != v]
+    got = [loc.part_key(pid) for pid in loc.locate(u, v).tolist()]
+    assert got == [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
 
 
 def test_exactness_detects_missing_and_duplicate():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from girthcover.partition import CompleteCoverLocator, cover_complete
 from girthcover.rainbow import (
     DecompositionConfig,
     RainbowRetentionError,
+    _try_rainbow,
     check_rainbow_coloring,
     decompose,
     default_threshold,
@@ -58,6 +60,35 @@ def test_rainbow_regular_invariants():
         assert rc.palette_size == 200 * 16
 
 
+def scalar_rainbow_pruning(g, palette, rng):
+    """The pruning one neighborhood at a time: draw the colors, drop
+    monochromatic edges, and drop every edge whose end is not the lowest
+    neighbor of its color at the other end."""
+    color = [rng.randrange(palette) for _ in range(g.n)]
+    proper = [(u, v) for u, v in g.edges() if color[u] != color[v]]
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in proper:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    lowest = [{} for _ in range(g.n)]
+    for v in range(g.n):
+        for w in nbrs[v]:
+            lowest[v][color[w]] = min(w, lowest[v].get(color[w], w))
+    kept = [(u, v) for u, v in proper if lowest[u][color[v]] == v and lowest[v][color[u]] == u]
+    return color, kept
+
+
+def test_rainbow_pruning_matches_scalar_reference():
+    # Small palettes force repeated colors; n > 512 crosses a row block.
+    graphs = [random_regular(1200, 6, seed=1), random_regular(100, 16, seed=2), Graph(5, [])]
+    for g in graphs:
+        for palette, seed in [(3, 0), (7, 1), (40, 2), (1000, 3)]:
+            color, kept = _try_rainbow(g, palette, random.Random(seed))
+            want_color, want_kept = scalar_rainbow_pruning(g, palette, random.Random(seed))
+            assert color == want_color
+            assert kept.tolist() == [list(e) for e in want_kept]
+
+
 def test_rainbow_retention_failure_surfaced():
     # palette of size max-degree on a clique cannot keep 90% everywhere
     g = complete_graph(6)
@@ -94,7 +125,7 @@ def test_pullback_hom_certificate():
     cfg = DecompositionConfig(rng_seed=9)
     rc = rainbow_color(g, cfg)
     palette_ep, _ = cover_complete(rc.palette_size, 8)
-    pulled = pullback_partition(rc, palette_ep, 6)
+    pulled = pullback_partition(rc, CompleteCoverLocator(rc.palette_size, 8), 6)
     assert pulled.is_exact()
     by_name = {p.name: p for p in palette_ep.parts}
     for part in pulled.parts:
