@@ -13,15 +13,11 @@ from .graph import (
     INFINITE,
     DegeneracyOrder,
     Graph,
-    complete_graph,
     cycle_graph,
     degeneracy_order,
     degeneracy_peel,
-    disjoint_union,
     forest_decompose,
     is_locally_injective_hom,
-    path_graph,
-    petersen_graph,
     read_edge_list,
     write_edge_list,
 )

@@ -82,15 +82,6 @@ def _check_q(q: int) -> None:
         raise ValueError(f"q must be a prime >= 5, got {q}")
 
 
-def tuple_to_index(coords: tuple[int, ...], q: int) -> int:
-    """Canonical mixed-radix (big-endian base q) index of a coordinate tuple."""
-    idx = 0
-    for c in coords:
-        if not 0 <= c < q:
-            raise ValueError(f"coordinate {c} outside F_{q}")
-        idx = idx * q + c
-    return idx
-
 def index_to_tuple(idx: int, q: int, arity: int) -> tuple[int, ...]:
     coords = []
     for _ in range(arity):
@@ -115,12 +106,6 @@ class PointLineGraph:
     @property
     def n_side(self) -> int:
         return self.q ** self.arity
-
-    def point_id(self, coords: tuple[int, ...]) -> int:
-        return tuple_to_index(coords, self.q)
-
-    def line_id(self, coords: tuple[int, ...]) -> int:
-        return self.n_side + tuple_to_index(coords, self.q)
 
     def point_coords(self, vid: int) -> tuple[int, ...]:
         return index_to_tuple(vid, self.q, self.arity)

@@ -31,6 +31,7 @@ character, and ``#`` anywhere else is an error.  Line ends may be LF or CRLF.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import re
 import warnings
@@ -44,6 +45,18 @@ from ._kernels import girth_scan
 INFINITE = math.inf
 
 _CHECK_BLOCK = 512  # rows per block of the automorphism check
+_EDGE_BLOCK = 8192  # edges per block turned into tuples by Graph.edges
+
+
+def edge_array(edges) -> np.ndarray:
+    """``edges`` as an (m, 2) int64 array: any iterable of (u, v) pairs or an
+    (m, 2) integer array (returned as is if already int64)."""
+    pairs = np.asarray(edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges))
+    if len(pairs) == 0:
+        return np.empty((0, 2), np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("edges must be pairs of integer vertex ids")
+    return pairs.astype(np.int64, copy=False)
 
 
 class Graph:
@@ -75,12 +88,7 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        pairs = np.asarray(edges if isinstance(edges, (list, tuple, np.ndarray)) else list(edges))
-        if len(pairs) == 0:
-            pairs = np.empty((0, 2), np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
-            raise ValueError("edges must be pairs of integer vertex ids")
-        u, w = pairs.astype(np.int64, copy=False).T
+        u, w = edge_array(edges).T
         lo, hi = np.minimum(u, w), np.maximum(u, w)
 
         def first(mask):  # the first edge the mask flags, as (lo, hi), or None
@@ -130,11 +138,13 @@ class Graph:
         return int(np.diff(self._csr[0]).max(initial=0))
 
     def edges(self):
-        """Iterate edges as (u, v) with u < v, in sorted order.  The tuples
-        share one int object per vertex, as parts and host specs keep them."""
-        vertex = list(range(self.n)).__getitem__
-        tails, heads = self._pairs().T.tolist()
-        return zip(map(vertex, tails), map(vertex, heads))
+        """Iterate edges as (u, v) int tuples with u < v, in sorted order.
+        Rows become tuples a block at a time, so a large graph never has all
+        of its edges as Python ints at once."""
+        pairs = self._pairs()
+        starts = range(0, len(pairs), _EDGE_BLOCK)
+        blocks = (pairs[lo : lo + _EDGE_BLOCK].T.tolist() for lo in starts)
+        return itertools.chain.from_iterable(zip(*block) for block in blocks)
 
     def _pairs(self):
         """The (m, 2) int64 array of edges (u, v), u < v, in sorted order."""
@@ -348,31 +358,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
-
-
-def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    """Disjoint union with vertices relabeled by block offsets.
-
-    The girth of the result is the minimum girth of the inputs.
-    """
-    offsets = np.cumsum([0] + [g.n for g in graphs])
-    blocks = [g._pairs() + offset for g, offset in zip(graphs, offsets.tolist())]
-    return Graph(int(offsets[-1]), np.concatenate([np.empty((0, 2), np.int64)] + blocks))
-
-
 # ---------------------------------------------------------------------------
 # Homomorphisms
 
@@ -562,6 +547,19 @@ def read_edge_list(path) -> Graph:
             line = line.strip()
             if line and not line.startswith("#"):
                 header = line.split()
+        malformed = ValueError(f"{path}, line {header_line}: malformed header {' '.join(header)}")
+        if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
+            raise malformed
+        try:
+            n, m, *sides = map(int, header[:2] + header[3:])
+        except ValueError:
+            raise malformed from None
+        side = None
+        if sides:
+            a, b = sides
+            if a + b != n:
+                raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
+            side = [0] * a + [1] * b
         body = fh.tell()
         try:
             with warnings.catch_warnings():
@@ -572,28 +570,18 @@ def read_edge_list(path) -> Graph:
                 warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
                 pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
         except (ValueError, DeprecationWarning) as exc:
-            raise _edge_line_error(path, header_line, exc) from None
+            raise _edge_line_error(path, header_line, n, side, exc) from None
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         fh.seek(body)
         if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
-            raise _edge_line_error(path, header_line, "bad edge line")
-    malformed = ValueError(f"{path}, line {header_line}: malformed header {' '.join(header)}")
-    if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
-        raise malformed
-    try:
-        n, m, *sides = map(int, header[:2] + header[3:])
-    except ValueError:
-        raise malformed from None
-    side = None
-    if sides:
-        a, b = sides
-        if a + b != n:
-            raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
-        side = [0] * a + [1] * b
+            raise _edge_line_error(path, header_line, n, side, "bad edge line")
     if m != len(pairs):
         raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {len(pairs)}")
-    return Graph(n, pairs, side=side)
+    try:
+        return Graph(n, pairs, side=side)
+    except ValueError as exc:
+        raise _edge_line_error(path, header_line, n, side, exc) from None
 
 
 def _comment_after_data(fh) -> bool:
@@ -602,21 +590,31 @@ def _comment_after_data(fh) -> bool:
     return "#" in text and _COMMENT_AFTER_DATA.search(text) is not None
 
 
-def _edge_line_error(path, header_line: int, reason) -> ValueError:
+def _edge_line_error(path, header_line: int, n: int, side, reason) -> ValueError:
     """The error for the first edge line after ``header_line`` that the
-    format rejects, found line by line.  Called only once the array parse or
-    its checks have failed; with no line to name, the error gives ``reason``."""
+    format or a graph on n vertices with ``side`` rejects, found line by line.
+    Called only once the array parse, its checks or the graph build have
+    failed; with no line to name, the error gives ``reason``."""
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if lineno <= header_line or not line or line.startswith("#"):
                 continue
+            at = f"{path}, line {lineno}"
             fields = line.split()
             if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):
-                return ValueError(f"{path}, line {lineno}: malformed edge line {line!r}")
+                return ValueError(f"{at}: malformed edge line {line!r}")
             u, v = map(int, fields)
             if not all(_INT64.min <= x <= _INT64.max for x in (u, v)):
-                return ValueError(f"{path}, line {lineno}: vertex id outside int64 in {line!r}")
+                return ValueError(f"{at}: vertex id outside int64 in {line!r}")
             if not u < v:
-                return ValueError(f"{path}, line {lineno}: edge ({u},{v}) not in u < v form")
+                return ValueError(f"{at}: edge ({u},{v}) not in u < v form")
+            if u < 0 or v >= n:
+                return ValueError(f"{at}: edge ({u}, {v}) out of range for n={n}")
+            if (u, v) in seen:
+                return ValueError(f"{at}: duplicate edge ({u}, {v})")
+            if side is not None and side[u] == side[v]:
+                return ValueError(f"{at}: edge ({u}, {v}) does not cross the bipartition")
+            seen.add((u, v))
     return ValueError(f"{path}: malformed edge list ({reason})")

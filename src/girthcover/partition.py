@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple
 from .field import next_prime_at_least
-from .graph import Graph, read_edge_list, write_edge_list
+from .graph import Graph, edge_array, read_edge_list, write_edge_list
 
 _GIRTH_ARITY = {8: 3, 12: 5}
 _LOCATE_BLOCK = 8192  # edges per block of the array locate
@@ -51,15 +51,16 @@ def _arity_for(target_girth: int) -> int:
 # Partition containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HostSpec:
-    """What a partition partitions: K_n, K_{a,b}, or an explicit edge set."""
+    """What a partition partitions: K_n, K_{a,b}, or an explicit edge set,
+    held as an (m, 2) int64 array."""
 
     kind: str  # "complete" | "bipartite" | "explicit"
     n: int = 0
     a: int = 0
     b: int = 0
-    edges: Optional[tuple[tuple[int, int], ...]] = None
+    edges: Optional[np.ndarray] = None
 
     @staticmethod
     def complete(n: int) -> "HostSpec":
@@ -72,14 +73,8 @@ class HostSpec:
 
     @staticmethod
     def explicit(n: int, edges) -> "HostSpec":
-        return HostSpec(kind="explicit", n=n, edges=tuple(sorted(edges)))
-
-    def edge_set(self) -> list[tuple[int, int]]:
-        if self.kind == "complete":
-            return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)]
-        if self.kind == "bipartite":
-            return [(u, self.a + v) for u in range(self.a) for v in range(self.b)]
-        return list(self.edges)
+        """The host with the given edges: any edge input that ``Graph`` accepts."""
+        return HostSpec(kind="explicit", n=n, edges=edge_array(edges))
 
     @property
     def edge_count(self) -> int:
@@ -89,19 +84,43 @@ class HostSpec:
             return self.a * self.b
         return len(self.edges)
 
+    def _pairs(self) -> np.ndarray:
+        """The host's edges as an (m, 2) array."""
+        if self.kind == "complete":
+            return np.stack(np.triu_indices(self.n, 1), axis=1)
+        if self.kind == "bipartite":
+            u, v = np.divmod(np.arange(self.a * self.b, dtype=np.int64), self.b)
+            return np.stack([u, self.a + v], axis=1)
+        return self.edges
 
-@dataclass
+
+def _sorted_keys(pairs: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """The sorted keys u*n + v of the edges, each taken as (u, v) with u < v,
+    or None if one is a loop or has an id outside 0..n-1: such an edge can
+    share its key with an edge of K_n."""
+    lo, hi = np.sort(pairs, axis=1).T
+    if ((lo < 0) | (hi >= n) | (lo == hi)).any():
+        return None
+    return np.sort(lo * n + hi)
+
+
+@dataclass(eq=False)
 class Part:
     """One class of an edge partition, with its structural claim.
 
-    Exactly one of ``girth_target`` (girth >= value) or ``forbidden_cycle``
-    (no cycle of exactly that length) is the certificate to check.
+    ``edges`` is an (m, 2) int64 array, converted on construction from any
+    edge input that ``Graph`` accepts.  Exactly one of ``girth_target``
+    (girth >= value) or ``forbidden_cycle`` (no cycle of exactly that
+    length) is the certificate to check.
     """
 
     name: str
-    edges: list[tuple[int, int]]
+    edges: np.ndarray
     girth_target: Optional[int] = None
     forbidden_cycle: Optional[int] = None
+
+    def __post_init__(self):
+        self.edges = edge_array(self.edges)
 
     def graph(self, n: int) -> Graph:
         return Graph(n, self.edges)
@@ -116,13 +135,13 @@ class EdgePartition:
         return sum(len(p.edges) for p in self.parts)
 
     def is_exact(self) -> bool:
-        """Union of parts equals the host edge set, each edge exactly once."""
-        combined = sorted(
-            (u, v) if u < v else (v, u) for p in self.parts for (u, v) in p.edges
-        )
-        if len(set(combined)) != len(combined):
+        """Union of parts equals the host edge set, each edge exactly once:
+        one sort of the parts' edge keys, compared with the host's."""
+        pairs = np.concatenate([np.empty((0, 2), np.int64)] + [p.edges for p in self.parts])
+        keys, host = (_sorted_keys(e, self.host.n) for e in (pairs, self.host._pairs()))
+        if keys is None or host is None:
             return False
-        return combined == sorted(self.host.edge_set())
+        return np.array_equal(keys, host) and bool((keys[1:] != keys[:-1]).all())
 
 
 @dataclass
@@ -215,8 +234,9 @@ def cover_bipartite(m: int, target_girth: int) -> EdgePartition:
     q = prime_for_side(m, arity)
     parts = []
     for shift in itertools.product(range(q), repeat=arity - 1):
-        rows = _incident_lines(q, arity, shift, m).tolist()
-        edges = [(p, m + l) for p, row in enumerate(rows) for l in row if l < m]
+        rows = _incident_lines(q, arity, shift, m)
+        points, k = np.nonzero(rows < m)  # row by row: point-major order
+        edges = np.stack([points, m + rows[points, k]], axis=1)
         name = "s" + "_".join(map(str, shift))
         parts.append(Part(name=name, edges=edges, girth_target=target_girth))
     return EdgePartition(host=HostSpec.bipartite(m, m), parts=parts)
@@ -316,17 +336,15 @@ class CompleteCoverLocator:
         return f"L{level}_s" + "_".join(map(str, shift))
 
 
-def group_edges(pairs: np.ndarray, ids: np.ndarray, n: int):
+def group_edges(pairs: np.ndarray, ids: np.ndarray):
     """Yield (id, edges) for the rows of the (m, 2) array ``pairs`` grouped by
-    ``ids``, in increasing id order, each group's edges in row order as (u, v)
-    tuples that share one int object per vertex."""
+    ``ids``, in increasing id order, each group's edges an (k, 2) array in
+    row order."""
     order = np.argsort(ids, kind="stable")
     ids, pairs = ids[order], pairs[order]
     bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1)).tolist()
-    vertex = list(range(n)).__getitem__
     for lo, hi in zip(bounds, bounds[1:]):
-        tails, heads = pairs[lo:hi].T.tolist()
-        yield int(ids[lo]), list(zip(map(vertex, tails), map(vertex, heads)))
+        yield int(ids[lo]), pairs[lo:hi]
 
 
 def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]:
@@ -340,7 +358,7 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
     pairs = np.stack(np.triu_indices(n, 1), axis=1)
     parts = [
         Part(name=loc.part_name(pid), edges=edges, girth_target=target_girth)
-        for pid, edges in group_edges(pairs, loc.locate(pairs[:, 0], pairs[:, 1]), n)
+        for pid, edges in group_edges(pairs, loc.locate(pairs[:, 0], pairs[:, 1]))
     ]
     return EdgePartition(host=HostSpec.complete(n), parts=parts), loc.plan
 
@@ -421,7 +439,7 @@ def read_manifest(manifest_path) -> EdgePartition:
                     host = HostSpec.bipartite(number(a, line), number(b, line))
                 case ["host", "file", rel]:
                     g = read_edge_list(inside(rel, line))
-                    host = HostSpec.explicit(g.n, g.edges())
+                    host = HostSpec.explicit(g.n, g._pairs())
                 case ["parts", count]:
                     n_parts = number(count, line)
                 case ["part", name, rel, *claim]:
@@ -437,14 +455,7 @@ def read_manifest(manifest_path) -> EdgePartition:
                         case _:
                             raise ValueError(f"{manifest_path}: malformed part claim: {line}")
                     g = read_edge_list(inside(rel, line))
-                    parts.append(
-                        Part(
-                            name=name,
-                            edges=list(g.edges()),
-                            girth_target=girth_target,
-                            forbidden_cycle=forbidden,
-                        )
-                    )
+                    parts.append(Part(name, g._pairs(), girth_target, forbidden))
                 case _:
                     raise ValueError(f"{manifest_path}: malformed manifest line: {line}")
     if host is None:

@@ -204,14 +204,12 @@ def pullback_partition(
     pairs = rc.retained._pairs()
     color = np.array(rc.color, np.int64)
     ids = palette.locate(color[pairs[:, 0]], color[pairs[:, 1]])
-    groups = sorted(
-        group_edges(pairs, ids, rc.retained.n), key=lambda g: str(palette.part_key(g[0]))
-    )
+    groups = sorted(group_edges(pairs, ids), key=lambda g: str(palette.part_key(g[0])))
     parts = [
         Part(name="pull_" + palette.part_name(pid), edges=edges, forbidden_cycle=target_cycle)
         for pid, edges in groups
     ]
-    return EdgePartition(HostSpec.explicit(rc.retained.n, rc.retained.edges()), parts)
+    return EdgePartition(HostSpec.explicit(rc.retained.n, pairs), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         core, shell, order = degeneracy_peel(current, threshold)
         forests = forest_decompose(shell, order)
         for i, f in enumerate(forests):
-            parts.append(Part(f"r{rnd}_forest{i}", list(f.edges()), forbidden_cycle=target))
+            parts.append(Part(f"r{rnd}_forest{i}", f._pairs(), forbidden_cycle=target))
         planned += len(forests)
         if core.m == 0:
             # everything peeled into forests; no rainbow round happened
@@ -305,13 +303,13 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         order = degeneracy_order(current)
         forests = forest_decompose(current, order)
         for i, f in enumerate(forests):
-            parts.append(Part(f"final_forest{i}", list(f.edges()), forbidden_cycle=target))
+            parts.append(Part(f"final_forest{i}", f._pairs(), forbidden_cycle=target))
         planned += len(forests)
-    parts = [p for p in parts if p.edges]
+    parts = [p for p in parts if len(p.edges)]
     for part in parts:
         if Graph(g.n, part.edges).has_cycle_of_length(target):
             raise AssertionError(f"class {part.name} contains a C_{target}")
-    partition = EdgePartition(host=HostSpec.explicit(g.n, g.edges()), parts=parts)
+    partition = EdgePartition(host=HostSpec.explicit(g.n, g._pairs()), parts=parts)
     return DecompositionResult(
         partition=partition,
         rounds=rounds,

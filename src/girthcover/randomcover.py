@@ -18,10 +18,12 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .algebraic import build_hexagon, build_quadrangle
 from .field import next_prime_at_least
 from .graph import Graph
-from .partition import EdgePartition, HostSpec, Part
+from .partition import EdgePartition, HostSpec, Part, group_edges
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class SeedGraph:
             raise ValueError(f"cannot pad {self.graph.n}-vertex seed down to {n}")
         if n == self.graph.n:
             return self
-        return SeedGraph(graph=Graph(n, list(self.graph.edges())), girth=self.girth)
+        return SeedGraph(graph=Graph(n, self.graph._pairs()), girth=self.girth)
 
 
 def required_copies(n: int, seed_edges: int, safety_constant: float) -> int:
@@ -80,12 +82,12 @@ class CoverOutcome:
         if not self.success:
             raise ValueError("cover failed; no partition to extract")
         girth_target = None if self.seed_girth == math.inf else int(self.seed_girth)
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for edge, idx in self.assignment.items():
-            buckets.setdefault(idx, []).append(edge)
+        edges = np.array(list(self.assignment), np.int64).reshape(-1, 2)
+        copy = np.fromiter(self.assignment.values(), np.int64, len(edges))
+        order = np.lexsort(edges.T[::-1])  # lexicographic, so each part's edges are sorted
         parts = [
-            Part(name=f"copy{idx:05d}", edges=sorted(edges), girth_target=girth_target)
-            for idx, edges in sorted(buckets.items())
+            Part(name=f"copy{idx:05d}", edges=group, girth_target=girth_target)
+            for idx, group in group_edges(edges[order], copy[order])
         ]
         return EdgePartition(host=HostSpec.complete(self.n), parts=parts)
 

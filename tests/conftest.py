@@ -8,6 +8,54 @@ from girthcover._kernels import girth_scan
 from girthcover.graph import Graph
 
 
+# -- small graphs and coordinates used only by the tests ----------------------
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def petersen_graph() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def disjoint_union(graphs) -> Graph:
+    """Disjoint union with vertices relabeled by block offsets.
+
+    The girth of the result is the minimum girth of the inputs.
+    """
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    blocks = [g._pairs() + offset for g, offset in zip(graphs, offsets.tolist())]
+    return Graph(int(offsets[-1]), np.concatenate([np.empty((0, 2), np.int64)] + blocks))
+
+
+def tuple_to_index(coords: tuple[int, ...], q: int) -> int:
+    """Canonical mixed-radix (big-endian base q) index of a coordinate tuple."""
+    idx = 0
+    for c in coords:
+        if not 0 <= c < q:
+            raise ValueError(f"coordinate {c} outside F_{q}")
+        idx = idx * q + c
+    return idx
+
+
+def point_id(plg, coords: tuple[int, ...]) -> int:
+    """Vertex id of the point with ``coords`` in a ``PointLineGraph``."""
+    return tuple_to_index(coords, plg.q)
+
+
+def line_id(plg, coords: tuple[int, ...]) -> int:
+    """Vertex id of the line with ``coords`` in a ``PointLineGraph``."""
+    return plg.n_side + tuple_to_index(coords, plg.q)
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Seeded random d-regular simple graph."""
     g = nx.random_regular_graph(d, n, seed=seed)
@@ -78,8 +126,6 @@ def read_edge_list_lines(path) -> Graph:
 
 @pytest.fixture
 def petersen():
-    from girthcover.graph import petersen_graph
-
     return petersen_graph()
 
 

@@ -19,11 +19,11 @@ from girthcover.algebraic import (
     solve_shift_q,
 )
 from girthcover.bounds import lower_bound_exponent, upper_bound
-from girthcover.graph import Graph, is_locally_injective_hom, petersen_graph
+from girthcover.graph import Graph, is_locally_injective_hom
 from girthcover.partition import cover_complete, partition_bipartite_exact, verify_partition
 from girthcover.rainbow import DecompositionConfig, check_rainbow_coloring, decompose, rainbow_color
 from girthcover.randomcover import SeedGraph, cover_random
-from conftest import random_graph, random_regular
+from conftest import petersen_graph, random_graph, random_regular
 
 
 def report(criterion, detail=""):

@@ -15,10 +15,9 @@ from girthcover.algebraic import (
     shift_isomorphism_q,
     solve_shift_h,
     solve_shift_q,
-    tuple_to_index,
 )
 from girthcover.graph import Graph
-from conftest import all_roots_girth
+from conftest import all_roots_girth, line_id, point_id, tuple_to_index
 
 
 def without_certificate(g):
@@ -50,7 +49,7 @@ def test_quadrangle_defining_equations_q5():
     # direct substitution: 3-2 = 1*1 and 2-2*3 = -4 = 1 = -2*1*2 (mod 5)
     assert is_edge_q((1, 2, 3), (1, 3, 2), ShiftQ(0, 0), 5)
     plg = build_quadrangle(5)
-    assert plg.graph.has_edge(plg.point_id((1, 2, 3)), plg.line_id((1, 3, 2)))
+    assert plg.graph.has_edge(point_id(plg, (1, 2, 3)), line_id(plg, (1, 3, 2)))
 
 
 def test_quadrangle_every_edge_satisfies_equations():
@@ -96,7 +95,7 @@ def test_hexagon_counts_q5():
 def test_hexagon_zero_edge():
     assert is_edge_h((0,) * 5, (0,) * 5, ShiftH(), 5)
     plg = build_hexagon(5)
-    assert plg.graph.has_edge(plg.point_id((0,) * 5), plg.line_id((0,) * 5))
+    assert plg.graph.has_edge(point_id(plg, (0,) * 5), line_id(plg, (0,) * 5))
 
 
 def test_hexagon_every_edge_satisfies_equations():

@@ -165,3 +165,20 @@ def test_verify_one_token_edge_list_header(tmp_path, capsys):
         (tmp_path / "a.edges").write_text(f"{header}\n")
         assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
         assert f"a.edges, line 1: malformed header {header}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("3 1\n0 5\n", 2, "edge (0, 5) out of range for n=3"),
+        ("3 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
+        ("4 1 bipartite 2 2\n0 1\n", 2, "edge (0, 1) does not cross the bipartition"),
+    ],
+)
+def test_verify_names_part_file_and_line_of_bad_edge(tmp_path, capsys, text, line, message):
+    (tmp_path / "parts").mkdir()
+    (tmp_path / "parts" / "part_00000.edges").write_text(text)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("host complete 4\npart a parts/part_00000.edges girth 8\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert f"part_00000.edges, line {line}: {message}" in capsys.readouterr().err

@@ -14,19 +14,23 @@ import girthcover
 
 from girthcover.graph import (
     Graph,
-    complete_graph,
     cycle_graph,
     degeneracy_order,
     degeneracy_peel,
-    disjoint_union,
     forest_decompose,
     is_locally_injective_hom,
-    path_graph,
-    petersen_graph,
     read_edge_list,
     write_edge_list,
 )
-from conftest import all_roots_girth, random_graph, read_edge_list_lines
+from conftest import (
+    all_roots_girth,
+    complete_graph,
+    disjoint_union,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    read_edge_list_lines,
+)
 
 
 # -- independent oracles ----------------------------------------------------
@@ -769,6 +773,8 @@ def test_edge_list_without_edges_reads_without_warning(tmp_path):
         ("0 1\n1 2\n2 3\n", 1, "header claims 2 edges, file has 3"),
         ("0 1\n0 99999999999999999999\n", 3, "vertex id outside int64 in '0 99999999999999999999'"),
         ("-99999999999999999999 0\n", 2, "vertex id outside int64 in '-99999999999999999999 0'"),
+        ("0 1\n0 5\n", 3, r"edge \(0, 5\) out of range for n=4"),
+        ("0 1\n# c\n0 1\n", 4, r"duplicate edge \(0, 1\)"),
     ],
 )
 def test_edge_list_faults_name_file_and_line(tmp_path, body, line, message):

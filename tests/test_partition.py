@@ -22,6 +22,7 @@ from girthcover.partition import (
     write_manifest,
 )
 from girthcover.rainbow import RainbowColoring, pullback_partition
+from conftest import random_graph
 
 
 def test_partition_bipartite_exact_q5():
@@ -50,7 +51,7 @@ def test_partition_matches_shift_solver():
     # independent route: assign each host edge by the unique-shift solver
     # and compare with the constructed parts
     ep = partition_bipartite_exact(5, 3)
-    by_name = {p.name: set(p.edges) for p in ep.parts}
+    by_name = {p.name: set(map(tuple, p.edges.tolist())) for p in ep.parts}
     for u in range(0, 125, 7):
         for v in range(0, 125, 11):
             shift = solve_shift_q(index_to_tuple(u, 5, 3), index_to_tuple(v, 5, 3), 5)
@@ -67,9 +68,9 @@ def test_cover_bipartite_exact_case():
 def test_cover_bipartite_degenerate():
     ep = cover_bipartite(1, 8)
     assert len(ep.parts) == 25
-    nonempty = [p for p in ep.parts if p.edges]
+    nonempty = [p for p in ep.parts if len(p.edges)]
     assert len(nonempty) == 1
-    assert nonempty[0].edges == [(0, 1)]
+    assert nonempty[0].edges.tolist() == [[0, 1]]
 
 
 @pytest.mark.parametrize("build", [cover_bipartite, CompleteCoverLocator])
@@ -128,7 +129,7 @@ def test_locator_matches_materialized_partition():
     ep, plan = cover_complete(n, 8)
     membership = {}
     for part in ep.parts:
-        for e in part.edges:
+        for e in map(tuple, part.edges.tolist()):
             membership[e] = part.name
     u, v = np.triu_indices(n, 1)
     for a, b, pid in zip(u.tolist(), v.tolist(), loc.locate(u, v).tolist()):
@@ -201,7 +202,7 @@ def test_array_locate_matches_scalar_reference_on_sampled_pairs(n, girth):
 
 def test_exactness_detects_missing_and_duplicate():
     host = HostSpec.complete(4)
-    all_edges = host.edge_set()
+    all_edges = np.stack(np.triu_indices(4, 1), axis=1)
     good = EdgePartition(host, [Part("a", all_edges[:3]), Part("b", all_edges[3:])])
     assert good.is_exact()
     missing = EdgePartition(host, [Part("a", all_edges[:5])])
@@ -210,9 +211,80 @@ def test_exactness_detects_missing_and_duplicate():
     assert not doubled.is_exact()
 
 
+def reference_is_exact(p: EdgePartition) -> bool:
+    """The tuple-multiset exactness check that the sort of edge keys replaced."""
+    host, n = p.host, p.host.n
+    if host.kind == "complete":
+        host_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    elif host.kind == "bipartite":
+        host_edges = [(u, host.a + v) for u in range(host.a) for v in range(host.b)]
+    else:
+        host_edges = list(map(tuple, host.edges.tolist()))
+    combined = sorted(
+        (u, v) if u < v else (v, u) for part in p.parts for (u, v) in part.edges.tolist()
+    )
+    if len(set(combined)) != len(combined):
+        return False
+    return combined == sorted(host_edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize(
+    "host",
+    [
+        HostSpec.complete(9),
+        HostSpec.bipartite(4, 6),
+        HostSpec.explicit(12, random_graph(12, 0.4, seed=3).edges()),
+    ],
+    ids=["complete", "bipartite", "explicit"],
+)
+def test_is_exact_matches_tuple_reference(host, seed):
+    rng = np.random.default_rng(seed)
+    pairs = rng.permutation(host._pairs())
+    flip = rng.random(len(pairs)) < 0.5  # orientation must not matter
+    pairs[flip] = pairs[flip, ::-1]
+    cuts = np.sort(rng.choice(np.arange(1, len(pairs)), size=3, replace=False))
+    blocks = np.split(pairs, cuts)
+    u, v = pairs[0].tolist()
+    # (lo - 1, hi + n) has the key (lo - 1)*n + hi + n of the edge (lo, hi) it replaces.
+    lo, hi = sorted(blocks[1][0].tolist())
+    collide = [blocks[0], np.vstack([blocks[1][1:], [[lo - 1, hi + host.n]]])] + blocks[2:]
+    mutations = {
+        "none": blocks,
+        "dropped edge": [blocks[0][1:]] + blocks[1:],
+        "duplicated edge": blocks[:-1] + [np.vstack([blocks[-1], blocks[0][:1]])],
+        "reversed in another part": blocks[:-1] + [np.vstack([blocks[-1], [[v, u]]])],
+        "loop": blocks[:-1] + [np.vstack([blocks[-1], [[u, u]]])],
+        "negative id": blocks[:-1] + [np.vstack([blocks[-1], [[-1, v]]])],
+        "out of range": blocks[:-1] + [np.vstack([blocks[-1], [[u, host.n]]])],
+        "colliding key": collide,
+    }
+    for name, parts in mutations.items():
+        p = EdgePartition(host, [Part(f"p{i}", b) for i, b in enumerate(parts)])
+        assert p.is_exact() == reference_is_exact(p) == (name == "none"), name
+
+
+def test_is_exact_rejects_edge_whose_key_collides():
+    # (0, 6) keys as 0*4 + 6 = 1*4 + 2, the key of (1, 2), which it replaces.
+    parts = [Part("a", [(0, 1), (0, 2), (0, 3)]), Part("b", [(1, 3), (2, 3), (0, 6)])]
+    p = EdgePartition(HostSpec.complete(4), parts)
+    assert not p.is_exact()
+    assert not reference_is_exact(p)
+
+
+def test_explicit_host_takes_an_edge_iterator():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3)])
+    host = HostSpec.explicit(5, g.edges())
+    assert host.edges.dtype == np.int64 and host.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert EdgePartition(host, [Part("a", g.edges())]).is_exact()
+    doubled = HostSpec.explicit(5, [(0, 1), (0, 1)])
+    p = EdgePartition(doubled, [Part("a", [(0, 1)]), Part("b", [(1, 0)])])
+    assert not p.is_exact() and not reference_is_exact(p)
+
+
 def test_verify_partition_reports_bad_girth():
     host = HostSpec.complete(4)
-    parts = [Part("all", host.edge_set(), girth_target=8)]
+    parts = [Part("all", np.stack(np.triu_indices(4, 1), axis=1), girth_target=8)]
     rep = verify_partition(EdgePartition(host, parts))
     assert rep.exact
     assert not rep.passed  # K_4 has girth 3
@@ -225,8 +297,8 @@ def test_manifest_roundtrip(tmp_path):
     assert back.host.kind == "bipartite" and back.host.a == 20
     assert len(back.parts) == len(ep.parts)
     assert sorted(
-        e for p in back.parts for e in p.edges
-    ) == sorted(e for p in ep.parts for e in p.edges)
+        e for p in back.parts for e in p.edges.tolist()
+    ) == sorted(e for p in ep.parts for e in p.edges.tolist())
     assert verify_partition(back).passed
 
 
@@ -278,7 +350,8 @@ def test_bipartite_partitions_match_recorded_hashes(key):
     ep = partition_bipartite_exact(a, b) if kind == "exact" else cover_bipartite(a, b)
     h = hashlib.sha256()
     for part in ep.parts:
-        h.update(f"{part.name}:{part.edges}\n".encode())
+        edges = list(map(tuple, part.edges.tolist()))
+        h.update(f"{part.name}:{edges}\n".encode())
     assert h.hexdigest() == PARTITION_SHA256[key]
 
 

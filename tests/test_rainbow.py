@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from girthcover.graph import Graph, complete_graph, is_locally_injective_hom, path_graph
+from girthcover.graph import Graph, is_locally_injective_hom
 from girthcover.partition import CompleteCoverLocator, cover_complete
 from girthcover.rainbow import (
     DecompositionConfig,
@@ -16,7 +16,7 @@ from girthcover.rainbow import (
     pullback_partition,
     rainbow_color,
 )
-from conftest import random_regular
+from conftest import complete_graph, path_graph, random_regular
 
 
 def test_default_threshold():
@@ -219,7 +219,8 @@ def test_decompose_matches_recorded_hash(key):
     res = decompose(random_regular(n, d, seed), DecompositionConfig(target_cycle=6, rng_seed=seed))
     h = hashlib.sha256()
     for part in res.partition.parts:
-        h.update(f"{part.name}:{part.edges}:{part.forbidden_cycle}\n".encode())
+        edges = list(map(tuple, part.edges.tolist()))
+        h.update(f"{part.name}:{edges}:{part.forbidden_cycle}\n".encode())
     for log in res.rounds:
         h.update(f"{log!r}\n".encode())
     h.update(f"{res.total_parts} {res.threshold}\n".encode())

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from girthcover.graph import Graph, complete_graph, petersen_graph
+from girthcover.graph import Graph
 from girthcover.randomcover import (
     SeedGraph,
     builtin_seed_for_cycle,
@@ -10,6 +10,7 @@ from girthcover.randomcover import (
     cover_random,
     required_copies,
 )
+from conftest import complete_graph, petersen_graph
 
 
 def test_required_copies_complete_seed():
