@@ -23,12 +23,8 @@ from .graph import (
 )
 from .algebraic import (
     PointLineGraph,
-    ShiftH,
-    ShiftQ,
     build_hexagon,
     build_quadrangle,
-    shift_isomorphism_h,
-    shift_isomorphism_q,
     solve_shift_h,
     solve_shift_q,
 )

@@ -16,10 +16,13 @@ Two constructions, both q-regular bipartite with coordinate-tuple vertices:
       l4 - 3*(p4 + b4) = -3*l1*(p3 + b3)
       2*l5 - 3*(p5 + b5) = 3*l3*(p2 + b2) - 3*l2*(p3 + b3) + l4*p1
 
-with all arithmetic mod q.  The shift (a2, a3) resp. (b2..b5) selects one
-member of a family of pairwise edge-disjoint copies whose union is the
-complete bipartite graph on the two coordinate spaces: for any point/line
-pair the triangular system above has a unique shift solution.
+with all arithmetic mod q.  A shift is a tuple of arity - 1 integers,
+(a2, a3) for the quadrangle and (b2, b3, b4, b5) for the hexagon, each
+taken mod q.  It selects one member of a family of pairwise edge-disjoint
+copies whose union is the complete bipartite graph on the two coordinate
+spaces: for any point/line pair the triangular system above has a unique
+shift solution.  Every copy is isomorphic to the zero-shift graph:
+subtracting the shift from p2.. (lines fixed) maps the base onto it.
 
 Sign conventions are kept exactly as written; re-normalizing the equations
 would silently change the graph.  One vectorised generator,
@@ -38,43 +41,15 @@ The graph checks them before use.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .field import is_prime
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class ShiftQ:
-    a2: int = 0
-    a3: int = 0
-
-    def reduced(self, q: int) -> "ShiftQ":
-        return ShiftQ(self.a2 % q, self.a3 % q)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.a2, self.a3)
-
-
-@dataclass(frozen=True)
-class ShiftH:
-    b2: int = 0
-    b3: int = 0
-    b4: int = 0
-    b5: int = 0
-
-    def reduced(self, q: int) -> "ShiftH":
-        return ShiftH(self.b2 % q, self.b3 % q, self.b4 % q, self.b5 % q)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.b2, self.b3, self.b4, self.b5)
-
-
-Shift = Union[ShiftQ, ShiftH]
 
 
 def _check_q(q: int) -> None:
@@ -100,18 +75,12 @@ class PointLineGraph:
 
     q: int
     arity: int  # 3 for the quadrangle, 5 for the hexagon
-    shift: Shift
+    shift: tuple[int, ...]  # reduced mod q
     graph: Graph
 
     @property
     def n_side(self) -> int:
         return self.q ** self.arity
-
-    def point_coords(self, vid: int) -> tuple[int, ...]:
-        return index_to_tuple(vid, self.q, self.arity)
-
-    def line_coords(self, vid: int) -> tuple[int, ...]:
-        return index_to_tuple(vid - self.n_side, self.q, self.arity)
 
 
 def _coords(idx: np.ndarray, q: int, arity: int) -> list[np.ndarray]:
@@ -168,21 +137,23 @@ def _shift_index(points: np.ndarray, lines: np.ndarray, q: int, arity: int) -> n
     return _index((b2, b3, b4, b5), q)
 
 
-def is_edge_q(p: tuple[int, int, int], l: tuple[int, int, int], shift: ShiftQ, q: int) -> bool:
+def is_edge_q(p: tuple[int, int, int], l: tuple[int, int, int], shift: tuple[int, int], q: int) -> bool:
     p1, p2, p3 = p
     l1, l2, l3 = l
-    s2 = (p2 + shift.a2) % q
-    s3 = (p3 + shift.a3) % q
+    a2, a3 = shift
+    s2 = (p2 + a2) % q
+    s3 = (p3 + a3) % q
     return (l2 - s2 - l1 * p1) % q == 0 and (l3 - 2 * s3 + 2 * l1 * s2) % q == 0
 
 
-def is_edge_h(p: tuple[int, ...], l: tuple[int, ...], shift: ShiftH, q: int) -> bool:
+def is_edge_h(p: tuple[int, ...], l: tuple[int, ...], shift: tuple[int, ...], q: int) -> bool:
     p1, p2, p3, p4, p5 = p
     l1, l2, l3, l4, l5 = l
-    s2 = (p2 + shift.b2) % q
-    s3 = (p3 + shift.b3) % q
-    s4 = (p4 + shift.b4) % q
-    s5 = (p5 + shift.b5) % q
+    b2, b3, b4, b5 = shift
+    s2 = (p2 + b2) % q
+    s3 = (p3 + b3) % q
+    s4 = (p4 + b4) % q
+    s5 = (p5 + b5) % q
     return (
         (l2 - s2 - l1 * p1) % q == 0
         and (l3 - 2 * s3 + 2 * l1 * s2) % q == 0
@@ -225,9 +196,17 @@ def _automorphisms(q: int, arity: int) -> list[np.ndarray]:
     return perms
 
 
-def _build(q: int, arity: int, shift: Shift) -> PointLineGraph:
+def _build(q: int, arity: int, shift: Optional[Sequence[int]]) -> PointLineGraph:
+    _check_q(q)
+    given = (0,) * (arity - 1) if shift is None else shift
+    try:
+        shift = tuple(operator.index(s) % q for s in given)
+    except TypeError:
+        shift = ()
+    if len(shift) != arity - 1:
+        raise ValueError(f"shift must be {arity - 1} integers, got {given!r}")
     n_side = q**arity
-    lines = n_side + _incident_lines(q, arity, shift.as_tuple(), n_side)
+    lines = n_side + _incident_lines(q, arity, shift, n_side)
     edges = np.stack([np.repeat(np.arange(n_side), q), lines.ravel()], axis=1)
     side = [0] * n_side + [1] * n_side
     automorphisms = partial(_automorphisms, q, arity)
@@ -235,70 +214,16 @@ def _build(q: int, arity: int, shift: Shift) -> PointLineGraph:
     return PointLineGraph(q=q, arity=arity, shift=shift, graph=g)
 
 
-def build_quadrangle(q: int, shift: Optional[ShiftQ] = None) -> PointLineGraph:
-    """The (shifted) quadrangle graph: 2q^3 vertices, q-regular, girth 8."""
-    _check_q(q)
-    shift = (shift or ShiftQ()).reduced(q)
+def build_quadrangle(q: int, shift: Optional[Sequence[int]] = None) -> PointLineGraph:
+    """The quadrangle graph shifted by (a2, a3), zero if None: 2q^3
+    vertices, q-regular, girth 8."""
     return _build(q, 3, shift)
 
 
-def build_hexagon(q: int, shift: Optional[ShiftH] = None) -> PointLineGraph:
-    """The (shifted) hexagon graph: 2q^5 vertices, q-regular, girth 12."""
-    _check_q(q)
-    shift = (shift or ShiftH()).reduced(q)
+def build_hexagon(q: int, shift: Optional[Sequence[int]] = None) -> PointLineGraph:
+    """The hexagon graph shifted by (b2, b3, b4, b5), zero if None: 2q^5
+    vertices, q-regular, girth 12."""
     return _build(q, 5, shift)
-
-
-# ---------------------------------------------------------------------------
-# Shift isomorphisms: every shifted copy is isomorphic to the zero-shift
-# graph.  Subtracting the shift from the point coordinates (lines fixed)
-# maps the BASE graph onto the shifted copy: substituting p2 - a2 into the
-# shifted first equation gives back l2 - p2 = l1*p1, and likewise down the
-# system.  The inverse (shifted -> base) adds the shift instead.
-
-
-def _check_label(v_label, arity: int):
-    if (
-        not isinstance(v_label, tuple)
-        or len(v_label) != 2
-        or v_label[0] not in ("P", "L")
-        or not isinstance(v_label[1], tuple)
-        or len(v_label[1]) != arity
-    ):
-        raise ValueError(f"malformed vertex label {v_label!r}; expected ('P'|'L', {arity}-tuple)")
-
-
-def shift_isomorphism_q(v_label, shift: ShiftQ, q: int):
-    """Map a labeled vertex of the base quadrangle into the shifted copy.
-
-    Points (p1,p2,p3) -> (p1, p2-a2, p3-a3); lines map identically.
-    Applying this to the base edge set yields exactly the shifted edge set.
-    """
-    _check_label(v_label, 3)
-    cls, coords = v_label
-    if cls == "L":
-        return v_label
-    p1, p2, p3 = coords
-    return ("P", (p1 % q, (p2 - shift.a2) % q, (p3 - shift.a3) % q))
-
-
-def shift_isomorphism_h(v_label, shift: ShiftH, q: int):
-    """As :func:`shift_isomorphism_q` (base -> shifted), with four shifts."""
-    _check_label(v_label, 5)
-    cls, coords = v_label
-    if cls == "L":
-        return v_label
-    p1, p2, p3, p4, p5 = coords
-    return (
-        "P",
-        (
-            p1 % q,
-            (p2 - shift.b2) % q,
-            (p3 - shift.b3) % q,
-            (p4 - shift.b4) % q,
-            (p5 - shift.b5) % q,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +231,7 @@ def shift_isomorphism_h(v_label, shift: ShiftH, q: int):
 # system is triangular in the shift, hence has exactly one solution.
 
 
-def solve_shift_q(p: tuple[int, int, int], l: tuple[int, int, int], q: int) -> ShiftQ:
+def solve_shift_q(p: tuple[int, int, int], l: tuple[int, int, int], q: int) -> tuple[int, int]:
     """The unique shift (a2, a3) making p and l adjacent in the shifted copy."""
     _check_q(q)
     p1, p2, p3 = p
@@ -314,13 +239,13 @@ def solve_shift_q(p: tuple[int, int, int], l: tuple[int, int, int], q: int) -> S
     a2 = (l2 - p2 - l1 * p1) % q
     inv2 = pow(2, -1, q)
     a3 = (inv2 * (l3 + 2 * l1 * ((p2 + a2) % q)) - p3) % q
-    shift = ShiftQ(a2, a3)
+    shift = (a2, a3)
     if not is_edge_q(p, l, shift, q):
         raise AssertionError(f"solved shift {shift} does not join {p} and {l}")
     return shift
 
 
-def solve_shift_h(p: tuple[int, ...], l: tuple[int, ...], q: int) -> ShiftH:
+def solve_shift_h(p: tuple[int, ...], l: tuple[int, ...], q: int) -> tuple[int, int, int, int]:
     """The unique shift (b2..b5) making p and l adjacent in the shifted copy."""
     _check_q(q)
     p1, p2, p3, p4, p5 = p
@@ -333,7 +258,7 @@ def solve_shift_h(p: tuple[int, ...], l: tuple[int, ...], q: int) -> ShiftH:
     s3 = (p3 + b3) % q
     b4 = (inv3 * (l4 + 3 * l1 * s3) - p4) % q
     b5 = (inv3 * (2 * l5 - 3 * l3 * s2 + 3 * l2 * s3 - l4 * p1) - p5) % q
-    shift = ShiftH(b2, b3, b4, b5)
+    shift = (b2, b3, b4, b5)
     if not is_edge_h(p, l, shift, q):
         raise AssertionError(f"solved shift {shift} does not join {p} and {l}")
     return shift

@@ -7,6 +7,7 @@ exists.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -38,6 +39,6 @@ def upper_bound(k: int, s: int, c_k: float) -> float:
         raise ValueError("k must be >= 2")
     if s < 1:
         raise ValueError("s must be >= 1")
-    if c_k is None or c_k <= 0:
-        raise ValueError("the Turan constant c_k must be supplied and positive")
+    if c_k is None or not (math.isfinite(c_k) and c_k > 0):
+        raise ValueError("the Turan constant c_k must be supplied, finite and positive")
     return (s / c_k) ** (1 + 1 / (k - 1)) - 1

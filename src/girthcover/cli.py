@@ -24,9 +24,12 @@ EXIT_USAGE = 2
 
 
 def _parse_shift(text: str, count: int) -> list[int]:
-    vals = [int(x) for x in text.split(",")]
+    try:
+        vals = [int(x) for x in text.split(",")]
+    except ValueError:
+        vals = []
     if len(vals) != count:
-        raise ValueError(f"shift needs {count} comma-separated values, got {len(vals)}")
+        raise ValueError(f"--shift {text!r}: need {count} comma-separated integers")
     return vals
 
 
@@ -41,22 +44,12 @@ def _write_labels(plg, path) -> None:
             _write_rows(fh, f"%d {kind}:{coords}\n", rows)
 
 
-def _cmd_build_q(args) -> int:
-    shift = algebraic.ShiftQ(*_parse_shift(args.shift, 2)) if args.shift else None
-    plg = algebraic.build_quadrangle(args.q, shift)
+def _cmd_build(args) -> int:
+    shift = None if args.shift is None else _parse_shift(args.shift, args.shift_count)
+    plg = args.build(args.q, shift)
     write_edge_list(plg.graph, args.out)
     _write_labels(plg, args.out + ".labels")
-    print(f"quadrangle q={args.q} shift={plg.shift.as_tuple()}: "
-          f"{plg.graph.n} vertices, {plg.graph.m} edges -> {args.out}")
-    return EXIT_PASS
-
-
-def _cmd_build_h(args) -> int:
-    shift = algebraic.ShiftH(*_parse_shift(args.shift, 4)) if args.shift else None
-    plg = algebraic.build_hexagon(args.q, shift)
-    write_edge_list(plg.graph, args.out)
-    _write_labels(plg, args.out + ".labels")
-    print(f"hexagon q={args.q} shift={plg.shift.as_tuple()}: "
+    print(f"{args.kind} q={args.q} shift={plg.shift}: "
           f"{plg.graph.n} vertices, {plg.graph.m} edges -> {args.out}")
     return EXIT_PASS
 
@@ -177,13 +170,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--shift", help="a2,a3", default=None)
     p.add_argument("--out", required=True, help="edge-list output path")
-    p.set_defaults(func=_cmd_build_q)
+    p.set_defaults(func=_cmd_build, build=algebraic.build_quadrangle, kind="quadrangle",
+                   shift_count=2)
 
     p = sub.add_parser("build-h", help="build a (shifted) girth-12 hexagon graph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--shift", help="b2,b3,b4,b5", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_h)
+    p.set_defaults(func=_cmd_build, build=algebraic.build_hexagon, kind="hexagon",
+                   shift_count=4)
 
     p = sub.add_parser("partition-bipartite", help="exact partition of the complete bipartite host")
     p.add_argument("--q", type=int, required=True)

@@ -131,9 +131,6 @@ class EdgePartition:
     host: HostSpec
     parts: list[Part]
 
-    def total_edges(self) -> int:
-        return sum(len(p.edges) for p in self.parts)
-
     def is_exact(self) -> bool:
         """Union of parts equals the host edge set, each edge exactly once:
         one sort of the parts' edge keys, compared with the host's."""

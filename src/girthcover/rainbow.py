@@ -63,6 +63,8 @@ class DecompositionConfig:
             raise ValueError("retention must be in (0, 1)")
         if self.color_multiplier < 1:
             raise ValueError("color multiplier must be >= 1")
+        if self.max_retries < 1:
+            raise ValueError("max retries must be >= 1")
 
     @property
     def palette_girth(self) -> int:

@@ -58,8 +58,8 @@ def required_copies(n: int, seed_edges: int, safety_constant: float) -> int:
     t = ceil(C * ln(n) * n(n-1) / (2 * seed_edges)): each copy covers a
     fixed pair with probability seed_edges / (n(n-1)/2).
     """
-    if n < 2 or seed_edges < 1 or safety_constant <= 0:
-        raise ValueError("need n >= 2, seed_edges >= 1, C > 0")
+    if n < 2 or seed_edges < 1 or not (math.isfinite(safety_constant) and safety_constant > 0):
+        raise ValueError("need n >= 2, seed_edges >= 1, finite C > 0")
     return math.ceil(safety_constant * math.log(n) * n * (n - 1) / (2 * seed_edges))
 
 
@@ -142,16 +142,11 @@ def builtin_seed_for_cycle(n: int, k: int) -> SeedGraph:
             f"no built-in seed for k={k}; supply an explicit high-girth seed"
         )
     candidates = []  # (edge count, arity, q)
-    q = 5
-    while 2 * q**3 <= n:
-        candidates.append((q**4, 3, q))
-        q = next_prime_at_least(q + 1)
-    if k == 5:
-        candidates = []
-    q = 5
-    while 2 * q**5 <= n:
-        candidates.append((q**6, 5, q))
-        q = next_prime_at_least(q + 1)
+    for arity in ((3, 5) if k < 5 else (5,)):
+        q = 5
+        while 2 * q**arity <= n:
+            candidates.append((q ** (arity + 1), arity, q))
+            q = next_prime_at_least(q + 1)
     if not candidates:
         raise ValueError(
             f"no built-in seed with girth >= {2 * k + 2} fits in {n} vertices; "

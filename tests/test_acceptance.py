@@ -76,7 +76,7 @@ def test_criterion_3_exact_bipartite_partition():
         assert len(part.edges) == 625
         assert part.graph(250).girth() == 8
     assert ep.is_exact()
-    assert ep.total_edges() == 15625
+    assert sum(len(p.edges) for p in ep.parts) == 15625
     elapsed = time.time() - t0
     assert elapsed < 30
     report(3, f"25 parts x 625 edges, all girth 8, exact partition in {elapsed:.1f}s")
@@ -91,7 +91,7 @@ def test_criterion_4_shift_algebra_exhaustive():
             l = index_to_tuple(lid, q, 3)
             shift = solve_shift_q(p, l, q)
             assert is_edge_q(p, l, shift, q)
-            by_shift.setdefault(shift.as_tuple(), set()).add((pid, lid))
+            by_shift.setdefault(shift, set()).add((pid, lid))
     # uniqueness: each shift claims exactly q^4 pairs, jointly all q^6 pairs
     assert len(by_shift) == q**2
     assert all(len(s) == q**4 for s in by_shift.values())

@@ -4,15 +4,11 @@ import random
 import pytest
 
 from girthcover.algebraic import (
-    ShiftH,
-    ShiftQ,
     build_hexagon,
     build_quadrangle,
     index_to_tuple,
     is_edge_h,
     is_edge_q,
-    shift_isomorphism_h,
-    shift_isomorphism_q,
     solve_shift_h,
     solve_shift_q,
 )
@@ -26,12 +22,12 @@ def without_certificate(g):
 
 
 def edge_label_set(plg):
-    """Edge set as frozenset of ((point tuple), (line tuple)) pairs."""
-    out = set()
-    for u, v in plg.graph.edges():
-        p, l = (u, v) if u < v else (v, u)
-        out.add((plg.point_coords(p), plg.line_coords(l)))
-    return out
+    """Edge set as a set of ((point tuple), (line tuple)) pairs."""
+    q, arity = plg.q, plg.arity
+    return {
+        (index_to_tuple(p, q, arity), index_to_tuple(l - plg.n_side, q, arity))
+        for p, l in map(sorted, plg.graph.edges())
+    }
 
 
 # -- quadrangle -------------------------------------------------------------
@@ -47,26 +43,26 @@ def test_quadrangle_counts_q5():
 
 def test_quadrangle_defining_equations_q5():
     # direct substitution: 3-2 = 1*1 and 2-2*3 = -4 = 1 = -2*1*2 (mod 5)
-    assert is_edge_q((1, 2, 3), (1, 3, 2), ShiftQ(0, 0), 5)
+    assert is_edge_q((1, 2, 3), (1, 3, 2), (0, 0), 5)
     plg = build_quadrangle(5)
     assert plg.graph.has_edge(point_id(plg, (1, 2, 3)), line_id(plg, (1, 3, 2)))
 
 
 def test_quadrangle_every_edge_satisfies_equations():
-    for shift in (ShiftQ(0, 0), ShiftQ(2, 3)):
+    for shift in ((0, 0), (2, 3)):
         plg = build_quadrangle(5, shift)
         for p, l in edge_label_set(plg):
             assert is_edge_q(p, l, shift, 5)
 
 
 @pytest.mark.parametrize("q", [5, 7])
-@pytest.mark.parametrize("shift", [ShiftQ(0, 0), ShiftQ(1, 2)])
+@pytest.mark.parametrize("shift", [(0, 0), (1, 2)])
 def test_quadrangle_girth_8(q, shift):
     assert build_quadrangle(q, shift).graph.girth() == 8
 
 
 @pytest.mark.parametrize("q", [5, 7])
-@pytest.mark.parametrize("shift", [ShiftQ(0, 0), ShiftQ(1, 2)])
+@pytest.mark.parametrize("shift", [(0, 0), (1, 2)])
 def test_quadrangle_certified_girth_matches_all_roots(q, shift):
     g = build_quadrangle(q, shift).graph
     plain = without_certificate(g)
@@ -74,6 +70,30 @@ def test_quadrangle_certified_girth_matches_all_roots(q, shift):
     assert len(g._girth_roots()) == q + 1
     assert g.girth() == plain.girth() == all_roots_girth(g)
     assert g.girth_exceeds(7) == plain.girth_exceeds(7) == (all_roots_girth(g, 8) > 7)
+
+
+def test_shift_is_reduced_mod_q():
+    plg = build_quadrangle(5, (6, -3))
+    assert plg.shift == (1, 2)
+    assert all(type(s) is int for s in plg.shift)
+    assert list(plg.graph.edges()) == list(build_quadrangle(5, (1, 2)).graph.edges())
+    assert build_hexagon(5).shift == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "build, shift",
+    [
+        (build_quadrangle, (1,)),
+        (build_quadrangle, (1, 2, 3)),
+        (build_quadrangle, (1.0, 2)),
+        (build_quadrangle, "12"),
+        (build_hexagon, (1, 2)),
+        (build_hexagon, (1, 2, 3, 4.5)),
+    ],
+)
+def test_malformed_shift_rejected(build, shift):
+    with pytest.raises(ValueError, match="shift"):
+        build(5, shift)
 
 
 def test_quadrangle_rejects_bad_q():
@@ -93,27 +113,28 @@ def test_hexagon_counts_q5():
 
 
 def test_hexagon_zero_edge():
-    assert is_edge_h((0,) * 5, (0,) * 5, ShiftH(), 5)
+    assert is_edge_h((0,) * 5, (0,) * 5, (0, 0, 0, 0), 5)
     plg = build_hexagon(5)
     assert plg.graph.has_edge(point_id(plg, (0,) * 5), line_id(plg, (0,) * 5))
 
 
 def test_hexagon_every_edge_satisfies_equations():
-    shift = ShiftH(1, 0, 2, 4)
+    shift = (1, 0, 2, 4)
     plg = build_hexagon(5, shift)
     rng = random.Random(0)
     edges = list(plg.graph.edges())
     for u, v in rng.sample(edges, 500):
-        assert is_edge_h(plg.point_coords(u), plg.line_coords(v), shift, 5)
+        p, l = index_to_tuple(u, 5, 5), index_to_tuple(v - plg.n_side, 5, 5)
+        assert is_edge_h(p, l, shift, 5)
 
 
 def test_hexagon_girth_12_shifted():
-    assert build_hexagon(5, ShiftH(3, 1, 4, 2)).graph.girth() == 12
+    assert build_hexagon(5, (3, 1, 4, 2)).graph.girth() == 12
 
 
 @pytest.mark.slow
 def test_hexagon_certified_girth_matches_all_roots():
-    g = build_hexagon(5, ShiftH(3, 1, 4, 2)).graph
+    g = build_hexagon(5, (3, 1, 4, 2)).graph
     assert len(g._girth_roots()) == 2 * 5**3
     assert g.girth() == without_certificate(g).girth() == all_roots_girth(g)
 
@@ -121,44 +142,27 @@ def test_hexagon_certified_girth_matches_all_roots():
 # -- shift isomorphisms -----------------------------------------------------
 
 
-def test_shift_isomorphism_q_examples():
-    s = ShiftQ(2, 3)
-    assert shift_isomorphism_q(("P", (1, 2, 3)), s, 5) == ("P", (1, 0, 0))
-    assert shift_isomorphism_q(("L", (4, 1, 2)), s, 5) == ("L", (4, 1, 2))
-    assert shift_isomorphism_q(("P", (1, 2, 3)), ShiftQ(0, 0), 5) == ("P", (1, 2, 3))
-
-
-def test_shift_isomorphism_h_examples():
-    s = ShiftH(1, 1, 1, 1)
-    assert shift_isomorphism_h(("P", (0, 1, 1, 1, 1)), s, 5) == ("P", (0, 0, 0, 0, 0))
-    assert shift_isomorphism_h(("L", (2, 3, 4, 0, 1)), s, 5) == ("L", (2, 3, 4, 0, 1))
-    assert shift_isomorphism_h(("P", (2, 3, 4, 0, 1)), ShiftH(), 5) == ("P", (2, 3, 4, 0, 1))
-
-
-def test_shift_isomorphism_rejects_malformed():
-    with pytest.raises(ValueError):
-        shift_isomorphism_q(("X", (1, 2, 3)), ShiftQ(0, 0), 5)
-    with pytest.raises(ValueError):
-        shift_isomorphism_q(("P", (1, 2)), ShiftQ(0, 0), 5)
-    with pytest.raises(ValueError):
-        shift_isomorphism_h(("P", (1, 2, 3)), ShiftH(), 5)
-
-
-@pytest.mark.parametrize("shift", [ShiftQ(1, 0), ShiftQ(2, 3), ShiftQ(4, 4)])
+@pytest.mark.parametrize("shift", [(1, 0), (2, 3), (4, 4)])
 def test_base_quadrangle_maps_onto_shifted(shift):
     # relabeling the base graph through the isomorphism gives the shifted
     # edge set exactly (set equality, not just isomorphism)
+    # (points (p1, p2, p3) -> (p1, p2 - a2, p3 - a3), lines fixed)
+    a2, a3 = shift
     base = edge_label_set(build_quadrangle(5))
     shifted = edge_label_set(build_quadrangle(5, shift))
-    mapped = {(shift_isomorphism_q(("P", p), shift, 5)[1], l) for p, l in base}
+    mapped = {((p1, (p2 - a2) % 5, (p3 - a3) % 5), l) for (p1, p2, p3), l in base}
     assert mapped == shifted
 
 
 def test_base_hexagon_maps_onto_shifted():
-    shift = ShiftH(2, 0, 3, 1)
+    shift = (2, 0, 3, 1)
     base = edge_label_set(build_hexagon(5))
     shifted = edge_label_set(build_hexagon(5, shift))
-    mapped = {(shift_isomorphism_h(("P", p), shift, 5)[1], l) for p, l in base}
+    b2, b3, b4, b5 = shift
+    mapped = {
+        ((p1, (p2 - b2) % 5, (p3 - b3) % 5, (p4 - b4) % 5, (p5 - b5) % 5), l)
+        for (p1, p2, p3, p4, p5), l in base
+    }
     assert mapped == shifted
 
 
@@ -166,9 +170,9 @@ def test_base_hexagon_maps_onto_shifted():
 
 
 def test_solve_shift_q_examples():
-    assert solve_shift_q((0, 0, 0), (0, 0, 0), 5) == ShiftQ(0, 0)
+    assert solve_shift_q((0, 0, 0), (0, 0, 0), 5) == (0, 0)
     # base-graph edge, so the zero shift solves it
-    assert solve_shift_q((1, 2, 3), (1, 3, 2), 5) == ShiftQ(0, 0)
+    assert solve_shift_q((1, 2, 3), (1, 3, 2), 5) == (0, 0)
 
 
 def test_solve_shift_q_resubstitution_random():
@@ -181,12 +185,12 @@ def test_solve_shift_q_resubstitution_random():
 
 
 def test_solve_shift_h_examples():
-    assert solve_shift_h((0,) * 5, (0,) * 5, 5) == ShiftH(0, 0, 0, 0)
+    assert solve_shift_h((0,) * 5, (0,) * 5, 5) == (0, 0, 0, 0)
     plg = build_hexagon(5)
     rng = random.Random(2)
     for u, v in rng.sample(list(plg.graph.edges()), 100):
-        p, l = plg.point_coords(u), plg.line_coords(v)
-        assert solve_shift_h(p, l, 5) == ShiftH(0, 0, 0, 0)
+        p, l = index_to_tuple(u, 5, 5), index_to_tuple(v - plg.n_side, 5, 5)
+        assert solve_shift_h(p, l, 5) == (0, 0, 0, 0)
 
 
 def test_solve_shift_h_resubstitution_random():
@@ -200,10 +204,10 @@ def test_solve_shift_h_resubstitution_random():
 
 def test_distinct_shifts_are_edge_disjoint():
     rng = random.Random(4)
-    shifts = [(ShiftQ(0, 0), ShiftQ(1, 0)), (ShiftQ(2, 3), ShiftQ(2, 4))]
+    shifts = [((0, 0), (1, 0)), ((2, 3), (2, 4))]
     for _ in range(3):
-        a = ShiftQ(rng.randrange(5), rng.randrange(5))
-        b = ShiftQ(rng.randrange(5), rng.randrange(5))
+        a = (rng.randrange(5), rng.randrange(5))
+        b = (rng.randrange(5), rng.randrange(5))
         if a != b:
             shifts.append((a, b))
     for a, b in shifts:
@@ -235,6 +239,6 @@ BUILD_SHA256 = {
 
 @pytest.mark.parametrize("build, q", sorted(BUILD_SHA256, key=lambda k: (k[0].__name__, k[1])))
 def test_shifted_builds_match_recorded_hashes(build, q):
-    shift = ShiftQ(1, 2) if build is build_quadrangle else ShiftH(3, 1, 4, 2)
+    shift = (1, 2) if build is build_quadrangle else (3, 1, 4, 2)
     edges = list(build(q, shift).graph.edges())
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == BUILD_SHA256[(build, q)]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -43,5 +44,8 @@ def test_upper_bound_requires_ck():
         upper_bound(3, 8, None)
     with pytest.raises(ValueError):
         upper_bound(3, 8, 0)
+    for c_k in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            upper_bound(3, 8, c_k)
     with pytest.raises(ValueError):
         upper_bound(1, 8, 1.0)

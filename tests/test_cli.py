@@ -4,7 +4,7 @@ import os
 import pytest
 
 from girthcover import cli, graph
-from girthcover.algebraic import ShiftQ, build_quadrangle
+from girthcover.algebraic import build_quadrangle, index_to_tuple
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
 from conftest import random_regular
@@ -17,6 +17,9 @@ def run(argv):
 def test_build_q_then_verify_girth(tmp_path, capsys):
     edges = str(tmp_path / "q5.edges")
     assert run(["build-q", "--q", "5", "--out", edges]) == EXIT_PASS
+    assert capsys.readouterr().out == (
+        f"quadrangle q=5 shift=(0, 0): 250 vertices, 625 edges -> {edges}\n"
+    )
     g = read_edge_list(edges)
     assert g.n == 250 and g.m == 625
     assert os.path.exists(edges + ".labels")
@@ -26,9 +29,12 @@ def test_build_q_then_verify_girth(tmp_path, capsys):
     assert code == EXIT_PASS
 
 
-def test_build_h_with_shift(tmp_path):
+def test_build_h_with_shift(tmp_path, capsys):
     edges = str(tmp_path / "h5.edges")
     assert run(["build-h", "--q", "5", "--shift", "1,2,3,4", "--out", edges]) == EXIT_PASS
+    assert capsys.readouterr().out == (
+        f"hexagon q=5 shift=(1, 2, 3, 4): 6250 vertices, 15625 edges -> {edges}\n"
+    )
     g = read_edge_list(edges)
     assert g.n == 6250 and g.m == 15625
 
@@ -63,10 +69,14 @@ def test_writers_match_line_by_line_format(tmp_path, monkeypatch, block):
     # The block writers against one f-string per line; block 7 splits every
     # file into many blocks with a short last one.
     monkeypatch.setattr(graph, "_WRITE_BLOCK", block)
-    plg = build_quadrangle(5, ShiftQ(1, 2))
+    plg = build_quadrangle(5, (1, 2))
     cli._write_labels(plg, tmp_path / "g.labels")
-    labels = [f"{v} P:{','.join(map(str, plg.point_coords(v)))}\n" for v in range(plg.n_side)]
-    labels += [f"{v} L:{','.join(map(str, plg.line_coords(v)))}\n" for v in range(plg.n_side, plg.graph.n)]
+
+    def coords(v):
+        return ",".join(map(str, index_to_tuple(v % plg.n_side, 5, 3)))
+
+    labels = [f"{v} P:{coords(v)}\n" for v in range(plg.n_side)]
+    labels += [f"{v} L:{coords(v)}\n" for v in range(plg.n_side, plg.graph.n)]
     assert (tmp_path / "g.labels").read_text() == "# vertex-id class coords\n" + "".join(labels)
     for g, header in [
         (plg.graph, "250 625 bipartite 125 125\n"),
@@ -125,10 +135,20 @@ def test_bounds_cli(capsys):
     assert "15" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("shift", ["", "1,x", "1,2,3"])
+def test_build_rejects_malformed_shift(tmp_path, capsys, shift):
+    edges = tmp_path / "q5.edges"
+    assert run(["build-q", "--q", "5", "--shift", shift, "--out", str(edges)]) == EXIT_USAGE
+    assert f"--shift {shift!r}" in capsys.readouterr().err
+    assert not edges.exists()
+
+
 def test_usage_errors():
     assert run(["no-such-command"]) == EXIT_USAGE
     assert run(["build-q", "--q", "6", "--out", "/tmp/x.edges"]) == EXIT_USAGE
     assert run(["verify", "--manifest", "/nonexistent/manifest.txt"]) == EXIT_USAGE
+    for C in ("inf", "nan"):
+        assert run(["random-cover", "--n", "250", "--k", "3", "--C", C]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("q", ["6", "4"])

@@ -31,7 +31,7 @@ def test_partition_bipartite_exact_q5():
     assert all(len(p.edges) == 625 for p in ep.parts)
     assert ep.is_exact()
     # 25 parts x 625 edges = 125^2
-    assert ep.total_edges() == 125 * 125
+    assert sum(len(p.edges) for p in ep.parts) == 125 * 125
 
 
 def test_partition_bipartite_parts_have_girth_8():
@@ -55,7 +55,7 @@ def test_partition_matches_shift_solver():
     for u in range(0, 125, 7):
         for v in range(0, 125, 11):
             shift = solve_shift_q(index_to_tuple(u, 5, 3), index_to_tuple(v, 5, 3), 5)
-            name = "s" + "_".join(map(str, shift.as_tuple()))
+            name = "s" + "_".join(map(str, shift))
             assert (u, 125 + v) in by_name[name]
 
 
@@ -162,7 +162,7 @@ def scalar_locate(loc, u, v):
     q = loc.plan.levels[level - 1].prime
     p, l = index_to_tuple(u - lo, q, loc.arity), index_to_tuple(v - mid, q, loc.arity)
     solve = solve_shift_q if loc.arity == 3 else solve_shift_h
-    return level, solve(p, l, q).as_tuple()
+    return level, solve(p, l, q)
 
 
 @pytest.mark.parametrize("girth", [8, 12])

@@ -32,6 +32,8 @@ def test_config_validation():
         DecompositionConfig(retention=1.5)
     with pytest.raises(ValueError):
         DecompositionConfig(color_multiplier=0)
+    with pytest.raises(ValueError):
+        DecompositionConfig(max_retries=0)
 
 
 def test_rainbow_single_edge_rejected():
@@ -173,7 +175,7 @@ def test_decompose_k10():
     assert res.partition.is_exact()
     for part in res.partition.parts:
         assert not Graph(10, part.edges).has_cycle_of_length(6)
-    assert res.partition.total_edges() == 45
+    assert sum(len(p.edges) for p in res.partition.parts) == 45
 
 
 def test_decompose_random_c6():

@@ -39,6 +39,9 @@ def test_required_copies_validation():
         required_copies(10, 0, 1)
     with pytest.raises(ValueError):
         required_copies(10, 5, 0)
+    for C in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite C > 0"):
+            required_copies(10, 5, C)
 
 
 def test_seed_certification():
