@@ -41,4 +41,10 @@ def upper_bound(k: int, s: int, c_k: float) -> float:
         raise ValueError("s must be >= 1")
     if c_k is None or not (math.isfinite(c_k) and c_k > 0):
         raise ValueError("the Turan constant c_k must be supplied, finite and positive")
-    return (s / c_k) ** (1 + 1 / (k - 1)) - 1
+    try:
+        bound = (s / c_k) ** (1 + 1 / (k - 1)) - 1
+    except OverflowError:  # a float power raises where a float quotient gives inf
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the upper bound at s={s}, c_k={c_k} overflows a float")
+    return bound

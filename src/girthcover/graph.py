@@ -59,6 +59,18 @@ def edge_array(edges) -> np.ndarray:
     return pairs.astype(np.int64, copy=False)
 
 
+def group_edges(pairs: np.ndarray, ids: np.ndarray):
+    """Yield (id, edges) for the rows of the (m, 2) array ``pairs`` grouped by
+    the int64 class ``ids``, in increasing id order, each group's edges an
+    (k, 2) array in row order.  Every producer of edge classes (covers,
+    pullbacks, forests) labels its edges and groups them here."""
+    order = np.argsort(ids, kind="stable")
+    ids, pairs = ids[order], pairs[order]
+    bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield int(ids[lo]), pairs[lo:hi]
+
+
 class Graph:
     """A simple undirected graph, frozen after construction.
 
@@ -345,12 +357,6 @@ class Graph:
             frontier = nxt
         return dist
 
-    # -- derived graphs ------------------------------------------------
-
-    def subgraph_edges(self, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Spanning subgraph on the same vertex set with the given edges."""
-        return Graph(self.n, edges, side=self.side)
-
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
@@ -483,27 +489,20 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
     """
     if sorted(order.order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertex set")
-    pos = {v: i for i, v in enumerate(order.order)}
-    right_edges: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():
-        if pos[u] < pos[v]:
-            right_edges[u].append(v)
-        else:
-            right_edges[v].append(u)
-    for v in range(g.n):
-        if len(right_edges[v]) != order.right_degree[v]:
-            raise ValueError(
-                f"order is not valid for this graph: vertex {v} has "
-                f"{len(right_edges[v])} right-edges, order claims {order.right_degree[v]}"
-            )
-    d = order.degeneracy
-    if g.m == 0:
-        return []
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for u in range(g.n):
-        for rank, w in enumerate(sorted(right_edges[u], key=lambda x: pos[x])):
-            buckets[rank].append((u, w) if u < w else (w, u))
-    return [g.subgraph_edges(b) for b in buckets if b]
+    pos = np.empty(g.n, np.int64)
+    pos[np.array(order.order, np.int64)] = np.arange(g.n)
+    pairs = g._pairs()
+    later = pos[pairs[:, 0]] > pos[pairs[:, 1]]
+    tail, head = np.where(later[:, None], pairs[:, ::-1], pairs).T  # earlier end first
+    rdeg = np.bincount(tail, minlength=g.n)
+    if wrong := np.flatnonzero(rdeg != np.asarray(order.right_degree)).tolist():
+        v = wrong[0]
+        raise ValueError(f"order is not valid for this graph: vertex {v} has {rdeg[v]} "
+                         f"right-edges, order claims {order.right_degree[v]}")
+    by_tail = np.lexsort((pos[head], tail))  # each tail's right-edges, by head position
+    rank = np.empty(len(pairs), np.int64)
+    rank[by_tail] = np.arange(len(pairs)) - (np.cumsum(rdeg) - rdeg)[tail[by_tail]]
+    return [Graph(g.n, edges, side=g.side) for _, edges in group_edges(pairs, rank)]
 
 
 # ---------------------------------------------------------------------------

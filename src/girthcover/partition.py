@@ -18,8 +18,9 @@ Three layers:
 it: ``locate`` maps arrays of edges to part ids, so ``cover_complete``
 locates every edge of K_n in one call, and the decomposition pipeline only
 the colour pairs of its retained edges, where K_n would be far too large to
-enumerate.  Both group the edges with ``group_edges`` and name parts with
-the locator.
+enumerate.  Both name parts with the locator and, like every other producer
+of parts (the pullback, the forests, the random cover), group the edges by
+their int64 class ids with ``graph.group_edges``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple
 from .field import next_prime_at_least
-from .graph import Graph, edge_array, read_edge_list, write_edge_list
+from .graph import Graph, edge_array, group_edges, read_edge_list, write_edge_list
 
 _GIRTH_ARITY = {8: 3, 12: 5}
 _LOCATE_BLOCK = 8192  # edges per block of the array locate
@@ -146,7 +147,6 @@ class PartCheck:
     name: str
     claim: str
     passed: bool
-    measured: object = None
 
 
 @dataclass
@@ -331,17 +331,6 @@ class CompleteCoverLocator:
         """``L<level>_s<shift>``, the name of a part of the cover."""
         level, shift = self.part_key(part_id)
         return f"L{level}_s" + "_".join(map(str, shift))
-
-
-def group_edges(pairs: np.ndarray, ids: np.ndarray):
-    """Yield (id, edges) for the rows of the (m, 2) array ``pairs`` grouped by
-    ``ids``, in increasing id order, each group's edges an (k, 2) array in
-    row order."""
-    order = np.argsort(ids, kind="stable")
-    ids, pairs = ids[order], pairs[order]
-    bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield int(ids[lo]), pairs[lo:hi]
 
 
 def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]:

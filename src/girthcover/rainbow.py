@@ -30,8 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order, degeneracy_peel, forest_decompose
-from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part, group_edges
+from .graph import Graph, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
+from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part
 
 _CYCLE_GIRTH = {6: 8, 10: 12}
 _PRUNE_BLOCK = 512  # rows per block of the rainbow pruning

@@ -4,8 +4,10 @@ Place t independently and uniformly permuted copies of a certified
 high-girth seed onto K_n, with t calibrated so that every pair's expected
 coverage is at least C*ln(n); a Chernoff-plus-union-bound argument makes
 full coverage overwhelmingly likely for C large enough.  First-cover-wins
-assignment turns the cover into an exact partition; each class is a
-subgraph of one permuted copy, so its girth is at least the seed's.
+turns the cover into an exact partition: each edge of K_n is labelled with
+the first copy that covers it, and ``graph.group_edges`` forms the classes,
+as for every other producer of parts.  Each class is a subgraph of one
+permuted copy, so its girth is at least the seed's.
 
 Failed samples (some pair uncovered) are ordinary return values, not
 exceptions: Monte-Carlo acceptance runs need to count them.
@@ -22,8 +24,8 @@ import numpy as np
 
 from .algebraic import build_hexagon, build_quadrangle
 from .field import next_prime_at_least
-from .graph import Graph
-from .partition import EdgePartition, HostSpec, Part, group_edges
+from .graph import Graph, group_edges
+from .partition import EdgePartition, HostSpec, Part
 
 
 @dataclass(frozen=True)
@@ -60,34 +62,36 @@ def required_copies(n: int, seed_edges: int, safety_constant: float) -> int:
     """
     if n < 2 or seed_edges < 1 or not (math.isfinite(safety_constant) and safety_constant > 0):
         raise ValueError("need n >= 2, seed_edges >= 1, finite C > 0")
-    return math.ceil(safety_constant * math.log(n) * n * (n - 1) / (2 * seed_edges))
+    t = safety_constant * math.log(n) * n * (n - 1) / (2 * seed_edges)
+    if not math.isfinite(t):
+        raise ValueError(f"C = {safety_constant} asks for more copies than a float can count")
+    return math.ceil(t)
 
 
 @dataclass
 class CoverOutcome:
     n: int
-    copies: list[list[int]]  # permutation per copy: seed vertex -> host vertex
-    assignment: dict[tuple[int, int], int]  # host edge -> first covering copy
-    uncovered: list[tuple[int, int]]
+    copies: np.ndarray  # (t, n) int64: row i maps seed vertex -> host vertex in copy i
+    owner: np.ndarray  # first covering copy of each K_n edge in triu order, -1 if none
+    uncovered: np.ndarray  # (k, 2) int64: the K_n edges that no copy covers
     copy_count: int
     safety_constant: float
     seed_girth: object
 
     @property
     def success(self) -> bool:
-        return not self.uncovered
+        return len(self.uncovered) == 0
 
     def to_partition(self) -> EdgePartition:
-        """The first-cover-wins exact partition of E(K_n); success only."""
+        """The first-cover-wins exact partition of E(K_n); success only.  A forest
+        seed's classes claim girth n + 1, which on n vertices means a forest."""
         if not self.success:
             raise ValueError("cover failed; no partition to extract")
-        girth_target = None if self.seed_girth == math.inf else int(self.seed_girth)
-        edges = np.array(list(self.assignment), np.int64).reshape(-1, 2)
-        copy = np.fromiter(self.assignment.values(), np.int64, len(edges))
-        order = np.lexsort(edges.T[::-1])  # lexicographic, so each part's edges are sorted
+        girth_target = self.n + 1 if self.seed_girth == math.inf else int(self.seed_girth)
+        pairs = np.stack(np.triu_indices(self.n, 1), axis=1)
         parts = [
             Part(name=f"copy{idx:05d}", edges=group, girth_target=girth_target)
-            for idx, group in group_edges(edges[order], copy[order])
+            for idx, group in group_edges(pairs, self.owner)
         ]
         return EdgePartition(host=HostSpec.complete(self.n), parts=parts)
 
@@ -99,30 +103,22 @@ def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int)
     (rng_seed, i), so copies are reproducible and order-independent.
     """
     seed = seed.padded_to(n)
-    seed_edges = list(seed.graph.edges())
-    t = required_copies(n, len(seed_edges), safety_constant)
-    assignment: dict[tuple[int, int], int] = {}
-    copies = []
+    u, v = seed.graph._pairs().T
+    t = required_copies(n, len(u), safety_constant)
+    copies = np.empty((t, n), np.int64)
+    owner = np.full(n * (n - 1) // 2, -1, np.int64)
     for i in range(t):
-        rng = random.Random(rng_seed * 1_000_003 + i)
         perm = list(range(n))
-        rng.shuffle(perm)
-        copies.append(perm)
-        for u, v in seed_edges:
-            a, b = perm[u], perm[v]
-            key = (a, b) if a < b else (b, a)
-            if key not in assignment:
-                assignment[key] = i
-    uncovered = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in assignment
-    ]
+        random.Random(rng_seed * 1_000_003 + i).shuffle(perm)
+        copies[i] = perm
+        lo, hi = np.minimum(copies[i, u], copies[i, v]), np.maximum(copies[i, u], copies[i, v])
+        keys = lo * (2 * n - lo - 3) // 2 + hi - 1  # position of (lo, hi) in triu order
+        owner[keys[owner[keys] < 0]] = i  # one copy's keys are distinct
+    uncovered = np.stack(np.triu_indices(n, 1), axis=1)[owner < 0]
     return CoverOutcome(
         n=n,
         copies=copies,
-        assignment=assignment,
+        owner=owner,
         uncovered=uncovered,
         copy_count=t,
         safety_constant=safety_constant,

@@ -124,6 +124,42 @@ def read_edge_list_lines(path) -> Graph:
     return Graph(n, edges, side=side)
 
 
+def forest_decompose_buckets(g: Graph, order) -> list[Graph]:
+    """Forests of ``g`` by right-edge rank, filled into per-rank bucket lists.
+
+    The scalar form of ``forest_decompose``: the oracle for its array form.
+    """
+    pos = {v: i for i, v in enumerate(order.order)}
+    right_edges = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        if pos[u] < pos[v]:
+            right_edges[u].append(v)
+        else:
+            right_edges[v].append(u)
+    buckets = [[] for _ in range(max(map(len, right_edges), default=0))]
+    for u in range(g.n):
+        for rank, w in enumerate(sorted(right_edges[u], key=lambda x: pos[x])):
+            buckets[rank].append((u, w) if u < w else (w, u))
+    return [Graph(g.n, b, side=g.side) for b in buckets if b]
+
+
+def first_cover_wins_dict(n: int, seed_graph: Graph, copy_count: int, rng_seed: int):
+    """(copies, assignment, uncovered) of the permuted-copy cover, one edge
+    at a time: ``assignment`` maps each covered K_n edge to the first copy
+    that covers it.  The oracle for ``cover_random`` on the padded seed."""
+    assignment = {}
+    copies = []
+    for i in range(copy_count):
+        perm = list(range(n))
+        random.Random(rng_seed * 1_000_003 + i).shuffle(perm)
+        copies.append(perm)
+        for u, v in seed_graph.edges():
+            a, b = perm[u], perm[v]
+            assignment.setdefault((min(a, b), max(a, b)), i)
+    uncovered = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in assignment]
+    return copies, assignment, uncovered
+
+
 @pytest.fixture
 def petersen():
     return petersen_graph()

@@ -49,3 +49,6 @@ def test_upper_bound_requires_ck():
             upper_bound(3, 8, c_k)
     with pytest.raises(ValueError):
         upper_bound(1, 8, 1.0)
+    for s, c_k in ((100000, 1e-300), (100000, 1e-320), (10**400, 1.0)):
+        with pytest.raises(ValueError, match="overflows a float"):
+            upper_bound(3, s, c_k)  # finite inputs, but the bound is no float

@@ -126,6 +126,16 @@ def test_random_cover_cli(tmp_path, capsys):
     assert run(["verify", "--manifest", os.path.join(out, "manifest.txt"), "--girth", "8"]) == EXIT_PASS
 
 
+def test_random_cover_with_forest_seed_verifies(tmp_path):
+    seed = tmp_path / "f.edges"
+    seed.write_text("3 1\n0 1\n")
+    out = str(tmp_path / "rcf")
+    assert run([
+        "random-cover", "--n", "10", "--k", "2", "--seed-graph", str(seed), "--C", "20", "--out", out,
+    ]) == EXIT_PASS
+    assert run(["verify", "--manifest", os.path.join(out, "manifest.txt")]) == EXIT_PASS
+
+
 def test_bounds_cli(capsys):
     assert run(["bounds", "--k", "3", "--s", "100"]) == EXIT_PASS
     text = capsys.readouterr().out
@@ -147,8 +157,9 @@ def test_usage_errors():
     assert run(["no-such-command"]) == EXIT_USAGE
     assert run(["build-q", "--q", "6", "--out", "/tmp/x.edges"]) == EXIT_USAGE
     assert run(["verify", "--manifest", "/nonexistent/manifest.txt"]) == EXIT_USAGE
-    for C in ("inf", "nan"):
+    for C in ("inf", "nan", "1e308"):
         assert run(["random-cover", "--n", "250", "--k", "3", "--C", C]) == EXIT_USAGE
+    assert run(["bounds", "--k", "3", "--s", "100000", "--ck", "1e-300"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize("q", ["6", "4"])

@@ -26,6 +26,7 @@ from conftest import (
     all_roots_girth,
     complete_graph,
     disjoint_union,
+    forest_decompose_buckets,
     path_graph,
     petersen_graph,
     random_graph,
@@ -452,8 +453,22 @@ def test_forest_decompose_invalid_order():
     k4 = complete_graph(4)
     with pytest.raises(ValueError):
         forest_decompose(k4, DegeneracyOrder((0, 1, 2), (0, 0, 0)))
-    with pytest.raises(ValueError):
-        forest_decompose(k4, DegeneracyOrder((0, 1, 2, 3), (0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="vertex 1 has 2 right-edges, order claims 0"):
+        forest_decompose(k4, DegeneracyOrder((0, 1, 2, 3), (3, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("peel", [False, True])
+def test_forest_decompose_matches_bucket_oracle(peel):
+    for seed in range(8):
+        g = random_graph(40, 0.25, 300 + seed)
+        if peel:  # the shell of a peel, as the decomposition pipeline splits it
+            _, host, order = degeneracy_peel(g, 6)
+        else:
+            host, order = g, degeneracy_order(g)
+        forests = forest_decompose(host, order)
+        expected = forest_decompose_buckets(host, order)
+        assert [f._pairs().tolist() for f in forests] == [f._pairs().tolist() for f in expected]
+        assert all(f.side == host.side for f in forests)
 
 
 def test_forest_decompose_random():
@@ -558,6 +573,39 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def _catches_import_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "ImportError" for t in caught)
+
+
+def test_library_imports_only_declared_dependencies():
+    # numpy is the one declared dependency; numba is the optional [fast]
+    # extra and may only be tried inside a try/except ImportError
+    package = os.path.dirname(girthcover.__file__)
+    allowed = set(sys.stdlib_module_names) | {"numpy", "girthcover"}
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read(), filename=name)
+        guarded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Try) and any(map(_catches_import_error, node.handlers)):
+                guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for top in (m.split(".")[0] for m in modules):
+                if top not in allowed and not (top == "numba" and id(node) in guarded):
+                    found.append(f"{name}:{node.lineno}: {top}")
+    assert not found, f"undeclared imports in the library: {found}"
+
+
 def test_derived_graphs_drop_certificate(tmp_path):
     from girthcover.randomcover import SeedGraph
 
@@ -565,7 +613,6 @@ def test_derived_graphs_drop_certificate(tmp_path):
     path = tmp_path / "c8.edges"
     write_edge_list(g, path)
     derived = [
-        g.subgraph_edges(g.edges()),
         disjoint_union([g]),
         read_edge_list(path),
         SeedGraph.certify(g).padded_to(9).graph,
@@ -573,6 +620,13 @@ def test_derived_graphs_drop_certificate(tmp_path):
     for d in derived:
         assert d._automorphisms is None
         assert d.girth() == 8 == all_roots_girth(d)
+    # the rotation is no automorphism of a forest, so a forest that kept the
+    # certificate would fail its girth query
+    forests = forest_decompose(g, degeneracy_order(g))
+    assert len(forests) == 2
+    for f in forests:
+        assert f._automorphisms is None
+        assert f.girth() == math.inf
 
 
 # -- disjoint union ---------------------------------------------------------

@@ -10,7 +10,9 @@ from girthcover.randomcover import (
     cover_random,
     required_copies,
 )
-from conftest import complete_graph, petersen_graph
+from girthcover.algebraic import build_quadrangle
+from girthcover.partition import verify_partition
+from conftest import complete_graph, first_cover_wins_dict, path_graph, petersen_graph
 
 
 def test_required_copies_complete_seed():
@@ -42,6 +44,8 @@ def test_required_copies_validation():
     for C in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite C > 0"):
             required_copies(10, 5, C)
+    with pytest.raises(ValueError, match="more copies than a float can count"):
+        required_copies(250, 100, 1e308)  # finite C, but the count overflows
 
 
 def test_seed_certification():
@@ -65,7 +69,7 @@ def test_cover_with_complete_seed_uses_first_copy():
     seed = SeedGraph.certify(complete_graph(n))
     outcome = cover_random(n, seed, 2.0, rng_seed=0)
     assert outcome.success
-    assert set(outcome.assignment.values()) == {0}
+    assert (outcome.owner == 0).all()
     ep = outcome.to_partition()
     assert len(ep.parts) == 1 and ep.is_exact()
 
@@ -92,6 +96,38 @@ def test_failed_cover_is_a_value():
     assert len(outcome.uncovered) >= 40 * 39 // 2 - 30
     with pytest.raises(ValueError):
         outcome.to_partition()
+
+
+@pytest.mark.parametrize(
+    "n, seed_graph, C, rng_seed, uncovered_count",
+    [
+        (20, petersen_graph(), 9.0, 3, 0),
+        (40, petersen_graph(), 0.5, 1, 118),
+        (12, path_graph(12), 6.0, 2, 0),  # a forest seed: classes claim girth 13
+        (260, build_quadrangle(5).graph, 0.3, 1, 6278),
+    ],
+)
+def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_count):
+    seed = SeedGraph.certify(seed_graph)
+    outcome = cover_random(n, seed, C, rng_seed)
+    copies, assignment, uncovered = first_cover_wins_dict(
+        n, seed.padded_to(n).graph, outcome.copy_count, rng_seed
+    )
+    assert outcome.copies.tolist() == copies
+    triu = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert outcome.owner.tolist() == [assignment.get(e, -1) for e in triu]
+    assert list(map(tuple, outcome.uncovered.tolist())) == uncovered
+    assert len(uncovered) == uncovered_count
+    if uncovered:
+        return
+    classes = {}
+    for e in sorted(assignment):
+        classes.setdefault(assignment[e], []).append(list(e))
+    ep = outcome.to_partition()
+    assert [(p.name, p.edges.tolist()) for p in ep.parts] == [
+        (f"copy{i:05d}", classes[i]) for i in sorted(classes)
+    ]
+    assert verify_partition(ep).passed
 
 
 def test_coverage_calibration():
