@@ -8,7 +8,6 @@ into C_6-free / C_10-free classes, randomized permuted-copy covers, and
 closed-form degree Ramsey bound calculators.
 """
 
-from .field import is_prime, next_prime_at_least
 from .graph import (
     INFINITE,
     DegeneracyOrder,
@@ -25,6 +24,8 @@ from .algebraic import (
     PointLineGraph,
     build_hexagon,
     build_quadrangle,
+    is_prime,
+    next_prime_at_least,
     solve_shift_h,
     solve_shift_q,
 )

@@ -37,6 +37,10 @@ Each built graph carries an automorphism certificate for its girth search:
 coordinate translations that preserve the incidence equations for every
 shift (see ``_QUADRANGLE_AUTOMORPHISMS`` and ``_HEXAGON_AUTOMORPHISMS``).
 The graph checks them before use.
+
+The moduli are primes q >= 5, which makes 2 and 3 invertible, as the
+defining systems and the shift solvers need: ``is_prime`` validates a
+modulus and ``next_prime_at_least`` picks the smallest sufficient one.
 """
 
 from __future__ import annotations
@@ -48,8 +52,33 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .field import is_prime
 from .graph import Graph
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test by trial division (moduli fit in a word)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    i = 5
+    while i * i <= n:
+        if n % i == 0 or n % (i + 2) == 0:
+            return False
+        i += 6
+    return True
+
+
+def next_prime_at_least(m: int) -> int:
+    """Smallest prime >= m.  Requires m >= 5."""
+    if m < 5:
+        raise ValueError(f"need m >= 5, got {m}")
+    p = m
+    while not is_prime(p):
+        p += 1
+    return p
 
 
 def _check_q(q: int) -> None:

@@ -111,6 +111,7 @@ def _cmd_random_cover(args) -> int:
         "C": args.C,
         "rng_seed": args.seed,
         "copies": outcome.copy_count,
+        "copies_used": outcome.copies_used,
         "seed_girth": str(outcome.seed_girth),
         "success": outcome.success,
         "uncovered_pairs": len(outcome.uncovered),

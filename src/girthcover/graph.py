@@ -508,7 +508,8 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 # ---------------------------------------------------------------------------
 # Shared edge-list text format (grammar in the module docstring).  The body is
 # parsed by numpy's C reader; a file that fails is read again line by line only
-# to name the first bad line.
+# to name the first bad line.  A partition manifest's body of part edges is the
+# same edge lines without a header, read by the same two functions.
 
 _WRITE_BLOCK = 8192  # rows formatted per write call
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -559,28 +560,36 @@ def read_edge_list(path) -> Graph:
             if a + b != n:
                 raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
             side = [0] * a + [1] * b
-        body = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # A body without edges is valid.  Older numpy parses a field
-                # such as '1.5' as a float and casts it, with a deprecation
-                # warning; as an error, that warning fails the parse.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
-                pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-        except (ValueError, DeprecationWarning) as exc:
-            raise _edge_line_error(path, header_line, n, side, exc) from None
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-        fh.seek(body)
-        if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
-            raise _edge_line_error(path, header_line, n, side, "bad edge line")
+        pairs = _read_rows(fh, path, n, side)
     if m != len(pairs):
         raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {len(pairs)}")
     try:
         return Graph(n, pairs, side=side)
     except ValueError as exc:
-        raise _edge_line_error(path, header_line, n, side, exc) from None
+        raise _edge_line_error(path, n, side, exc) from None
+
+
+def _read_rows(fh, path, n: int, side, header: bool = True, groups=()) -> np.ndarray:
+    """The edge lines of the rest of ``fh`` as an (m, 2) int64 array, every
+    row u < v.  A body that fails the grammar raises the rescan's error (the
+    arguments after ``path`` are passed on to ``_edge_line_error``)."""
+    body = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            # A body without edges is valid.  Older numpy parses a field
+            # such as '1.5' as a float and casts it, with a deprecation
+            # warning; as an error, that warning fails the parse.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
+            pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
+    except (ValueError, DeprecationWarning) as exc:
+        raise _edge_line_error(path, n, side, exc, header, groups) from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    fh.seek(body)
+    if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
+        raise _edge_line_error(path, n, side, "bad edge line", header, groups)
+    return pairs
 
 
 def _comment_after_data(fh) -> bool:
@@ -589,17 +598,29 @@ def _comment_after_data(fh) -> bool:
     return "#" in text and _COMMENT_AFTER_DATA.search(text) is not None
 
 
-def _edge_line_error(path, header_line: int, n: int, side, reason) -> ValueError:
-    """The error for the first edge line after ``header_line`` that the
-    format or a graph on n vertices with ``side`` rejects, found line by line.
-    Called only once the array parse, its checks or the graph build have
-    failed; with no line to name, the error gives ``reason``."""
+def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=()) -> ValueError:
+    """The error for the first edge line of ``path`` that the format or a
+    graph on n vertices with ``side`` rejects, found line by line.  With
+    ``header`` the first line that is neither blank nor a comment is the
+    header and is skipped.  ``groups`` holds the row counts of consecutive
+    groups of edges, each checked for repeats on its own; rows past them,
+    or all rows if it is empty, form one more group.  Called only once the
+    array parse, its checks or the graph build have failed; with no line to
+    name, the error gives ``reason``."""
+    starts = set(itertools.accumulate(groups))
     seen = set()
+    row = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if lineno <= header_line or not line or line.startswith("#"):
+            if not line or line.startswith("#"):
                 continue
+            if header:
+                header = False
+                continue
+            if row in starts:
+                seen.clear()
+            row += 1
             at = f"{path}, line {lineno}"
             fields = line.split()
             if len(fields) != 2 or not all(map(_INTEGER.fullmatch, fields)):

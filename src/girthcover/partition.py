@@ -33,9 +33,17 @@ from typing import Optional
 
 import numpy as np
 
-from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple
-from .field import next_prime_at_least
-from .graph import Graph, edge_array, group_edges, read_edge_list, write_edge_list
+from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple, next_prime_at_least
+from .graph import (
+    Graph,
+    _edge_line_error,
+    _read_rows,
+    _write_rows,
+    edge_array,
+    group_edges,
+    read_edge_list,
+    write_edge_list,
+)
 
 _GIRTH_ARITY = {8: 3, 12: 5}
 _LOCATE_BLOCK = 8192  # edges per block of the array locate
@@ -352,40 +360,77 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 # ---------------------------------------------------------------------------
 # Partition manifest on disk
 #
-# A manifest is a directory: "manifest.txt" plus one edge-list file per part.
+# A manifest is a directory: "manifest.txt" plus one body file, "parts.edges",
+# that holds the edges of every part, and "host.edges" for an explicit host.
 # manifest.txt:
-#     # girthcover partition manifest v1
+#     # girthcover partition manifest v2
 #     host complete 250            (or "host bipartite 125 125" / "host file host.edges")
-#     parts 25
-#     part <name> <relative-path> girth 8        (or "... cycle-free 6" / "... none")
+#     parts 25 parts.edges
+#     part <name> girth 8 <edge count>        (or "cycle-free 6" / "none" as the claim)
 #
-# Relative paths must stay inside the manifest directory.
+# The body has no header: it is the "u v" lines of the edge-list format, the
+# parts' rows back to back in the order of the part lines, each part's rows
+# sorted with u < v.  The first line selects the version; a manifest without
+# the v2 line is read as v1, whose "parts N" line names no body and whose
+# part lines are "part <name> <relative-path> <claim>", one edge-list file
+# per part.  Relative paths must stay inside the manifest directory.
+
+_MANIFEST_V2 = "# girthcover partition manifest v2"
+
+
+def _part_rows(pairs: np.ndarray, counts, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the parts' edges back to back, ``counts`` rows per part: the order
+    of the rows by (part, u, v), and for each ordered row its part index and
+    whether it repeats the row before it in that part.
+    Two stable sorts, by the key u*n + v and then by part, are far faster
+    than a lexsort and cannot overflow as a part*n*n term could."""
+    index = np.repeat(np.arange(len(counts)), counts)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    by_key = np.argsort(keys, kind="stable")
+    order = by_key[np.argsort(index[by_key], kind="stable")]
+    keys, index = keys[order], index[order]
+    repeat = np.zeros(len(order), bool)
+    repeat[1:] = (keys[1:] == keys[:-1]) & (index[1:] == index[:-1])
+    return order, index, repeat
 
 
 def write_manifest(p: EdgePartition, directory) -> str:
+    """Write ``p`` as a v2 manifest in ``directory``; a part edge that is a
+    loop, has an id outside the host or repeats within its part raises
+    ``ValueError`` naming the part."""
+    n = p.host.n
+    counts = [len(part.edges) for part in p.parts]
+    pairs = np.sort(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in p.parts]), axis=1)
+    order, index, repeat = _part_rows(pairs, counts, n)
+    pairs = pairs[order]
+    for fault, what in [
+        ((pairs[:, 0] < 0) | (pairs[:, 1] >= n), f"out of range for n={n}"),
+        (pairs[:, 0] == pairs[:, 1], "is a loop"),
+        (repeat, "is a duplicate"),
+    ]:
+        if (bad := np.flatnonzero(fault)).size:
+            u, v = pairs[bad[0]].tolist()
+            raise ValueError(f"part {p.parts[index[bad[0]]].name}: edge ({u}, {v}) {what}")
     os.makedirs(directory, exist_ok=True)
-    parts_dir = os.path.join(directory, "parts")
-    os.makedirs(parts_dir, exist_ok=True)
-    lines = ["# girthcover partition manifest v1"]
+    lines = [_MANIFEST_V2]
     if p.host.kind == "complete":
-        lines.append(f"host complete {p.host.n}")
+        lines.append(f"host complete {n}")
     elif p.host.kind == "bipartite":
         lines.append(f"host bipartite {p.host.a} {p.host.b}")
     else:
-        host_path = os.path.join(directory, "host.edges")
-        write_edge_list(Graph(p.host.n, p.host.edges), host_path)
+        write_edge_list(Graph(n, p.host.edges), os.path.join(directory, "host.edges"))
         lines.append("host file host.edges")
-    lines.append(f"parts {len(p.parts)}")
-    for i, part in enumerate(p.parts):
-        rel = os.path.join("parts", f"part_{i:05d}.edges")
-        write_edge_list(Graph(p.host.n, part.edges), os.path.join(directory, rel))
+    lines.append(f"parts {len(p.parts)} parts.edges")
+    with open(os.path.join(directory, "parts.edges"), "w") as fh:
+        _write_rows(fh, "%d %d\n", pairs)
+    for part, count in zip(p.parts, counts):
         if part.girth_target is not None:
             claim = f"girth {part.girth_target}"
         elif part.forbidden_cycle is not None:
             claim = f"cycle-free {part.forbidden_cycle}"
         else:
             claim = "none"
-        lines.append(f"part {part.name} {rel} {claim}")
+        lines.append(f"part {part.name} {claim} {count}")
     manifest_path = os.path.join(directory, "manifest.txt")
     with open(manifest_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -393,7 +438,8 @@ def write_manifest(p: EdgePartition, directory) -> str:
 
 
 def read_manifest(manifest_path) -> EdgePartition:
-    """Parse a manifest; any malformed line raises ``ValueError`` naming it."""
+    """Parse a v2 or v1 manifest; any malformed line raises ``ValueError``
+    naming it, and a bad part edge names its file and line."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
     prefix = os.path.join(directory, "")
 
@@ -404,21 +450,42 @@ def read_manifest(manifest_path) -> EdgePartition:
             raise ValueError(f"{manifest_path}: path outside the manifest directory: {line}")
         return path
 
+    def malformed(line: str) -> ValueError:
+        return ValueError(f"{manifest_path}: malformed manifest line: {line}")
+
     def number(token: str, line: str) -> int:
         try:
             return int(token)
         except ValueError:
-            raise ValueError(f"{manifest_path}: malformed manifest line: {line}") from None
+            raise malformed(line) from None
+
+    def claim(tokens: list, line: str) -> tuple[Optional[int], Optional[int]]:
+        """(girth target, forbidden cycle) of a part line's claim."""
+        match tokens:
+            case [] | ["none"]:
+                return None, None
+            case ["girth", value]:
+                return number(value, line), None
+            case ["cycle-free", value]:
+                return None, number(value, line)
+        raise ValueError(f"{manifest_path}: malformed part claim: {line}")
 
     host = None
     n_parts = None
-    parts = []
+    body = None  # v2: the body path
+    specs = []  # (name, girth target, forbidden cycle, edge count or v1 part path)
     with open(manifest_path) as fh:
+        v2 = fh.readline().strip() == _MANIFEST_V2
+        fh.seek(0)
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             match line.split():
+                case ["host", *_] if host is not None:
+                    raise ValueError(f"{manifest_path}: repeated host line: {line}")
+                case ["parts", *_] if n_parts is not None:
+                    raise ValueError(f"{manifest_path}: repeated parts line: {line}")
                 case ["host", "complete", n]:
                     host = HostSpec.complete(number(n, line))
                 case ["host", "bipartite", a, b]:
@@ -426,26 +493,50 @@ def read_manifest(manifest_path) -> EdgePartition:
                 case ["host", "file", rel]:
                     g = read_edge_list(inside(rel, line))
                     host = HostSpec.explicit(g.n, g._pairs())
-                case ["parts", count]:
+                case ["parts", count] if not v2:
                     n_parts = number(count, line)
-                case ["part", name, rel, *claim]:
-                    girth_target = None
-                    forbidden = None
-                    match claim:
-                        case [] | ["none"]:
-                            pass
-                        case ["girth", value]:
-                            girth_target = number(value, line)
-                        case ["cycle-free", value]:
-                            forbidden = number(value, line)
-                        case _:
-                            raise ValueError(f"{manifest_path}: malformed part claim: {line}")
-                    g = read_edge_list(inside(rel, line))
-                    parts.append(Part(name, g._pairs(), girth_target, forbidden))
+                case ["parts", count, rel] if v2:
+                    n_parts, body = number(count, line), inside(rel, line)
+                case ["part", name, *tokens, count] if v2:
+                    if (edges := number(count, line)) < 0:
+                        raise malformed(line)
+                    specs.append((name, *claim(tokens, line), edges))
+                case ["part", name, rel, *tokens] if not v2:
+                    specs.append((name, *claim(tokens, line), inside(rel, line)))
                 case _:
-                    raise ValueError(f"{manifest_path}: malformed manifest line: {line}")
+                    raise malformed(line)
     if host is None:
         raise ValueError(f"{manifest_path}: missing host line")
-    if n_parts is not None and n_parts != len(parts):
-        raise ValueError(f"{manifest_path}: expected {n_parts} parts, found {len(parts)}")
+    if v2 and body is None:
+        raise ValueError(f"{manifest_path}: missing parts line")
+    if n_parts is not None and n_parts != len(specs):
+        raise ValueError(f"{manifest_path}: expected {n_parts} parts, found {len(specs)}")
+    edges = _read_body(body, host.n, [s[3] for s in specs]) if v2 else _read_v1_parts(specs, host.n)
+    parts = [Part(name, e, girth, forbid) for (name, girth, forbid, _), e in zip(specs, edges)]
     return EdgePartition(host=host, parts=parts)
+
+
+def _read_body(path: str, n: int, counts: list) -> list[np.ndarray]:
+    """The parts' edges from a v2 body: one parse, split by ``counts``.  A
+    wrong row count, an id outside 0..n-1 or an edge repeated within one part
+    raises ``ValueError``, naming the body line where there is one."""
+    with open(path) as fh:
+        pairs = _read_rows(fh, path, n, None, header=False, groups=counts)
+    if len(pairs) != sum(counts):
+        raise ValueError(f"{path}: the manifest claims {sum(counts)} edges, the file has {len(pairs)}")
+    if (pairs[:, 0] < 0).any() or (pairs[:, 1] >= n).any() or _part_rows(pairs, counts, n)[2].any():
+        raise _edge_line_error(path, n, None, "bad edge line", header=False, groups=counts)
+    return np.split(pairs, np.cumsum(counts, dtype=np.int64)[:-1])
+
+
+def _read_v1_parts(specs: list, n: int) -> list[np.ndarray]:
+    """The parts' edges from v1 part files, one edge-list file each.  An id
+    of a part file outside the host's 0..n-1 raises ``ValueError`` naming the
+    file and line."""
+    edges = []
+    for *_, path in specs:
+        pairs = read_edge_list(path)._pairs()
+        if pairs.size and pairs.max() >= n:
+            raise _edge_line_error(path, n, None, "edge outside the host")
+        edges.append(pairs)
+    return edges

@@ -3,11 +3,13 @@
 Place t independently and uniformly permuted copies of a certified
 high-girth seed onto K_n, with t calibrated so that every pair's expected
 coverage is at least C*ln(n); a Chernoff-plus-union-bound argument makes
-full coverage overwhelmingly likely for C large enough.  First-cover-wins
-turns the cover into an exact partition: each edge of K_n is labelled with
-the first copy that covers it, and ``graph.group_edges`` forms the classes,
-as for every other producer of parts.  Each class is a subgraph of one
-permuted copy, so its girth is at least the seed's.
+full coverage overwhelmingly likely for C large enough.  Sampling stops at
+the first copy that completes the cover, so a large C costs no more than
+the cover needs.  First-cover-wins turns the cover into an exact
+partition: each edge of K_n is labelled with the first copy that covers
+it, and ``graph.group_edges`` forms the classes, as for every other
+producer of parts.  Each class is a subgraph of one permuted copy, so its
+girth is at least the seed's.
 
 Failed samples (some pair uncovered) are ordinary return values, not
 exceptions: Monte-Carlo acceptance runs need to count them.
@@ -22,8 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebraic import build_hexagon, build_quadrangle
-from .field import next_prime_at_least
+from .algebraic import build_hexagon, build_quadrangle, next_prime_at_least
 from .graph import Graph, group_edges
 from .partition import EdgePartition, HostSpec, Part
 
@@ -71,10 +72,10 @@ def required_copies(n: int, seed_edges: int, safety_constant: float) -> int:
 @dataclass
 class CoverOutcome:
     n: int
-    copies: np.ndarray  # (t, n) int64: row i maps seed vertex -> host vertex in copy i
     owner: np.ndarray  # first covering copy of each K_n edge in triu order, -1 if none
     uncovered: np.ndarray  # (k, 2) int64: the K_n edges that no copy covers
-    copy_count: int
+    copy_count: int  # planned copies t
+    copies_used: int  # copies sampled: t, or fewer once every pair is covered
     safety_constant: float
     seed_girth: object
 
@@ -96,31 +97,42 @@ class CoverOutcome:
         return EdgePartition(host=HostSpec.complete(self.n), parts=parts)
 
 
+def _copy_permutation(n: int, rng_seed: int, i: int) -> list[int]:
+    """The permutation of copy i: seed vertex -> host vertex."""
+    perm = list(range(n))
+    random.Random(rng_seed * 1_000_003 + i).shuffle(perm)
+    return perm
+
+
 def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int) -> CoverOutcome:
     """Sample the permuted-copy cover of K_n once.
 
     Permutations are seeded Fisher-Yates; copy i draws from the stream
-    (rng_seed, i), so copies are reproducible and order-independent.
+    (rng_seed, i), so copies are reproducible and order-independent, and
+    none is kept.  Sampling stops once every pair is covered: a later copy
+    would own no edge.
     """
     seed = seed.padded_to(n)
     u, v = seed.graph._pairs().T
     t = required_copies(n, len(u), safety_constant)
-    copies = np.empty((t, n), np.int64)
     owner = np.full(n * (n - 1) // 2, -1, np.int64)
-    for i in range(t):
-        perm = list(range(n))
-        random.Random(rng_seed * 1_000_003 + i).shuffle(perm)
-        copies[i] = perm
-        lo, hi = np.minimum(copies[i, u], copies[i, v]), np.maximum(copies[i, u], copies[i, v])
+    left = len(owner)  # pairs no copy covers yet
+    used = 0
+    while left and used < t:
+        perm = np.array(_copy_permutation(n, rng_seed, used), np.int64)
+        lo, hi = np.minimum(perm[u], perm[v]), np.maximum(perm[u], perm[v])
         keys = lo * (2 * n - lo - 3) // 2 + hi - 1  # position of (lo, hi) in triu order
-        owner[keys[owner[keys] < 0]] = i  # one copy's keys are distinct
+        new = keys[owner[keys] < 0]  # one copy's keys are distinct
+        owner[new] = used
+        left -= len(new)
+        used += 1
     uncovered = np.stack(np.triu_indices(n, 1), axis=1)[owner < 0]
     return CoverOutcome(
         n=n,
-        copies=copies,
         owner=owner,
         uncovered=uncovered,
         copy_count=t,
+        copies_used=used,
         safety_constant=safety_constant,
         seed_girth=seed.girth,
     )

@@ -1,9 +1,10 @@
 import hashlib
+import json
 import os
 
 import pytest
 
-from girthcover import cli, graph
+from girthcover import cli, graph, partition
 from girthcover.algebraic import build_quadrangle, index_to_tuple
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
@@ -93,13 +94,21 @@ def test_verify_planted_cycle_fails(tmp_path):
     assert run(["cover-complete", "--n", "30", "--girth", "8", "--out", out]) == EXIT_PASS
     manifest = os.path.join(out, "manifest.txt")
     assert run(["verify", "--manifest", manifest, "--girth", "8"]) == EXIT_PASS
-    # plant a C6 into one part by swapping its edges for a hexagon
-    part_file = os.path.join(out, "parts", "part_00000.edges")
+    # plant a C6 into the first part by swapping its edges for a hexagon
+    with open(manifest) as fh:
+        lines = fh.read().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("part "))
+    *head, count = lines[i].split()
+    lines[i] = " ".join([*head, "6"])
+    with open(manifest, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    body = os.path.join(out, "parts.edges")
+    with open(body) as fh:
+        rows = fh.read().splitlines()[int(count):]
     hexagon = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
-    with open(part_file, "w") as fh:
-        fh.write(f"30 6\n")
-        for u, v in hexagon:
-            fh.write(f"{u} {v}\n")
+    with open(body, "w") as fh:
+        fh.writelines(f"{u} {v}\n" for u, v in hexagon)
+        fh.writelines(row + "\n" for row in rows)
     assert run(["verify", "--manifest", manifest, "--cycle", "6"]) == EXIT_FAIL
 
 
@@ -114,6 +123,18 @@ def test_decompose_cli_roundtrip(tmp_path):
     # a girth demand the forests meet but cyclic parts need not: use cycle-6
     # claim embedded in the manifest itself as the default check
     assert run(["verify", "--manifest", manifest]) == EXIT_PASS
+
+
+def test_decompose_c10_cli_roundtrip(tmp_path):
+    g = random_regular(120, 8, seed=2)
+    inp = str(tmp_path / "g.edges")
+    write_edge_list(g, inp)
+    out = tmp_path / "dec"
+    argv = ["decompose", "--input", inp, "--cycle", "10", "--seed", "3", "--out", str(out)]
+    assert run(argv) == EXIT_PASS
+    assert sorted(os.listdir(out)) == ["host.edges", "manifest.txt", "parts.edges"]
+    assert run(["verify", "--manifest", str(out / "manifest.txt")]) == EXIT_PASS
+    assert run(["verify", "--manifest", str(out / "manifest.txt"), "--cycle", "10"]) == EXIT_PASS
 
 
 def test_random_cover_cli(tmp_path, capsys):
@@ -134,6 +155,17 @@ def test_random_cover_with_forest_seed_verifies(tmp_path):
         "random-cover", "--n", "10", "--k", "2", "--seed-graph", str(seed), "--C", "20", "--out", out,
     ]) == EXIT_PASS
     assert run(["verify", "--manifest", os.path.join(out, "manifest.txt")]) == EXIT_PASS
+
+
+def test_random_cover_stops_at_full_cover(tmp_path, capsys):
+    # C = 1e9 plans about 2.7e11 copies; sampling stops once every pair is
+    # covered, after a few hundred.
+    out = tmp_path / "rc"
+    argv = ["random-cover", "--n", "250", "--k", "3", "--C", "1e9", "--seed", "1", "--out", str(out)]
+    assert run(argv) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out.split("\nmanifest:")[0])
+    assert report["copies"] > 10**11 and report["copies_used"] < 10**4
+    assert run(["verify", "--manifest", str(out / "manifest.txt"), "--girth", "8"]) == EXIT_PASS
 
 
 def test_bounds_cli(capsys):
@@ -178,6 +210,8 @@ def test_partition_bipartite_rejects_non_prime_q(tmp_path, q):
         "host complete x",
         "parts y",
         "part a e.edges girth z",
+        "host complete 5",  # repeats the host line
+        "parts 0\nparts 0",  # the second parts line is named
     ],
 )
 def test_verify_malformed_manifest_line(tmp_path, capsys, line):
@@ -186,7 +220,37 @@ def test_verify_malformed_manifest_line(tmp_path, capsys, line):
     manifest = tmp_path / "m" / "manifest.txt"
     manifest.write_text(f"host complete 10\n{line}\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
-    assert line in capsys.readouterr().err
+    assert line.splitlines()[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("parts 1 ../outside.edges", "path outside the manifest directory"),
+        ("parts 1", "malformed manifest line"),  # the v1 form
+        ("parts 1 parts.edges\nparts 1 parts.edges", "repeated parts line"),
+        ("host complete 5", "repeated host line"),
+        ("part a parts/a.edges girth 8", "malformed part claim"),  # the v1 form
+        ("part a girth 8", "malformed part claim"),  # no edge count
+        ("part a girth 8 x", "malformed manifest line"),
+        ("part a girth 8 -1", "malformed manifest line"),
+    ],
+)
+def test_verify_malformed_v2_manifest_line(tmp_path, capsys, line, message):
+    write_edge_list(cycle_graph(10), tmp_path / "outside.edges")
+    (tmp_path / "m").mkdir()
+    (tmp_path / "m" / "parts.edges").write_text("")
+    manifest = tmp_path / "m" / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 10\n{line}\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert f"{message}: {line.splitlines()[-1]}" in capsys.readouterr().err
+
+
+def test_verify_v2_manifest_needs_parts_line(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 10\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert "missing parts line" in capsys.readouterr().err
 
 
 def test_verify_one_token_edge_list_header(tmp_path, capsys):
@@ -204,6 +268,7 @@ def test_verify_one_token_edge_list_header(tmp_path, capsys):
         ("3 1\n0 5\n", 2, "edge (0, 5) out of range for n=3"),
         ("3 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
         ("4 1 bipartite 2 2\n0 1\n", 2, "edge (0, 1) does not cross the bipartition"),
+        ("10 2\n0 1\n0 7\n", 3, "edge (0, 7) out of range for n=4"),  # valid file, not in the host
     ],
 )
 def test_verify_names_part_file_and_line_of_bad_edge(tmp_path, capsys, text, line, message):
@@ -213,3 +278,39 @@ def test_verify_names_part_file_and_line_of_bad_edge(tmp_path, capsys, text, lin
     manifest.write_text("host complete 4\npart a parts/part_00000.edges girth 8\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
     assert f"part_00000.edges, line {line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, counts, message",
+    [
+        ("0 1\n1 2\n0 7\n", (1, 2), "parts.edges, line 3: edge (0, 7) out of range for n=4"),
+        ("0 1\n\n# a comment\n2 1\n", (1, 1), "parts.edges, line 4: edge (2,1) not in u < v form"),
+        ("0 1\n1 2\n0 1\n", (3,), "parts.edges, line 3: duplicate edge (0, 1)"),
+        # an edge in two parts is not the fault; the bad line after it is
+        ("0 1\n0 1\n0 7\n", (1, 2), "parts.edges, line 3: edge (0, 7) out of range for n=4"),
+        ("0 1\n1 x\n", (1, 1), "parts.edges, line 2: malformed edge line '1 x'"),
+        ("0 1\n1 2\n", (1,), "parts.edges: the manifest claims 1 edges, the file has 2"),
+        ("0 1\n", (1, 1), "parts.edges: the manifest claims 2 edges, the file has 1"),
+    ],
+)
+def test_verify_names_body_line_of_bad_edge(tmp_path, capsys, body, counts, message):
+    (tmp_path / "parts.edges").write_text(body)
+    parts = "".join(f"part p{i} girth 8 {count}\n" for i, count in enumerate(counts))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"{partition._MANIFEST_V2}\nhost complete 4\nparts {len(counts)} parts.edges\n{parts}"
+    )
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_verify_body_duplicate_across_parts_fails_exactness(tmp_path, capsys):
+    # The same edge in two parts is a wrong partition, not a malformed one.
+    (tmp_path / "parts.edges").write_text("0 1\n0 1\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"{partition._MANIFEST_V2}\nhost complete 2\nparts 2 parts.edges\n"
+        "part a girth 8 1\npart b girth 8 1\n"
+    )
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_FAIL
+    assert "exactness: FAIL" in capsys.readouterr().out

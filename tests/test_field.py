@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from girthcover.algebraic import build_quadrangle, is_edge_h, is_edge_q, solve_shift_h, solve_shift_q
-from girthcover.field import is_prime, next_prime_at_least
+from girthcover.algebraic import (
+    build_quadrangle,
+    is_edge_h,
+    is_edge_q,
+    is_prime,
+    next_prime_at_least,
+    solve_shift_h,
+    solve_shift_q,
+)
 from girthcover.partition import partition_bipartite_exact
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import os
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -302,23 +305,33 @@ def test_manifest_roundtrip(tmp_path):
     assert verify_partition(back).passed
 
 
-def test_manifest_tamper_detected(tmp_path):
-    ep = cover_bipartite(20, 8)
-    path = write_manifest(ep, tmp_path / "m")
-    # swap one part edge for an edge it does not own: exactness must fail
-    import glob
+# The v1 writer's output for cover_complete(60, 8): 75 part files.
+FIXTURE_V1 = Path(__file__).parent / "data" / "cover_k60_v1"
 
-    part_file = sorted(glob.glob(str(tmp_path / "m" / "parts" / "*.edges")))[0]
-    with open(part_file) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split()
-    u, v = map(int, lines[1].split())
-    other = (u, v + 1) if v + 1 < 40 and v + 1 != u else (u, v - 1)
-    lines[1] = f"{other[0]} {other[1]}"
-    with open(part_file, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    back = read_manifest(path)
-    assert not verify_partition(back).passed
+
+def tamper_and_verify(root, first, last, skip: int):
+    """Replace the first edge of the first part (file ``first``, after ``skip``
+    header lines) by the last edge of the last part (file ``last``): the edge
+    is then in two parts and another in none.  The manifest still reads, but
+    exactness must fail."""
+    lines = first.read_text().splitlines()
+    lines[skip] = last.read_text().splitlines()[-1]
+    first.write_text("\n".join(lines) + "\n")
+    rep = verify_partition(read_manifest(root / "manifest.txt"))
+    assert not rep.exact and not rep.passed
+
+
+def test_manifest_tamper_detected(tmp_path):
+    root = tmp_path / "m"
+    write_manifest(cover_complete(60, 8)[0], root)
+    tamper_and_verify(root, root / "parts.edges", root / "parts.edges", 0)
+
+
+def test_manifest_v1_tamper_detected(tmp_path):
+    root = tmp_path / "m"
+    shutil.copytree(FIXTURE_V1, root)
+    parts = root / "parts"
+    tamper_and_verify(root, parts / "part_00000.edges", parts / "part_00074.edges", 1)
 
 
 def test_manifest_explicit_host(tmp_path):
@@ -355,12 +368,8 @@ def test_bipartite_partitions_match_recorded_hashes(key):
     assert h.hexdigest() == PARTITION_SHA256[key]
 
 
-def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
-    # Recorded before the graph core moved to CSR arrays: every file of the
-    # manifest directory, names and bytes, must not change.
-    ep, _ = cover_complete(60, 8)
-    root = tmp_path / "m"
-    write_manifest(ep, root)
+def tree_sha256(root) -> str:
+    """sha256 over every file of a directory tree, names and bytes."""
     h = hashlib.sha256()
     for dirpath, _, files in sorted(os.walk(root)):
         for name in sorted(files):
@@ -368,4 +377,54 @@ def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
             h.update(os.path.relpath(path, root).encode() + b"\0")
             with open(path, "rb") as fh:
                 h.update(fh.read())
-    assert h.hexdigest() == "d1214f20ea229a2d221c7acd584b9caf7bebd8e45e4dfa616a10d783d4939cc3"
+    return h.hexdigest()
+
+
+def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
+    # The v1 hash was recorded before the graph core moved to CSR arrays, and
+    # pins the committed v1 fixture; the v2 hash pins the v2 writer's output
+    # for the same partition.  Names and bytes must not change.
+    assert tree_sha256(FIXTURE_V1) == "d1214f20ea229a2d221c7acd584b9caf7bebd8e45e4dfa616a10d783d4939cc3"
+    ep, _ = cover_complete(60, 8)
+    write_manifest(ep, tmp_path / "m")
+    assert sorted(os.listdir(tmp_path / "m")) == ["manifest.txt", "parts.edges"]
+    assert tree_sha256(tmp_path / "m") == "08eaa646bee26ba4e4b70d5d9ad8df5afe536704d102bd6083ae960d9332888e"
+
+
+def test_v1_fixture_and_v2_write_decode_to_equal_parts(tmp_path):
+    v1 = read_manifest(FIXTURE_V1 / "manifest.txt")
+    ep, _ = cover_complete(60, 8)
+    v2 = read_manifest(write_manifest(ep, tmp_path / "m"))
+    assert (v1.host.kind, v1.host.n) == (v2.host.kind, v2.host.n) == ("complete", 60)
+    assert len(v1.parts) == len(v2.parts) == len(ep.parts) == 75
+    for a, b, c in zip(v1.parts, v2.parts, ep.parts):
+        assert (a.name, a.girth_target, a.forbidden_cycle) == (b.name, b.girth_target, b.forbidden_cycle)
+        assert (b.name, b.girth_target) == (c.name, c.girth_target)
+        assert np.array_equal(a.edges, b.edges) and np.array_equal(b.edges, c.edges)
+    assert verify_partition(v1).passed and verify_partition(v2).passed
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 4)], "part b: edge (0, 4) out of range for n=4"),
+        ([(-1, 2)], "part b: edge (-1, 2) out of range for n=4"),
+        ([(2, 2)], "part b: edge (2, 2) is a loop"),
+        ([(1, 2), (0, 3), (2, 1)], "part b: edge (1, 2) is a duplicate"),
+    ],
+)
+def test_write_manifest_refuses_bad_part(tmp_path, edges, message):
+    ep = EdgePartition(HostSpec.complete(4), [Part("a", [(0, 1)]), Part("b", edges)])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_manifest(ep, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
+def test_write_manifest_keeps_a_duplicate_across_parts(tmp_path):
+    # Not a malformed part: the manifest is written and read back, and only
+    # exactness fails.
+    host = HostSpec.complete(3)
+    ep = EdgePartition(host, [Part("a", [(1, 2), (0, 1)]), Part("b", [(1, 0)])])
+    back = read_manifest(write_manifest(ep, tmp_path / "m"))
+    assert [p.edges.tolist() for p in back.parts] == [[[0, 1], [1, 2]], [[0, 1]]]
+    assert not verify_partition(back).exact

@@ -5,6 +5,7 @@ import pytest
 from girthcover.graph import Graph
 from girthcover.randomcover import (
     SeedGraph,
+    _copy_permutation,
     builtin_seed_for_cycle,
     cover_for_cycle,
     cover_random,
@@ -113,7 +114,10 @@ def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_
     copies, assignment, uncovered = first_cover_wins_dict(
         n, seed.padded_to(n).graph, outcome.copy_count, rng_seed
     )
-    assert outcome.copies.tolist() == copies
+    used = outcome.copies_used
+    assert [_copy_permutation(n, rng_seed, i) for i in range(used)] == copies[:used]
+    # sampling stops at the copy that completes the cover, and only there
+    assert used == (outcome.copy_count if uncovered else outcome.owner.max() + 1)
     triu = [(u, v) for u in range(n) for v in range(u + 1, n)]
     assert outcome.owner.tolist() == [assignment.get(e, -1) for e in triu]
     assert list(map(tuple, outcome.uncovered.tolist())) == uncovered
@@ -138,7 +142,7 @@ def test_coverage_calibration():
     outcome = cover_random(n, seed, 3.0, rng_seed=5)
     counts = {}
     seed_edges = list(seed.graph.edges())
-    for perm in outcome.copies:
+    for perm in (_copy_permutation(n, 5, i) for i in range(outcome.copy_count)):
         for u, v in seed_edges:
             a, b = perm[u], perm[v]
             key = (a, b) if a < b else (b, a)
