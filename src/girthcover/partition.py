@@ -103,14 +103,20 @@ class HostSpec:
         return self.edges
 
 
+def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For edges given as (u, v) with u <= v: the keys u*n + v, and which
+    edges are a loop or have an id outside 0..n-1.  Only the keys of the
+    other edges are sound; a flagged edge can share its key with an edge of
+    K_n."""
+    u, v = pairs.T
+    return u * n + v, (u < 0) | (v >= n) | (u == v)
+
+
 def _sorted_keys(pairs: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """The sorted keys u*n + v of the edges, each taken as (u, v) with u < v,
-    or None if one is a loop or has an id outside 0..n-1: such an edge can
-    share its key with an edge of K_n."""
-    lo, hi = np.sort(pairs, axis=1).T
-    if ((lo < 0) | (hi >= n) | (lo == hi)).any():
-        return None
-    return np.sort(lo * n + hi)
+    """The sorted keys of the edges, each taken as (u, v) with u < v, or None
+    if one is a loop or has an id outside 0..n-1."""
+    keys, bad = _edge_keys(np.sort(pairs, axis=1), n)
+    return None if bad.any() else np.sort(keys)
 
 
 @dataclass(eq=False)
@@ -365,27 +371,27 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 # manifest.txt:
 #     # girthcover partition manifest v2
 #     host complete 250            (or "host bipartite 125 125" / "host file host.edges")
-#     parts 25 parts.edges
+#     parts 25
 #     part <name> girth 8 <edge count>        (or "cycle-free 6" / "none" as the claim)
 #
 # The body has no header: it is the "u v" lines of the edge-list format, the
 # parts' rows back to back in the order of the part lines, each part's rows
-# sorted with u < v.  The first line selects the version; a manifest without
-# the v2 line is read as v1, whose "parts N" line names no body and whose
-# part lines are "part <name> <relative-path> <claim>", one edge-list file
-# per part.  Relative paths must stay inside the manifest directory.
+# sorted with u < v.  Its name is fixed, so no manifest line can point it
+# elsewhere.  The first line selects the version; a manifest without the v2
+# line is read as v1, whose part lines are "part <name> <relative-path>
+# <claim>", one edge-list file per part.  Relative paths must stay inside the
+# manifest directory.
 
 _MANIFEST_V2 = "# girthcover partition manifest v2"
 
 
-def _part_rows(pairs: np.ndarray, counts, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the parts' edges back to back, ``counts`` rows per part: the order
-    of the rows by (part, u, v), and for each ordered row its part index and
-    whether it repeats the row before it in that part.
-    Two stable sorts, by the key u*n + v and then by part, are far faster
-    than a lexsort and cannot overflow as a part*n*n term could."""
+def _part_rows(keys: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the edge keys of the parts back to back, ``counts`` rows per part:
+    the order of the rows by (part, key), and for each ordered row its part
+    index and whether it repeats the row before it in that part.
+    Two stable sorts, by key and then by part, are far faster than a lexsort
+    and cannot overflow as a part*n*n term could."""
     index = np.repeat(np.arange(len(counts)), counts)
-    keys = pairs[:, 0] * n + pairs[:, 1]
     by_key = np.argsort(keys, kind="stable")
     order = by_key[np.argsort(index[by_key], kind="stable")]
     keys, index = keys[order], index[order]
@@ -401,16 +407,14 @@ def write_manifest(p: EdgePartition, directory) -> str:
     n = p.host.n
     counts = [len(part.edges) for part in p.parts]
     pairs = np.sort(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in p.parts]), axis=1)
-    order, index, repeat = _part_rows(pairs, counts, n)
+    keys, bad = _edge_keys(pairs, n)
+    order, index, repeat = _part_rows(keys, counts)
     pairs = pairs[order]
-    for fault, what in [
-        ((pairs[:, 0] < 0) | (pairs[:, 1] >= n), f"out of range for n={n}"),
-        (pairs[:, 0] == pairs[:, 1], "is a loop"),
-        (repeat, "is a duplicate"),
-    ]:
-        if (bad := np.flatnonzero(fault)).size:
-            u, v = pairs[bad[0]].tolist()
-            raise ValueError(f"part {p.parts[index[bad[0]]].name}: edge ({u}, {v}) {what}")
+    if (at := np.flatnonzero(bad[order] | repeat)).size:
+        # The first flagged row is bad itself or repeats a sound edge.
+        u, v = pairs[at[0]].tolist()
+        what = f"out of range for n={n}" if u < 0 or v >= n else "is a loop" if u == v else "is a duplicate"
+        raise ValueError(f"part {p.parts[index[at[0]]].name}: edge ({u}, {v}) {what}")
     os.makedirs(directory, exist_ok=True)
     lines = [_MANIFEST_V2]
     if p.host.kind == "complete":
@@ -420,7 +424,7 @@ def write_manifest(p: EdgePartition, directory) -> str:
     else:
         write_edge_list(Graph(n, p.host.edges), os.path.join(directory, "host.edges"))
         lines.append("host file host.edges")
-    lines.append(f"parts {len(p.parts)} parts.edges")
+    lines.append(f"parts {len(p.parts)}")
     with open(os.path.join(directory, "parts.edges"), "w") as fh:
         _write_rows(fh, "%d %d\n", pairs)
     for part, count in zip(p.parts, counts):
@@ -472,7 +476,6 @@ def read_manifest(manifest_path) -> EdgePartition:
 
     host = None
     n_parts = None
-    body = None  # v2: the body path
     specs = []  # (name, girth target, forbidden cycle, edge count or v1 part path)
     with open(manifest_path) as fh:
         v2 = fh.readline().strip() == _MANIFEST_V2
@@ -493,10 +496,8 @@ def read_manifest(manifest_path) -> EdgePartition:
                 case ["host", "file", rel]:
                     g = read_edge_list(inside(rel, line))
                     host = HostSpec.explicit(g.n, g._pairs())
-                case ["parts", count] if not v2:
+                case ["parts", count]:
                     n_parts = number(count, line)
-                case ["parts", count, rel] if v2:
-                    n_parts, body = number(count, line), inside(rel, line)
                 case ["part", name, *tokens, count] if v2:
                     if (edges := number(count, line)) < 0:
                         raise malformed(line)
@@ -507,11 +508,12 @@ def read_manifest(manifest_path) -> EdgePartition:
                     raise malformed(line)
     if host is None:
         raise ValueError(f"{manifest_path}: missing host line")
-    if v2 and body is None:
-        raise ValueError(f"{manifest_path}: missing parts line")
     if n_parts is not None and n_parts != len(specs):
         raise ValueError(f"{manifest_path}: expected {n_parts} parts, found {len(specs)}")
-    edges = _read_body(body, host.n, [s[3] for s in specs]) if v2 else _read_v1_parts(specs, host.n)
+    if v2:
+        edges = _read_body(os.path.join(directory, "parts.edges"), host.n, [s[3] for s in specs])
+    else:
+        edges = _read_v1_parts(specs, host.n)
     parts = [Part(name, e, girth, forbid) for (name, girth, forbid, _), e in zip(specs, edges)]
     return EdgePartition(host=host, parts=parts)
 
@@ -524,7 +526,8 @@ def _read_body(path: str, n: int, counts: list) -> list[np.ndarray]:
         pairs = _read_rows(fh, path, n, None, header=False, groups=counts)
     if len(pairs) != sum(counts):
         raise ValueError(f"{path}: the manifest claims {sum(counts)} edges, the file has {len(pairs)}")
-    if (pairs[:, 0] < 0).any() or (pairs[:, 1] >= n).any() or _part_rows(pairs, counts, n)[2].any():
+    keys, bad = _edge_keys(pairs, n)
+    if bad.any() or _part_rows(keys, counts)[2].any():
         raise _edge_line_error(path, n, None, "bad edge line", header=False, groups=counts)
     return np.split(pairs, np.cumsum(counts, dtype=np.int64)[:-1])
 

@@ -388,7 +388,7 @@ def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
     ep, _ = cover_complete(60, 8)
     write_manifest(ep, tmp_path / "m")
     assert sorted(os.listdir(tmp_path / "m")) == ["manifest.txt", "parts.edges"]
-    assert tree_sha256(tmp_path / "m") == "08eaa646bee26ba4e4b70d5d9ad8df5afe536704d102bd6083ae960d9332888e"
+    assert tree_sha256(tmp_path / "m") == "0c8202821739bd6cdd0b0cf56336d5235009683498df3e8e6c3143247a20867c"
 
 
 def test_v1_fixture_and_v2_write_decode_to_equal_parts(tmp_path):

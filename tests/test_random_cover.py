@@ -135,22 +135,22 @@ def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_
 
 
 def test_coverage_calibration():
-    # replay the returned permutations and compare mean coverage with
-    # t * seed_edges / (n(n-1)/2)
+    # replay the copies cover_random used through the seed graph's edge
+    # list: they must leave exactly its uncovered pairs, and sampling stops
+    # at full cover, so the copies before the last one leave some pair
     n = 20
     seed = SeedGraph.certify(petersen_graph()).padded_to(n)
     outcome = cover_random(n, seed, 3.0, rng_seed=5)
-    counts = {}
-    seed_edges = list(seed.graph.edges())
-    for perm in (_copy_permutation(n, 5, i) for i in range(outcome.copy_count)):
-        for u, v in seed_edges:
-            a, b = perm[u], perm[v]
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    pairs = n * (n - 1) // 2
-    mean = sum(counts.values()) / pairs
-    expected = outcome.copy_count * len(seed_edges) / pairs
-    assert abs(mean - expected) / expected < 0.05
+    covered = []
+    for i in range(outcome.copies_used):
+        perm = _copy_permutation(n, 5, i)
+        covered.append({tuple(sorted((perm[u], perm[v]))) for u, v in seed.graph.edges()})
+    triu = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    uncovered = [e for e in triu if not any(e in c for c in covered)]
+    assert list(map(tuple, outcome.uncovered.tolist())) == uncovered
+    assert 0 < outcome.copies_used <= outcome.copy_count
+    if not uncovered:
+        assert len(set(triu).difference(*covered[:-1])) > 0
 
 
 def test_success_rate_monotone_in_C():
