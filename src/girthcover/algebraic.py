@@ -34,9 +34,10 @@ at once, for the complete-graph locator.  ``is_edge_q/h`` and
 ``solve_shift_q/h`` check and solve it for a single pair, as oracles.
 
 Each built graph carries an automorphism certificate for its girth search:
-coordinate translations that preserve the incidence equations for every
-shift (see ``_QUADRANGLE_AUTOMORPHISMS`` and ``_HEXAGON_AUTOMORPHISMS``).
-The graph checks them before use.
+coordinate maps that preserve the zero-shift incidence equations,
+conjugated by the graph's shift (see ``_QUADRANGLE_AUTOMORPHISMS`` and
+``_HEXAGON_AUTOMORPHISMS``).  The graph checks them before use.  They make
+the points one orbit, so the search needs a single root.
 
 The moduli are primes q >= 5, which makes 2 and 3 invertible, as the
 defining systems and the shift solvers need: ``is_prime`` validates a
@@ -192,11 +193,11 @@ def is_edge_h(p: tuple[int, ...], l: tuple[int, ...], shift: tuple[int, ...], q:
 
 
 # Automorphisms as maps (point coords, line coords) -> (point coords, line
-# coords), images taken mod q.  Substituting an image pair into the incidence
-# equations gives back the original equations, whatever the shift.  The
-# quadrangle maps make the points one orbit and leave q line orbits (one per
-# l1); the hexagon maps move only p4, p5 and l4, l5, leaving q^3 orbits on
-# each side.
+# coords), images taken mod q, stated for the zero shift: substituting an
+# image pair into the zero-shift incidence equations gives back the original
+# equations.  A shifted graph takes each map conjugated by its shift (add the
+# shift to p2.., apply the map, subtract it again).  On either construction
+# the maps make the points one orbit and leave q line orbits (one per l1).
 _QUADRANGLE_AUTOMORPHISMS = (
     # (p1+1 ; l2+l1)
     lambda p, l: ((p[0] + 1, p[1], p[2]), (l[0], l[1] + l[0], l[2])),
@@ -206,6 +207,18 @@ _QUADRANGLE_AUTOMORPHISMS = (
     lambda p, l: ((p[0], p[1], p[2] + 1), (l[0], l[1], l[2] + 2)),
 )
 _HEXAGON_AUTOMORPHISMS = (
+    # (p1+1, p5+p4 ; l2+l1, l5+l4)
+    lambda p, l: ((p[0] + 1, p[1], p[2], p[3], p[4] + p[3]), (l[0], l[1] + l[0], l[2], l[3], l[4] + l[3])),
+    # (p2+1, p5+3*p3 ; l2+1, l3-2*l1, l5+3*l3-3*l1)
+    lambda p, l: (
+        (p[0], p[1] + 1, p[2], p[3], p[4] + 3 * p[2]),
+        (l[0], l[1] + 1, l[2] - 2 * l[0], l[3], l[4] + 3 * l[2] - 3 * l[0]),
+    ),
+    # (p3+1, p5-3*p2 ; l3+2, l4-3*l1, l5-3*l2)
+    lambda p, l: (
+        (p[0], p[1], p[2] + 1, p[3], p[4] - 3 * p[1]),
+        (l[0], l[1], l[2] + 2, l[3] - 3 * l[0], l[4] - 3 * l[1]),
+    ),
     # (p4+1, p5-p1 ; l4+3)
     lambda p, l: ((p[0], p[1], p[2], p[3] + 1, p[4] - p[0]), (l[0], l[1], l[2], l[3] + 3, l[4])),
     # (p5+2 ; l5+3)
@@ -213,16 +226,24 @@ _HEXAGON_AUTOMORPHISMS = (
 )
 
 
-def _automorphisms(q: int, arity: int) -> list[np.ndarray]:
-    """The construction's automorphism generators as vertex permutations."""
+def _automorphisms(q: int, arity: int, shift: tuple[int, ...]) -> list[np.ndarray]:
+    """The construction's automorphism generators, conjugated by ``shift``,
+    as vertex permutations."""
     n_side = q**arity
     coords = _coords(np.arange(n_side, dtype=np.int64), q, arity)
     maps = _QUADRANGLE_AUTOMORPHISMS if arity == 3 else _HEXAGON_AUTOMORPHISMS
     perms = []
     for f in maps:
-        points, lines = f(coords, coords)
-        perms.append(np.concatenate([_index(points, q), n_side + _index(lines, q)]))
+        points, lines = f(_shift_points(coords, shift, 1), coords)
+        perms.append(np.concatenate([_index(_shift_points(points, shift, -1), q), n_side + _index(lines, q)]))
     return perms
+
+
+def _shift_points(coords, shift: Sequence[int], sign: int) -> list:
+    """Point coordinates with ``sign`` times the shift added to p2..: with
+    sign 1, the shift isomorphism that sends the shifted copy onto the
+    zero-shift one (lines stay fixed)."""
+    return [coords[0], *(c + sign * b for c, b in zip(coords[1:], shift))]
 
 
 def _build(q: int, arity: int, shift: Optional[Sequence[int]]) -> PointLineGraph:
@@ -238,7 +259,7 @@ def _build(q: int, arity: int, shift: Optional[Sequence[int]]) -> PointLineGraph
     lines = n_side + _incident_lines(q, arity, shift, n_side)
     edges = np.stack([np.repeat(np.arange(n_side), q), lines.ravel()], axis=1)
     side = [0] * n_side + [1] * n_side
-    automorphisms = partial(_automorphisms, q, arity)
+    automorphisms = partial(_automorphisms, q, arity, shift)
     g = Graph(2 * n_side, edges, side=side, automorphisms=automorphisms)
     return PointLineGraph(q=q, arity=arity, shift=shift, graph=g)
 

@@ -136,7 +136,9 @@ def _cmd_verify(args) -> int:
     print(f"host: {report.host.kind} n={report.host.n} "
           f"({report.host.edge_count} edges, {len(ep.parts)} parts)")
     print(f"exactness: {'PASS' if report.exact else 'FAIL'}")
-    print(f"certificates: {len(report.checks) - len(failed)}/{len(report.checks)} pass")
+    by_certificate = sum(c.decided_by == "certificate" for c in report.checks)
+    print(f"certificates: {len(report.checks) - len(failed)}/{len(report.checks)} pass "
+          f"({by_certificate} by certificate, {len(report.checks) - by_certificate} by search)")
     for c in failed[:20]:
         print(f"  FAIL {c.name}: {c.claim}")
     print(f"wall clock: {time.time() - t0:.2f}s")

@@ -19,7 +19,9 @@ automorphism on each girth query, and then roots at one vertex per orbit
 of the group they generate: an automorphism carries a shortest cycle
 through any vertex onto a shortest cycle through that vertex's orbit
 representative, so the minimum over these roots is still the exact girth.
-Certificates are never inherited by derived graphs.
+A graph with sides needs only the orbits that meet one side, the side with
+fewer of them, since every cycle meets both.  Certificates are never
+inherited by derived graphs.
 
 Edge lists are text.  The first line that is neither blank nor a comment is
 the header, ``n m`` or ``n m bipartite a b``; every later one is an edge
@@ -202,26 +204,36 @@ class Graph:
         return int(girth_scan(indptr, indices, self.n, cap, roots))
 
     def _girth_roots(self):
-        """One root per orbit of the certified automorphisms, else cycle-hitting roots."""
+        """One root per orbit of the certified automorphisms (per orbit that
+        meets one side, for a graph with sides), else cycle-hitting roots."""
         if self._automorphisms is None:
             return self._cycle_hitting_roots()
         if callable(self._automorphisms):  # built on the first girth query
             self._automorphisms = tuple(self._automorphisms())
         checked = [self._checked_automorphism(perm) for perm in self._automorphisms]
-        parent = list(range(self.n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for perm in checked:
-            for v, w in enumerate(perm.tolist()):
-                rv, rw = find(v), find(w)
-                if rv != rw:
-                    parent[max(rv, rw)] = min(rv, rw)
-        return np.array([v for v in range(self.n) if parent[v] == v], dtype=np.int32)
+        # The smallest vertex of each orbit, by min-label propagation along
+        # the generators and pointer jumping: labels only fall and stay in
+        # their orbit, and they stop changing once they are constant on it.
+        orbit = np.arange(self.n)
+        while True:
+            last = orbit
+            for perm in checked:
+                orbit = np.minimum(orbit, orbit[perm])
+                orbit[perm] = np.minimum(orbit[perm], orbit)
+            orbit = orbit[orbit]
+            if np.array_equal(orbit, last):
+                break
+        if self.side is None:
+            return np.flatnonzero(orbit == np.arange(self.n)).astype(np.int32)
+        # Every cycle crosses between the sides, so it meets both: one vertex
+        # per orbit that meets one side will do.  Take the side whose vertices
+        # lie in fewer orbits.
+        side = np.asarray(self.side)
+        roots = []
+        for s in (0, 1):
+            members = np.flatnonzero(side == s)
+            roots.append(members[np.unique(orbit[members], return_index=True)[1]])
+        return np.sort(min(roots, key=len)).astype(np.int32)
 
     def _cycle_hitting_roots(self):
         """Sorted vertices meeting every cycle, per component of the 2-core:
@@ -265,6 +277,12 @@ class Graph:
         roots.sort()
         return np.array(roots, dtype=np.int32)
 
+    def _keys(self) -> np.ndarray:
+        """The directed-edge keys u*n + w, two per edge.  They come out
+        sorted, because the CSR rows and each row's neighbours are."""
+        indptr, indices = self._csr
+        return np.repeat(np.arange(self.n, dtype=np.int64) * self.n, np.diff(indptr)) + indices
+
     def _checked_automorphism(self, perm):
         """``perm`` as an int64 array, or ``ValueError`` unless it is an automorphism."""
         n = self.n
@@ -276,11 +294,10 @@ class Graph:
         if (np.bincount(perm, minlength=n) != 1).any():
             raise ValueError(not_permutation)
         indptr, indices = self._csr
-        # The directed-edge keys u*n + w come out sorted, because the CSR rows
-        # and each row's neighbours are.  A bijection on vertices that maps
-        # every edge to an edge maps E onto E.  Rows are checked in blocks so
-        # that the extra memory stays small next to the graph's own.
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(indptr)) + indices
+        # A bijection on vertices that maps every edge to an edge maps E onto
+        # E.  Rows are checked in blocks so that the extra memory stays small
+        # next to the graph's own.
+        keys = self._keys()
         for lo in range(0, n, _CHECK_BLOCK):
             hi = min(lo + _CHECK_BLOCK, n)
             tail_images = np.repeat(perm[lo:hi], np.diff(indptr[lo : hi + 1]))
@@ -377,17 +394,34 @@ def is_locally_injective_hom(f: Graph, g: Graph, phi: Sequence[int]) -> bool:
     """
     if len(phi) != f.n:
         raise ValueError("phi must map every vertex of f")
-    for x in phi:
-        if not 0 <= x < g.n:
-            raise ValueError(f"phi value {x} outside target vertex range")
-    for u, v in f.edges():
-        if phi[u] == phi[v] or not g.has_edge(phi[u], phi[v]):
-            return False
-    for v in range(f.n):
-        images = [phi[w] for w in f.neighbors(v)]
-        if len(set(images)) != len(images):
-            return False
-    return True
+    phi = np.asarray(phi, dtype=np.int64).reshape(f.n)
+    if (bad := np.flatnonzero((phi < 0) | (phi >= g.n))).size:
+        raise ValueError(f"phi value {phi[bad[0]]} outside target vertex range")
+    u, v = f._pairs().T
+    return _hom_failures(g._keys(), g.n, u, v, phi[u], phi[v], np.zeros(len(u), np.int64)).size == 0
+
+
+def _hom_failures(keys: np.ndarray, n: int, u, v, fu, fv, group) -> np.ndarray:
+    """The groups in which a map of edges fails to be a locally injective
+    homomorphism, with repeats.
+
+    Edge (u[i], v[i]) of group ``group[i]`` is sent to (fu[i], fv[i]) in a
+    target on n vertices whose sorted directed-edge keys are ``keys``.  A
+    group fails if one of its edge images is not a target edge, or if one of
+    its vertices has two edges whose other ends share an image: a duplicate
+    among the sorted (group, vertex, image of the other end) triples.  The
+    images must come from a map on vertices for this to check one.
+    """
+    images = fu * n + fv
+    if keys.size:
+        missing = keys.take(np.searchsorted(keys, images), mode="clip") != images
+    else:
+        missing = np.ones(len(images), bool)
+    tails, heads, groups = (np.concatenate(pair) for pair in ((u, v), (fv, fu), (group, group)))
+    order = np.lexsort((heads, tails, groups))
+    tails, heads, groups = tails[order], heads[order], groups[order]
+    repeat = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1]) & (groups[1:] == groups[:-1])
+    return np.concatenate([group[missing], groups[1:][repeat]])
 
 
 # ---------------------------------------------------------------------------

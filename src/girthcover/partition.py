@@ -33,10 +33,22 @@ from typing import Optional
 
 import numpy as np
 
-from .algebraic import _check_q, _incident_lines, _shift_index, index_to_tuple, next_prime_at_least
+from .algebraic import (
+    _check_q,
+    _coords,
+    _incident_lines,
+    _index,
+    _shift_index,
+    _shift_points,
+    build_hexagon,
+    build_quadrangle,
+    index_to_tuple,
+    next_prime_at_least,
+)
 from .graph import (
     Graph,
     _edge_line_error,
+    _hom_failures,
     _read_rows,
     _write_rows,
     edge_array,
@@ -46,7 +58,7 @@ from .graph import (
 )
 
 _GIRTH_ARITY = {8: 3, 12: 5}
-_LOCATE_BLOCK = 8192  # edges per block of the array locate
+_LOCATE_BLOCK = 8192  # edges per block of the array locate and of a certificate run
 
 
 def _arity_for(target_girth: int) -> int:
@@ -93,15 +105,6 @@ class HostSpec:
             return self.a * self.b
         return len(self.edges)
 
-    def _pairs(self) -> np.ndarray:
-        """The host's edges as an (m, 2) array."""
-        if self.kind == "complete":
-            return np.stack(np.triu_indices(self.n, 1), axis=1)
-        if self.kind == "bipartite":
-            u, v = np.divmod(np.arange(self.a * self.b, dtype=np.int64), self.b)
-            return np.stack([u, self.a + v], axis=1)
-        return self.edges
-
 
 def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For edges given as (u, v) with u <= v: the keys u*n + v, and which
@@ -147,13 +150,26 @@ class EdgePartition:
     parts: list[Part]
 
     def is_exact(self) -> bool:
-        """Union of parts equals the host edge set, each edge exactly once:
-        one sort of the parts' edge keys, compared with the host's."""
-        pairs = np.concatenate([np.empty((0, 2), np.int64)] + [p.edges for p in self.parts])
-        keys, host = (_sorted_keys(e, self.host.n) for e in (pairs, self.host._pairs()))
-        if keys is None or host is None:
+        """Union of parts equals the host edge set, each edge exactly once.
+
+        The part edges are counted against the host's before anything is
+        built, then sorted once as keys.  A complete or bipartite host is
+        never enumerated: as many distinct valid keys as it has edges
+        (crossing ones, for a bipartite host) are its edge set.  An explicit
+        host's sorted keys are compared with the parts'."""
+        host = self.host
+        if sum(len(p.edges) for p in self.parts) != host.edge_count:
             return False
-        return np.array_equal(keys, host) and bool((keys[1:] != keys[:-1]).all())
+        pairs = np.concatenate([np.empty((0, 2), np.int64)] + [p.edges for p in self.parts])
+        keys = _sorted_keys(pairs, host.n)
+        if keys is None or (keys[1:] == keys[:-1]).any():
+            return False
+        if host.kind == "bipartite":
+            return bool(((pairs < host.a).sum(axis=1) == 1).all())
+        if host.kind == "explicit":
+            host_keys = _sorted_keys(host.edges, host.n)
+            return host_keys is not None and np.array_equal(keys, host_keys)
+        return True
 
 
 @dataclass
@@ -161,6 +177,7 @@ class PartCheck:
     name: str
     claim: str
     passed: bool
+    decided_by: str  # "certificate" or "search"
 
 
 @dataclass
@@ -182,26 +199,131 @@ def verify_partition(
     """Re-derive every certificate from the edge lists alone.
 
     Per-part claims stored on the parts are used unless overridden by the
-    arguments; nothing claimed is trusted.
+    arguments; nothing claimed is trusted.  Exactness is checked first.  On
+    an exact partition of K_n or K_{m,m}, a girth claim is then tried by the
+    certificate that the host line and the part's edges determine (see
+    ``_certified``); every part it does not decide is searched directly.
     """
-    checks = []
-    n = p.host.n
     override = (girth_target, forbidden_cycle)
-    for part in p.parts:
-        g = part.graph(n)
-        if override == (None, None):
-            target, forbid = part.girth_target, part.forbidden_cycle
-        else:  # an explicit override ignores the part's own claim entirely
-            target, forbid = override
+    if override == (None, None):
+        claims = [(part.girth_target, part.forbidden_cycle) for part in p.parts]
+    else:  # an explicit override ignores the part's own claim entirely
+        claims = [override] * len(p.parts)
+    exact = p.is_exact()
+    certified = _certified(p, [target for target, _ in claims]) if exact else [False] * len(p.parts)
+    checks = []
+    for part, (target, forbid), by_certificate in zip(p.parts, claims, certified):
+        if by_certificate:
+            checks.append(PartCheck(part.name, f"girth>={target}", True, "certificate"))
+            continue
+        g = part.graph(p.host.n)
         if target is not None:
             ok = g.girth_exceeds(target - 1)
-            checks.append(PartCheck(part.name, f"girth>={target}", ok))
+            checks.append(PartCheck(part.name, f"girth>={target}", ok, "search"))
         elif forbid is not None:
             ok = not g.has_cycle_of_length(forbid)
-            checks.append(PartCheck(part.name, f"no C_{forbid}", ok))
+            checks.append(PartCheck(part.name, f"no C_{forbid}", ok, "search"))
         else:
-            checks.append(PartCheck(part.name, "no claim", False))
-    return VerificationReport(host=p.host, exact=p.is_exact(), checks=checks)
+            checks.append(PartCheck(part.name, "no claim", False, "search"))
+    return VerificationReport(host=p.host, exact=exact, checks=checks)
+
+
+# ---------------------------------------------------------------------------
+# Certificates for the parts of a complete or complete bipartite host
+#
+# A locally injective homomorphism into a graph of girth g sends every cycle
+# onto a closed non-backtracking walk, which contains a cycle no longer than
+# the first, so its source has girth >= g.  The covers below send each part
+# into one zero-shift base: the quadrangle (girth 8) for a claim of girth at
+# most 8, the hexagon (girth 12) for one of at most 12.  The map is rebuilt
+# from the host line and the edges alone: the locator gives each edge its
+# (level, shift) class and local (point, line) coordinates, and the shift
+# isomorphism sends a point to the base point with the shift added to p2..;
+# lines stay fixed.  The image of a vertex depends only on the vertex and its
+# class, so on a part whose edges share one class it is a map on vertices.
+
+
+def _certified(p: EdgePartition, targets: list) -> list[bool]:
+    """For each part of the exact partition ``p``, whether a checked
+    certificate shows girth >= its entry of ``targets`` (None: no girth
+    claim).  A part passes when (1) its edges share one (level, shift)
+    class; (2) the map sends each edge onto an edge of the base, looked up in
+    the base's sorted edge keys; (3) no two edges at a vertex have ends with
+    one image; and (4) the base's girth, searched with its checked
+    automorphisms once per prime, is at least the target.  Parts are taken a
+    run at a time, runs of at most ``_LOCATE_BLOCK`` edges (a larger part
+    alone), so the extra memory stays near one block's or one part's."""
+    host = p.host
+    certified = np.zeros(len(p.parts), bool)
+    if not (host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b):
+        return certified.tolist()
+    bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
+
+    def base(arity: int, q: int):
+        if (arity, q) not in bases:
+            g = (build_quadrangle if arity == 3 else build_hexagon)(q).graph
+            bases[arity, q] = g._keys(), g.girth()
+        return bases[arity, q]
+
+    lowest = 0
+    for girth, arity in _GIRTH_ARITY.items():
+        todo = [i for i, t in enumerate(targets) if t is not None and lowest < t <= girth]
+        lowest = girth
+        if not todo:
+            continue
+        offsets, primes, locate = _host_classes(host, girth)
+        for run in _runs(todo, [len(p.parts[i].edges) for i in todo]):
+            counts = np.array([len(p.parts[i].edges) for i in run])
+            run_targets = np.array([targets[i] for i in run])
+            edges = np.concatenate([np.empty((0, 2), np.int64)] + [p.parts[i].edges for i in run])
+            u, v = np.sort(edges, axis=1).T
+            group = np.repeat(np.arange(len(run)), counts)
+            ids, points, lines = locate(u, v)
+            level = np.searchsorted(offsets, ids, side="right") - 1
+            has = counts > 0
+            first = (np.cumsum(counts) - counts)[has]
+            failed = np.zeros(len(run), bool)
+            failed[group[ids != np.repeat(ids[first], counts[has])]] = True  # (1)
+            part_level = np.zeros(len(run), np.int64)  # an empty part maps into any base
+            part_level[has] = level[first]
+            for k in np.unique(part_level[~failed]).tolist():
+                q = primes[k]
+                keys, base_girth = base(arity, q)
+                at = np.flatnonzero(~failed[group] & (level == k))
+                shift = _coords(ids[at] - offsets[k], q, arity - 1)
+                fu = _index(_shift_points(_coords(points[at], q, arity), shift, 1), q)
+                fv = q**arity + lines[at]
+                failed[_hom_failures(keys, 2 * q**arity, u[at], v[at], fu, fv, group[at])] = True  # (2), (3)
+                failed[(part_level == k) & (run_targets > base_girth)] = True  # (4)
+            certified[np.array(run)[~failed]] = True
+    return certified.tolist()
+
+
+def _host_classes(host: HostSpec, girth: int):
+    """For a K_n or K_{m,m} host and the girth of a construction: the
+    class-id offset of each level of its cover, the level's prime, and the
+    map from edges (u, v), u < v, to their class ids and local (point, line)
+    coordinates."""
+    if host.kind == "complete":
+        loc = CompleteCoverLocator(host.n, girth)
+        return loc._offsets, [lv.prime for lv in loc.plan.levels], loc._locate
+    arity = _GIRTH_ARITY[girth]
+    m, q = host.a, prime_for_side(host.a, arity)
+    return [0], [q], lambda u, v: (_shift_index(u, v - m, q, arity), u, v - m)
+
+
+def _runs(items: list, counts: list):
+    """Consecutive runs of ``items`` whose ``counts`` add up to at most
+    ``_LOCATE_BLOCK``, an item with a larger count on its own."""
+    run, total = [], 0
+    for item, count in zip(items, counts):
+        if run and total + count > _LOCATE_BLOCK:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += count
+    if run:
+        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +437,28 @@ class CompleteCoverLocator:
         ids = np.empty(len(u), np.int64)
         for lo in range(0, len(u), _LOCATE_BLOCK):
             block = slice(lo, lo + _LOCATE_BLOCK)
-            ids[block] = self._locate(u[block], v[block])
+            ids[block] = self._locate(u[block], v[block])[0]
         return ids
 
-    def _locate(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _locate(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Part ids of the edges, and their local point and line coordinates
+        in the sibling block pair where their endpoints separate."""
         u, v = np.minimum(u, v), np.maximum(u, v)
         if (bad := np.flatnonzero((u == v) | (u < 0) | (v >= self.n))).size:
             raise ValueError(f"({u[bad[0]]},{v[bad[0]]}) is not an edge of K_{self.n}")
-        ids = np.empty(len(u), np.int64)
+        ids, points, lines = (np.empty(len(u), np.int64) for _ in range(3))
         rows = np.arange(len(u))  # the edges not yet separated; lo, hi: their interval
         lo, hi = np.zeros_like(u), np.full_like(u, self.n)
         for info, offset in zip(self.plan.levels, self._offsets):
             mid = lo + (hi - lo + 1) // 2
             split = (u < mid) & (v >= mid)
-            points, lines = u[split] - lo[split], v[split] - mid[split]
-            ids[rows[split]] = offset + _shift_index(points, lines, info.prime, self.arity)
+            at = rows[split]
+            points[at], lines[at] = u[split] - lo[split], v[split] - mid[split]
+            ids[at] = offset + _shift_index(points[at], lines[at], info.prime, self.arity)
             left = v < mid
             lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
             rows, u, v, lo, hi = (a[~split] for a in (rows, u, v, lo, hi))
-        return ids
+        return ids, points, lines
 
     def part_key(self, part_id: int) -> tuple[int, tuple[int, ...]]:
         """(level, shift tuple) of a part id."""

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per top-level criterion, one PASS line each.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The q=7 hexagon check
-is behind ``--runslow``.
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
@@ -58,7 +57,6 @@ def test_criterion_2_hexagon_construction():
     report(2, f"hexagon q=5 girth exactly 12 in {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_2_hexagon_q7():
     g = build_hexagon(7).graph
     assert g.n == 2 * 7**5

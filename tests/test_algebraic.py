@@ -66,8 +66,9 @@ def test_quadrangle_girth_8(q, shift):
 def test_quadrangle_certified_girth_matches_all_roots(q, shift):
     g = build_quadrangle(q, shift).graph
     plain = without_certificate(g)
-    # one point orbit, and one line orbit per value of l1
-    assert len(g._girth_roots()) == q + 1
+    # one point orbit, and one line orbit per value of l1: one root, on the
+    # side with fewer orbits
+    assert len(g._girth_roots()) == 1
     assert g.girth() == plain.girth() == all_roots_girth(g)
     assert g.girth_exceeds(7) == plain.girth_exceeds(7) == (all_roots_girth(g, 8) > 7)
 
@@ -135,7 +136,7 @@ def test_hexagon_girth_12_shifted():
 @pytest.mark.slow
 def test_hexagon_certified_girth_matches_all_roots():
     g = build_hexagon(5, (3, 1, 4, 2)).graph
-    assert len(g._girth_roots()) == 2 * 5**3
+    assert len(g._girth_roots()) == 1
     assert g.girth() == without_certificate(g).girth() == all_roots_girth(g)
 
 

@@ -1,0 +1,201 @@
+"""Certificate verification of cover parts, checked against the direct search.
+
+``verify_partition`` decides a girth claim of a part of an exact partition
+of K_n or K_{m,m} by a locally injective map into a certified base when it
+can.  Every verdict here is compared with the girth search on the same part,
+and every mutation that breaks the map must fall back to that search.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import girthcover
+from girthcover import partition
+from girthcover.partition import (
+    EdgePartition,
+    HostSpec,
+    Part,
+    cover_bipartite,
+    cover_complete,
+    verify_partition,
+)
+
+
+def search_verdicts(p: EdgePartition, target: int) -> list:
+    return [part.graph(p.host.n).girth_exceeds(target - 1) for part in p.parts]
+
+
+def decided(report) -> set:
+    return {c.decided_by for c in report.checks}
+
+
+def assert_matches_search(p: EdgePartition, report, target: int):
+    assert [c.passed for c in report.checks] == search_verdicts(p, target)
+
+
+@pytest.mark.parametrize("n, girth", [(n, 8) for n in (2, 3, 17, 64, 250)] + [(60, 12), (250, 12)])
+def test_cover_complete_decided_by_certificate(n, girth):
+    ep, _ = cover_complete(n, girth)
+    report = verify_partition(ep)
+    assert report.passed and decided(report) == {"certificate"}
+    assert_matches_search(ep, report, girth)
+
+
+@pytest.mark.parametrize("m, girth", [(100, 8), (125, 8), (30, 12)])
+def test_cover_bipartite_decided_by_certificate(m, girth):
+    ep = cover_bipartite(m, girth)
+    report = verify_partition(ep)
+    assert report.passed and decided(report) == {"certificate"}
+    assert_matches_search(ep, report, girth)
+
+
+def test_cover_k500_all_parts_by_certificate():
+    ep, _ = cover_complete(500, 8)
+    report = verify_partition(ep, girth_target=8)
+    assert report.passed
+    assert [c.decided_by for c in report.checks] == ["certificate"] * 174
+
+
+def level_of(part: Part) -> str:
+    return part.name.split("_")[0]
+
+
+def test_edge_moved_within_level_falls_back_to_search():
+    ep, _ = cover_complete(64, 8)
+    a, b = [part for part in ep.parts if level_of(part) == "L1"][:2]
+    b.edges = np.vstack([b.edges, a.edges[:1]])
+    a.edges = a.edges[1:]
+    assert ep.is_exact()
+    report = verify_partition(ep)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name[a.name].decided_by == "certificate"
+    assert by_name[b.name].decided_by == "search"
+    assert_matches_search(ep, report, 8)
+
+
+def plant_triangle(ep: EdgePartition) -> Part:
+    """Move into the first part the edge that closes a triangle with two of
+    its edges at one vertex; the partition stays exact."""
+    part = ep.parts[0]
+    points, degrees = np.unique(part.edges[:, 0], return_counts=True)
+    x = points[degrees >= 2][0]
+    y, z = part.edges[part.edges[:, 0] == x][:2, 1].tolist()
+    other = next(p for p in ep.parts if ((p.edges[:, 0] == y) & (p.edges[:, 1] == z)).any())
+    other.edges = other.edges[~((other.edges[:, 0] == y) & (other.edges[:, 1] == z))]
+    part.edges = np.vstack([part.edges, [[y, z]]])
+    return part
+
+
+def test_planted_short_cycle_fails_both_ways():
+    ep, _ = cover_complete(64, 8)
+    part = plant_triangle(ep)
+    assert ep.is_exact()
+    index = ep.parts.index(part)
+    assert not partition._certified(ep, [8] * len(ep.parts))[index]
+    assert not search_verdicts(ep, 8)[index]
+    report = verify_partition(ep)
+    check = report.checks[index]
+    assert not check.passed and check.decided_by == "search"
+    assert not report.passed
+    assert_matches_search(ep, report, 8)
+
+
+def test_girth_13_claim_uses_search():
+    ep, _ = cover_complete(250, 8)  # its first-level parts are whole quadrangles, of girth 8
+    report = verify_partition(ep, girth_target=13)
+    assert decided(report) == {"search"}
+    assert_matches_search(ep, report, 13)
+    assert not report.passed
+
+
+def test_relabelled_cover_falls_back_to_search_and_passes():
+    ep, _ = cover_complete(64, 8)
+    perm = np.random.default_rng(5).permutation(64)
+    relabelled = EdgePartition(ep.host, [Part(p.name, perm[p.edges], girth_target=8) for p in ep.parts])
+    report = verify_partition(relabelled)
+    assert report.passed
+    by_search = sum(c.decided_by == "search" for c in report.checks)
+    assert by_search >= len(report.checks) // 2
+    assert_matches_search(relabelled, report, 8)
+
+
+def test_wrong_shift_solver_falls_back_to_search(monkeypatch):
+    # The map into the base is checked against the base's own edges, not
+    # against the locator's shift: with every shift index off by one, parts
+    # still share one class each, but no edge image is a base edge.
+    ep, _ = cover_complete(64, 8)
+    solve = partition._shift_index
+    shifted = lambda p, l, q, arity: (solve(p, l, q, arity) + 1) % q ** (arity - 1)  # noqa: E731
+    monkeypatch.setattr(partition, "_shift_index", shifted)
+    report = verify_partition(ep)
+    assert report.passed and decided(report) == {"search"}
+
+
+def test_repeated_edge_within_a_part_fails_local_injectivity():
+    # Not an exact partition, so verify_partition searches it; the
+    # certificate on its own must still refuse it.
+    host = HostSpec.complete(64)
+    p = EdgePartition(host, [Part("a", [(0, 40), (0, 40)], girth_target=8)])
+    assert partition._certified(p, [8]) == [False]
+    assert partition._certified(EdgePartition(host, [Part("a", [(0, 40)])]), [8]) == [True]
+
+
+def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certificate code ran")
+
+    monkeypatch.setattr(partition, "_host_classes", refuse)
+    ep, _ = cover_complete(17, 8)
+    assert decided(verify_partition(ep, forbidden_cycle=6)) == {"search"}
+    edges = np.concatenate([p.edges for p in ep.parts])
+    explicit = EdgePartition(HostSpec.explicit(17, edges), ep.parts)
+    report = verify_partition(explicit)
+    assert report.passed and decided(report) == {"search"}
+
+
+CHECKS_SCRIPT = """
+import numpy as np
+from girthcover import partition
+from girthcover.partition import EdgePartition, HostSpec, Part, cover_complete, verify_partition
+
+def fail(message):
+    raise SystemExit(message)
+
+ep, _ = cover_complete(64, 8)
+if {c.decided_by for c in verify_partition(ep).checks} != {"certificate"}:
+    fail("cover not decided by certificate")
+part = ep.parts[0]
+points, degrees = np.unique(part.edges[:, 0], return_counts=True)
+x = points[degrees >= 2][0]
+y, z = part.edges[part.edges[:, 0] == x][:2, 1].tolist()
+for other in ep.parts:
+    hit = (other.edges[:, 0] == y) & (other.edges[:, 1] == z)
+    other.edges = other.edges[~hit]
+part.edges = np.vstack([part.edges, [[y, z]]])
+report = verify_partition(ep)
+if report.passed or report.checks[0].decided_by != "search":
+    fail("planted triangle accepted")
+if verify_partition(cover_complete(17, 8)[0], girth_target=13).checks[0].decided_by != "search":
+    fail("girth 13 decided by certificate")
+p = EdgePartition(HostSpec.complete(64), [Part("a", [(0, 40), (0, 40)])])
+if partition._certified(p, [8]) != [False]:
+    fail("repeated edge certified")
+ep, _ = cover_complete(64, 8)
+solve = partition._shift_index
+partition._shift_index = lambda p, l, q, a: (solve(p, l, q, a) + 1) % q ** (a - 1)
+if {c.decided_by for c in verify_partition(ep).checks} != {"search"}:
+    fail("wrong shifts certified")
+"""
+
+
+def test_certificate_checks_hold_under_optimize():
+    src = os.path.dirname(os.path.dirname(girthcover.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -305,3 +307,39 @@ def test_verify_body_duplicate_across_parts_fails_exactness(tmp_path, capsys):
     )
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_FAIL
     assert "exactness: FAIL" in capsys.readouterr().out
+
+
+def test_verify_reports_how_parts_were_decided(tmp_path, capsys):
+    out = str(tmp_path / "cc")
+    assert run(["cover-complete", "--n", "64", "--girth", "8", "--out", out]) == EXIT_PASS
+    capsys.readouterr()
+    assert run(["verify", "--manifest", os.path.join(out, "manifest.txt"), "--girth", "8"]) == EXIT_PASS
+    assert "certificates: 75/75 pass (75 by certificate, 0 by search)\n" in capsys.readouterr().out
+    assert run(["verify", "--manifest", os.path.join(out, "manifest.txt"), "--cycle", "6"]) == EXIT_PASS
+    assert "certificates: 75/75 pass (0 by certificate, 75 by search)\n" in capsys.readouterr().out
+
+
+LIMITED_VERIFY = """
+import resource, sys
+limit = 2 * 1024**3
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from girthcover.cli import main
+sys.argv = ["girthcover", "verify", "--manifest", sys.argv[1]]
+main()
+"""
+
+
+def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):
+    # K_200000 has about 2e10 edges; listing them would need 37 GiB.  Under
+    # a 2 GB address-space limit, a regression fails fast instead.
+    (tmp_path / "parts.edges").write_text("0 1\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 200000\nparts 1\npart a girth 8 1\n")
+    src = os.path.dirname(os.path.dirname(partition.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_VERIFY, str(manifest)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_FAIL, done.stdout + done.stderr
+    assert "exactness: FAIL" in done.stdout
+    assert "Traceback" not in done.stderr

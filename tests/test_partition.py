@@ -214,21 +214,24 @@ def test_exactness_detects_missing_and_duplicate():
     assert not doubled.is_exact()
 
 
+def reference_host_edges(host: HostSpec) -> list:
+    """The host's edges as (u, v) tuples, enumerated."""
+    n = host.n
+    if host.kind == "complete":
+        return [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if host.kind == "bipartite":
+        return [(u, host.a + v) for u in range(host.a) for v in range(host.b)]
+    return list(map(tuple, host.edges.tolist()))
+
+
 def reference_is_exact(p: EdgePartition) -> bool:
     """The tuple-multiset exactness check that the sort of edge keys replaced."""
-    host, n = p.host, p.host.n
-    if host.kind == "complete":
-        host_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    elif host.kind == "bipartite":
-        host_edges = [(u, host.a + v) for u in range(host.a) for v in range(host.b)]
-    else:
-        host_edges = list(map(tuple, host.edges.tolist()))
     combined = sorted(
         (u, v) if u < v else (v, u) for part in p.parts for (u, v) in part.edges.tolist()
     )
     if len(set(combined)) != len(combined):
         return False
-    return combined == sorted(host_edges)
+    return combined == sorted(reference_host_edges(p.host))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -243,7 +246,7 @@ def reference_is_exact(p: EdgePartition) -> bool:
 )
 def test_is_exact_matches_tuple_reference(host, seed):
     rng = np.random.default_rng(seed)
-    pairs = rng.permutation(host._pairs())
+    pairs = rng.permutation(np.array(reference_host_edges(host)))
     flip = rng.random(len(pairs)) < 0.5  # orientation must not matter
     pairs[flip] = pairs[flip, ::-1]
     cuts = np.sort(rng.choice(np.arange(1, len(pairs)), size=3, replace=False))
@@ -262,6 +265,8 @@ def test_is_exact_matches_tuple_reference(host, seed):
         "out of range": blocks[:-1] + [np.vstack([blocks[-1], [[u, host.n]]])],
         "colliding key": collide,
     }
+    if host.kind == "bipartite":  # vertices 0 and 1 are on one side
+        mutations["edge within a side"] = [blocks[0], np.vstack([blocks[1][1:], [[0, 1]]])] + blocks[2:]
     for name, parts in mutations.items():
         p = EdgePartition(host, [Part(f"p{i}", b) for i, b in enumerate(parts)])
         assert p.is_exact() == reference_is_exact(p) == (name == "none"), name
