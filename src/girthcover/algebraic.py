@@ -27,11 +27,12 @@ subtracting the shift from p2.. (lines fixed) maps the base onto it.
 Sign conventions are kept exactly as written; re-normalizing the equations
 would silently change the graph.  One vectorised generator,
 ``_incident_lines``, solves the system for the line through each point with
-each first coordinate l1 (q neighbors per point), for all points at once;
-the builders and the bipartite partitions both use it, and nothing tests all
-pairs.  ``_shift_index`` solves it for the shift of many point/line pairs
-at once, for the complete-graph locator.  ``is_edge_q/h`` and
-``solve_shift_q/h`` check and solve it for a single pair, as oracles.
+each first coordinate l1 (q neighbors per point), for a range of points
+at once; the builders (a block of points at a time) and the bipartite
+partitions both use it, and nothing tests all pairs.  ``_shift_index``
+solves it for the shift of many point/line pairs at once, for the
+complete-graph locator.  ``is_edge_q/h`` and ``solve_shift_q/h`` check and
+solve it for a single pair, as oracles.
 
 Each built graph carries an automorphism certificate for its girth search:
 coordinate maps that preserve the zero-shift incidence equations,
@@ -54,6 +55,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import Graph
+
+_POINT_BLOCK = 4096  # points per block of the edge array that _build fills
 
 
 def is_prime(n: int) -> bool:
@@ -126,16 +129,18 @@ def _index(coords, q: int) -> np.ndarray:
     return idx
 
 
-def _incident_lines(q: int, arity: int, shift: tuple[int, ...], n_points: int) -> np.ndarray:
-    """Line indices of the edges of points 0..n_points-1 in one shifted copy.
+def _incident_lines(q: int, arity: int, shift: tuple[int, ...], stop: int, start: int = 0) -> np.ndarray:
+    """Line indices of the edges of points start..stop-1 in one shifted copy.
 
-    Entry [p, l1] of the (n_points, q) result is the canonical index of the
-    unique line through point p with first coordinate l1, for the shift
-    (a2, a3) or (b2, b3, b4, b5); read row by row, it lists the edges in
-    point-major order.  The incidence equations are solved for l2, l3, l4
-    in turn; l5 needs the inverse of 2.
+    Entry [i, l1] of the (stop - start, q) result is the canonical index of
+    the unique line through point start + i with first coordinate l1, for
+    the shift (a2, a3) or (b2, b3, b4, b5); read row by row, it lists the
+    edges in point-major order.  The incidence equations are solved for l2,
+    l3, l4 in turn; l5 needs the inverse of 2.  Its temporaries are a few
+    arrays of the result's size, so a large construction is built a block of
+    points at a time.
     """
-    p1, *rest = _coords(np.arange(n_points, dtype=np.int64)[:, None], q, arity)
+    p1, *rest = _coords(np.arange(start, stop, dtype=np.int64)[:, None], q, arity)
     s2, s3, *s45 = (c + b for c, b in zip(rest, shift))
     l1 = np.arange(q, dtype=np.int64)
     l2 = (s2 + l1 * p1) % q
@@ -256,9 +261,13 @@ def _build(q: int, arity: int, shift: Optional[Sequence[int]]) -> PointLineGraph
     if len(shift) != arity - 1:
         raise ValueError(f"shift must be {arity - 1} integers, got {given!r}")
     n_side = q**arity
-    lines = n_side + _incident_lines(q, arity, shift, n_side)
-    edges = np.stack([np.repeat(np.arange(n_side), q), lines.ravel()], axis=1)
-    side = [0] * n_side + [1] * n_side
+    edges = np.empty((n_side * q, 2), np.int64)
+    for lo in range(0, n_side, _POINT_BLOCK):
+        hi = min(lo + _POINT_BLOCK, n_side)
+        block = edges[lo * q : hi * q]
+        block[:, 0] = np.repeat(np.arange(lo, hi), q)
+        block[:, 1] = n_side + _incident_lines(q, arity, shift, hi, lo).ravel()
+    side = np.repeat(np.int8([0, 1]), n_side)
     automorphisms = partial(_automorphisms, q, arity, shift)
     g = Graph(2 * n_side, edges, side=side, automorphisms=automorphisms)
     return PointLineGraph(q=q, arity=arity, shift=shift, graph=g)

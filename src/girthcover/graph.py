@@ -47,7 +47,7 @@ from ._kernels import girth_scan
 INFINITE = math.inf
 
 _CHECK_BLOCK = 512  # rows per block of the automorphism check
-_EDGE_BLOCK = 8192  # edges per block turned into tuples by Graph.edges
+_ROW_BLOCK = 16384  # adjacency entries (two per edge) per row block of Graph._row_blocks
 
 
 def edge_array(edges) -> np.ndarray:
@@ -83,6 +83,11 @@ class Graph:
     every edge must cross.  Loops and duplicate edges are errors, not
     silently merged: partition exactness checks need multiplicity awareness.
 
+    The CSR is built from one buffer of the 2m directed keys u*n + v, sorted
+    in place, and the int32 indices, so the build needs about 1.7 times the
+    memory of an (m, 2) int64 input on top of it.  ``edges()``, ``_pairs()``
+    and ``write_edge_list`` read the CSR back a row block at a time.
+
     ``automorphisms``, if given, is a zero-argument callable returning
     generator permutations of 0..n-1 (each a sequence with ``perm[v]`` the
     image of v) that are claimed to be automorphisms.  It is called on the
@@ -102,36 +107,48 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        u, w = edge_array(edges).T
-        lo, hi = np.minimum(u, w), np.maximum(u, w)
+        pairs = edge_array(edges)
+        m = len(pairs)
+        u, w = pairs.T
+        # The kept indices are allocated before the temporaries, so that they
+        # do not pin freed heap above them.
+        indices = np.empty(2 * m, np.int32)
 
         def first(mask):  # the first edge the mask flags, as (lo, hi), or None
             i = np.flatnonzero(mask)
-            return (int(lo[i[0]]), int(hi[i[0]])) if i.size else None
+            return tuple(sorted((int(u[i[0]]), int(w[i[0]])))) if i.size else None
 
-        if bad := first((lo < 0) | (hi >= n)):
+        if bad := first((u < 0) | (w < 0) | (u >= n) | (w >= n)):
             raise ValueError(f"edge {bad} out of range for n={n}")
-        if bad := first(lo == hi):
+        if bad := first(u == w):
             raise ValueError(f"loop at vertex {bad[0]}")
-        # Both orientations of every edge, sorted: the CSR rows in order, and
-        # an edge given twice (either way round) shows as two equal keys.
-        keys = np.sort(np.concatenate([u * n + w, w * n + u]))
+        # Row v has one entry per edge at v.
+        indptr = np.zeros(n + 1, np.int64)
+        np.cumsum(np.bincount(u, minlength=n) + np.bincount(w, minlength=n), out=indptr[1:])
+        # Both orientations of every edge, sorted in place: the CSR rows in
+        # order, and an edge given twice (either way round) shows as two equal
+        # keys.
+        keys = np.empty(2 * m, np.int64)
+        for tail, head, out in ((u, w, keys[:m]), (w, u, keys[m:])):
+            np.multiply(tail, n, out=out)
+            out += head
+        keys.sort()
         if (keys[1:] == keys[:-1]).any():
-            repeat = np.ones(len(u), bool)
-            repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
+            repeat = np.ones(m, bool)
+            repeat[np.unique(np.minimum(u, w) * n + np.maximum(u, w), return_index=True)[1]] = False
             raise ValueError(f"duplicate edge {first(repeat)}")
         if side is not None:
             side = np.asarray(side)
             if side.shape != (n,) or not np.isin(side, (0, 1)).all():
                 raise ValueError(f"side must be 0 or 1 for each of the {n} vertices")
-            if bad := first(side[u] == side[w]):
+            ones = side.astype(bool)
+            if bad := first(ones[u] == ones[w]):
                 raise ValueError(f"edge {bad} does not cross the bipartition")
-            side = tuple(side.astype(np.int64).tolist())
-        indptr = np.zeros(n + 1, np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        np.remainder(keys, n, out=indices, casting="unsafe")
+        del keys  # before the side tuple is made
         self.n = n
-        self.side = side
-        self._csr = (indptr, (keys % n).astype(np.int32))
+        self.side = None if side is None else tuple(side.astype(np.int64).tolist())
+        self._csr = (indptr, indices)
         self._automorphisms = automorphisms
 
     # -- basic queries -------------------------------------------------
@@ -153,19 +170,32 @@ class Graph:
 
     def edges(self):
         """Iterate edges as (u, v) int tuples with u < v, in sorted order.
-        Rows become tuples a block at a time, so a large graph never has all
-        of its edges as Python ints at once."""
-        pairs = self._pairs()
-        starts = range(0, len(pairs), _EDGE_BLOCK)
-        blocks = (pairs[lo : lo + _EDGE_BLOCK].T.tolist() for lo in starts)
+        The CSR is read a row block at a time, so a large graph never has all
+        of its edges as an array or as Python ints at once."""
+        blocks = (block.T.tolist() for block in self._row_blocks())
         return itertools.chain.from_iterable(zip(*block) for block in blocks)
 
     def _pairs(self):
         """The (m, 2) int64 array of edges (u, v), u < v, in sorted order."""
+        pairs = np.empty((self.m, 2), np.int64)
+        at = 0
+        for block in self._row_blocks():
+            pairs[at : at + len(block)] = block
+            at += len(block)
+        return pairs
+
+    def _row_blocks(self):
+        """Yield the edges (u, v), u < v, in sorted order as (k, 2) int64
+        arrays, one per run of consecutive CSR rows holding about
+        ``_ROW_BLOCK`` adjacency entries (more only for one longer row)."""
         indptr, indices = self._csr
-        tails = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
-        upper = tails < indices
-        return np.stack([tails[upper], indices[upper]], axis=1)
+        cuts = np.searchsorted(indptr, np.arange(_ROW_BLOCK, indptr[-1], _ROW_BLOCK))
+        rows = sorted({0, *cuts.tolist(), self.n})
+        for lo, hi in zip(rows, rows[1:]):
+            tails = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(indptr[lo : hi + 1]))
+            heads = indices[indptr[lo] : indptr[hi]]
+            upper = tails < heads
+            yield np.stack([tails[upper], heads[upper]], axis=1)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors(u)
@@ -546,6 +576,7 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 # same edge lines without a header, read by the same two functions.
 
 _WRITE_BLOCK = 8192  # rows formatted per write call
+_COMMENT_CHUNK = 1 << 20  # characters per chunk of the body comment scan
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 _COMMENT_AFTER_DATA = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.M)
@@ -566,7 +597,8 @@ def write_edge_list(g: Graph, path) -> None:
             fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n")
         else:
             fh.write(f"{g.n} {g.m}\n")
-        _write_rows(fh, "%d %d\n", g._pairs())
+        for block in g._row_blocks():
+            _write_rows(fh, "%d %d\n", block)
 
 
 def read_edge_list(path) -> Graph:
@@ -627,9 +659,14 @@ def _read_rows(fh, path, n: int, side, header: bool = True, groups=()) -> np.nda
 
 
 def _comment_after_data(fh) -> bool:
-    """Does a line of the rest of ``fh`` hold a '#' after other text?"""
-    text = fh.read()
-    return "#" in text and _COMMENT_AFTER_DATA.search(text) is not None
+    """Does a line of the rest of ``fh`` hold a '#' after other text?  The
+    text is read in chunks of whole lines, and only a chunk that holds a '#'
+    is matched line by line."""
+    while chunk := fh.read(_COMMENT_CHUNK):
+        chunk += fh.readline()
+        if "#" in chunk and _COMMENT_AFTER_DATA.search(chunk):
+            return True
+    return False
 
 
 def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=()) -> ValueError:

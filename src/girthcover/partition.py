@@ -200,9 +200,12 @@ def verify_partition(
 
     Per-part claims stored on the parts are used unless overridden by the
     arguments; nothing claimed is trusted.  Exactness is checked first.  On
-    an exact partition of K_n or K_{m,m}, a girth claim is then tried by the
-    certificate that the host line and the part's edges determine (see
-    ``_certified``); every part it does not decide is searched directly.
+    a partition of K_n or K_{m,m} whose part edges are all host edges, a
+    girth claim is then tried by the certificate that the host line and the
+    part's edges determine (see ``_certified``); every part it does not
+    decide is searched directly.  Exactness does not matter to a part's
+    girth, but a partition that is not exact may be far smaller than its
+    host, so it gets no base with more edges than all its parts have.
     """
     override = (girth_target, forbidden_cycle)
     if override == (None, None):
@@ -210,7 +213,8 @@ def verify_partition(
     else:  # an explicit override ignores the part's own claim entirely
         claims = [override] * len(p.parts)
     exact = p.is_exact()
-    certified = _certified(p, [target for target, _ in claims]) if exact else [False] * len(p.parts)
+    max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
+    certified = _certified(p, [target for target, _ in claims], max_base_edges)
     checks = []
     for part, (target, forbid), by_certificate in zip(p.parts, claims, certified):
         if by_certificate:
@@ -243,19 +247,23 @@ def verify_partition(
 # class, so on a part whose edges share one class it is a map on vertices.
 
 
-def _certified(p: EdgePartition, targets: list) -> list[bool]:
-    """For each part of the exact partition ``p``, whether a checked
-    certificate shows girth >= its entry of ``targets`` (None: no girth
-    claim).  A part passes when (1) its edges share one (level, shift)
-    class; (2) the map sends each edge onto an edge of the base, looked up in
-    the base's sorted edge keys; (3) no two edges at a vertex have ends with
-    one image; and (4) the base's girth, searched with its checked
-    automorphisms once per prime, is at least the target.  Parts are taken a
-    run at a time, runs of at most ``_LOCATE_BLOCK`` edges (a larger part
-    alone), so the extra memory stays near one block's or one part's."""
+def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = None) -> list[bool]:
+    """For each part of ``p``, whether a checked certificate shows girth >=
+    its entry of ``targets`` (None: no girth claim).  No part passes unless
+    the host is K_n or K_{m,m} and every part edge is one of its edges, and
+    none of a level whose base has more than ``max_base_edges`` edges, if
+    given.  A part passes when (1) its edges share one (level, shift) class;
+    (2) the map sends each edge onto an edge of the base, looked up in the
+    base's sorted edge keys; (3) no two edges at a vertex have ends with one
+    image; and (4) the base's girth, searched with its checked automorphisms
+    once per prime, is at least the target.  Parts are taken a run at a
+    time, runs of at most ``_LOCATE_BLOCK`` edges (a larger part alone), so
+    the extra memory stays near one block's or one part's."""
     host = p.host
     certified = np.zeros(len(p.parts), bool)
     if not (host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b):
+        return certified.tolist()
+    if not all(_host_edges(host, part.edges) for part in p.parts):
         return certified.tolist()
     bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
 
@@ -288,6 +296,9 @@ def _certified(p: EdgePartition, targets: list) -> list[bool]:
             part_level[has] = level[first]
             for k in np.unique(part_level[~failed]).tolist():
                 q = primes[k]
+                if max_base_edges is not None and q ** (arity + 1) > max_base_edges:
+                    failed[part_level == k] = True
+                    continue
                 keys, base_girth = base(arity, q)
                 at = np.flatnonzero(~failed[group] & (level == k))
                 shift = _coords(ids[at] - offsets[k], q, arity - 1)
@@ -297,6 +308,15 @@ def _certified(p: EdgePartition, targets: list) -> list[bool]:
                 failed[(part_level == k) & (run_targets > base_girth)] = True  # (4)
             certified[np.array(run)[~failed]] = True
     return certified.tolist()
+
+
+def _host_edges(host: HostSpec, edges: np.ndarray) -> bool:
+    """Whether every row of ``edges`` is an edge of the K_n or K_{m,m} ``host``."""
+    pairs = np.sort(edges, axis=1)
+    bad = _edge_keys(pairs, host.n)[1]
+    if host.kind == "bipartite":
+        bad |= (pairs < host.a).sum(axis=1) != 1
+    return not bad.any()
 
 
 def _host_classes(host: HostSpec, girth: int):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -34,6 +35,18 @@ def disjoint_union(graphs) -> Graph:
     offsets = np.cumsum([0] + [g.n for g in graphs])
     blocks = [g._pairs() + offset for g, offset in zip(graphs, offsets.tolist())]
     return Graph(int(offsets[-1]), np.concatenate([np.empty((0, 2), np.int64)] + blocks))
+
+
+def traced_peak(f):
+    """(bytes allocated at the peak of ``f()`` above what was live before,
+    ``f()``), by tracemalloc, which numpy reports its buffers to."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = f()
+        return tracemalloc.get_traced_memory()[1] - before, result
+    finally:
+        tracemalloc.stop()
 
 
 def tuple_to_index(coords: tuple[int, ...], q: int) -> int:

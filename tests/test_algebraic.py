@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from girthcover import algebraic
 from girthcover.algebraic import (
     build_hexagon,
     build_quadrangle,
@@ -13,7 +14,7 @@ from girthcover.algebraic import (
     solve_shift_q,
 )
 from girthcover.graph import Graph
-from conftest import all_roots_girth, line_id, point_id, tuple_to_index
+from conftest import all_roots_girth, line_id, point_id, traced_peak, tuple_to_index
 
 
 def without_certificate(g):
@@ -243,3 +244,21 @@ def test_shifted_builds_match_recorded_hashes(build, q):
     shift = (1, 2) if build is build_quadrangle else (3, 1, 4, 2)
     edges = list(build(q, shift).graph.edges())
     assert hashlib.sha256(repr(edges).encode()).hexdigest() == BUILD_SHA256[(build, q)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_point_blocks_do_not_change_the_build(monkeypatch, block):
+    monkeypatch.setattr(algebraic, "_POINT_BLOCK", block)
+    for build, shift in [(build_quadrangle, (1, 2)), (build_hexagon, (3, 1, 4, 2))]:
+        edges = list(build(5, shift).graph.edges())
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == BUILD_SHA256[(build, 5)]
+
+
+def test_hexagon_build_memory_stays_near_its_edges():
+    # Edges are filled a block of points at a time, and the CSR is built
+    # from them with one key buffer: about 3 times the (m, 2) int64 edge
+    # array at the peak, that array included.  Solving for every point at
+    # once and building all directed keys at once took 5.4 times.
+    peak, plg = traced_peak(lambda: build_hexagon(7))
+    assert plg.graph.m == 7**6
+    assert peak <= 3.5 * plg.graph.m * 16

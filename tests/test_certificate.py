@@ -15,6 +15,7 @@ import pytest
 
 import girthcover
 from girthcover import partition
+from girthcover.algebraic import build_quadrangle
 from girthcover.partition import (
     EdgePartition,
     HostSpec,
@@ -136,12 +137,56 @@ def test_wrong_shift_solver_falls_back_to_search(monkeypatch):
 
 
 def test_repeated_edge_within_a_part_fails_local_injectivity():
-    # Not an exact partition, so verify_partition searches it; the
-    # certificate on its own must still refuse it.
+    # Not an exact partition, and far smaller than any base, so
+    # verify_partition searches it; the certificate on its own must still
+    # refuse it.
     host = HostSpec.complete(64)
     p = EdgePartition(host, [Part("a", [(0, 40), (0, 40)], girth_target=8)])
     assert partition._certified(p, [8]) == [False]
     assert partition._certified(EdgePartition(host, [Part("a", [(0, 40)])]), [8]) == [True]
+
+
+def test_cover_missing_an_edge_is_certified_and_not_exact():
+    # Exactness does not decide a part's girth: a cover with one edge
+    # removed still has every part certified, and still fails exactness.
+    ep, _ = cover_complete(500, 8)
+    ep.parts[0].edges = ep.parts[0].edges[1:]
+    report = verify_partition(ep, girth_target=8)
+    assert not report.exact and not report.passed
+    assert [c.decided_by for c in report.checks] == ["certificate"] * 174
+    assert all(c.passed for c in report.checks)
+    ep, _ = cover_complete(64, 8)
+    plant_triangle(ep)
+    ep.parts[1].edges = ep.parts[1].edges[1:]
+    report = verify_partition(ep)
+    assert not report.exact and report.checks[0].decided_by == "search"
+    assert_matches_search(ep, report, 8)
+
+
+@pytest.mark.parametrize(
+    "host, edges, certified",
+    [
+        (HostSpec.complete(64), [(0, 40)], True),
+        (HostSpec.complete(64), [(0, 64)], False),
+        (HostSpec.complete(64), [(-1, 3)], False),
+        (HostSpec.bipartite(5, 5), [(0, 5)], True),
+        (HostSpec.bipartite(5, 5), [(0, 1)], False),
+        (HostSpec.bipartite(5, 5), [(5, 9)], False),
+    ],
+)
+def test_only_host_edges_are_certified(host, edges, certified):
+    p = EdgePartition(host, [Part("a", edges), Part("b", [])])
+    assert partition._certified(p, [8, 8]) == [certified] * 2
+
+
+def test_no_base_larger_than_the_parts_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(partition, "build_quadrangle", lambda q: built.append(q) or build_quadrangle(q))
+    p = EdgePartition(HostSpec.complete(64), [Part("a", [(0, 40)], girth_target=8)])
+    assert partition._certified(p, [8], max_base_edges=5**4 - 1) == [False] and built == []
+    assert partition._certified(p, [8], max_base_edges=5**4) == [True] and built == [5]
+    report = verify_partition(p)
+    assert not report.exact and report.checks[0].decided_by == "search" and built == [5]
 
 
 def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import girthcover
+import girthcover.graph as graph_module
 
 from girthcover.graph import (
     Graph,
@@ -31,6 +32,7 @@ from conftest import (
     petersen_graph,
     random_graph,
     read_edge_list_lines,
+    traced_peak,
 )
 
 
@@ -293,6 +295,40 @@ def test_constructor_names_first_bad_edge(n, edges, side, message, as_array):
 def test_constructor_rejects_non_pairs(edges):
     with pytest.raises(ValueError, match="pairs of integer"):
         Graph(3, edges)
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_constructor_reports_faults_in_check_order(as_array):
+    # One input with every kind of fault: range, then loop, then duplicate,
+    # then bipartition, each named by its first edge in input order.
+    edges = [(0, 2), (2, 9), (3, 1), (1, 1), (1, 3), (0, 1), (-1, 2)]
+    for fault, message in [
+        ((2, 9), r"edge \(2, 9\) out of range for n=4"),
+        ((1, 1), "loop at vertex 1"),
+        ((1, 3), r"duplicate edge \(1, 3\)"),
+        ((0, 1), r"edge \(0, 1\) does not cross the bipartition"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(4, np.array(edges) if as_array else edges, side=[0, 0, 1, 1])
+        edges = [e for e in edges if e not in (fault, (-1, 2))]
+    assert list(Graph(4, edges, side=[0, 0, 1, 1]).edges()) == [(0, 2), (1, 3)]
+
+
+def test_constructor_memory_stays_near_its_input():
+    # The CSR is built in one int64 key buffer sorted in place plus the int32
+    # indices, about 1.7 times the (m, 2) int64 input at the peak; building
+    # every directed key, their concatenation and their quotients at once
+    # took 3.5 times.
+    rng = np.random.default_rng(11)
+    n = 20000
+    u, v = rng.integers(0, n, (2, 300000))
+    keys = np.unique(np.minimum(u, v) * n + np.maximum(u, v))
+    keys = keys[keys // n != keys % n]
+    edges = np.stack([keys // n, keys % n], axis=1)[rng.permutation(len(keys))]
+    assert len(edges) >= 200000
+    peak, g = traced_peak(lambda: Graph(n, edges))
+    assert peak <= 2.5 * edges.nbytes
+    assert g.m == len(edges)
 
 
 def test_graph_matches_networkx_on_random_graphs():
@@ -665,6 +701,27 @@ def test_edge_list_bipartite_roundtrip(tmp_path):
     assert sorted(h.edges()) == sorted(g.edges())
 
 
+@pytest.mark.parametrize("block", [2, 5, graph_module._ROW_BLOCK])
+def test_edge_order_across_row_blocks(tmp_path, monkeypatch, block):
+    # Blocks of a few adjacency entries split every graph below into many
+    # row blocks, with a short last one; the default block holds them whole.
+    monkeypatch.setattr(graph_module, "_ROW_BLOCK", block)
+    rng = random.Random(31)
+    sparse = [(u, v) for u, v in itertools.combinations(range(3, 60), 2) if rng.random() < 0.05]
+    star = [(0, v) for v in range(1, 40)] + [(5, 9), (20, 21)]
+    for n, edges in [(0, []), (3, []), (64, sparse), (40, star), (17, [(16, 2), (3, 0)])]:
+        g = Graph(n, edges[::-1])  # the input order must not matter
+        want = sorted((min(e), max(e)) for e in edges)
+        assert list(g.edges()) == want
+        assert all(type(x) is int for e in g.edges() for x in e)
+        assert g._pairs().dtype == np.int64 and g._pairs().tolist() == [list(e) for e in want]
+        write_edge_list(g, tmp_path / "g.edges")
+        text = f"{n} {len(want)}\n" + "".join(f"{u} {v}\n" for u, v in want)
+        assert (tmp_path / "g.edges").read_bytes() == text.encode()
+    if block == 2:
+        assert len(list(Graph(64, sparse)._row_blocks())) > 10
+
+
 def test_write_edge_list_rejects_sides_the_header_cannot_record(tmp_path):
     # The header records sides as [0]*a + [1]*b; this graph would read back
     # with other sides and fail the bipartition check.
@@ -814,6 +871,23 @@ def test_edge_list_without_edges_reads_without_warning(tmp_path):
             warnings.simplefilter("error")
             g = read_edge_list(path)
         assert (g.n, g.m) == (n, 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 64])
+def test_comment_scan_reads_whole_lines_per_chunk(tmp_path, monkeypatch, chunk):
+    # The comment-after-data scan reads a chunk, then up to the end of its
+    # line: a fault that straddles a chunk boundary is still found, and
+    # comment lines in any chunk are still accepted.
+    monkeypatch.setattr(graph_module, "_COMMENT_CHUNK", chunk)
+    path = tmp_path / "c.edges"
+    good = "5 4\n# a\n0 1\n  # b\n\t#\n1 2\r\n2 3\n#\n3 4\n# end"
+    path.write_bytes(good.encode())
+    assert list(read_edge_list(path).edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    for bad, line in [("1 2 #\n", 6), ("1 2#x\n", 6), ("3 4   # trailing", 9)]:
+        text = good.replace("1 2\r\n", bad) if line == 6 else good.replace("3 4\n# end", bad)
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError, match=rf"c\.edges, line {line}: malformed edge line"):
+            read_edge_list(path)
 
 
 @pytest.mark.parametrize(
