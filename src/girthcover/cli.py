@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import algebraic, bounds, partition, rainbow, randomcover
-from .graph import _write_rows, read_edge_list, write_edge_list
+from .graph import _WRITE_BLOCK, _write_rows, read_edge_list, write_edge_list
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -34,14 +34,16 @@ def _parse_shift(text: str, count: int) -> list[int]:
 
 
 def _write_labels(plg, path) -> None:
-    """One "vid P:c1,...,ck" line per point, then one "vid L:..." per line."""
-    ids = np.arange(plg.n_side, dtype=np.int64)
+    """One "vid P:c1,...,ck" line per point, then one "vid L:..." per line,
+    formatted a block of ``_WRITE_BLOCK`` ids at a time."""
     coords = ",".join(["%d"] * plg.arity)
     with open(path, "w") as fh:
         fh.write("# vertex-id class coords\n")
         for offset, kind in ((0, "P"), (plg.n_side, "L")):
-            rows = np.column_stack([ids + offset, *algebraic._coords(ids, plg.q, plg.arity)])
-            _write_rows(fh, f"%d {kind}:{coords}\n", rows)
+            for lo in range(0, plg.n_side, _WRITE_BLOCK):
+                ids = np.arange(lo, min(lo + _WRITE_BLOCK, plg.n_side), dtype=np.int64)
+                rows = np.column_stack([ids + offset, *algebraic._coords(ids, plg.q, plg.arity)])
+                _write_rows(fh, f"%d {kind}:{coords}\n", rows)
 
 
 def _cmd_build(args) -> int:
@@ -140,7 +142,8 @@ def _cmd_verify(args) -> int:
     print(f"certificates: {len(report.checks) - len(failed)}/{len(report.checks)} pass "
           f"({by_certificate} by certificate, {len(report.checks) - by_certificate} by search)")
     for c in failed[:20]:
-        print(f"  FAIL {c.name}: {c.claim}")
+        witness = "" if c.witness is None else f" (cycle {' '.join(map(str, c.witness))})"
+        print(f"  FAIL {c.name}: {c.claim}{witness}")
     print(f"wall clock: {time.time() - t0:.2f}s")
     print("overall:", "PASS" if report.passed else "FAIL")
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -47,6 +47,7 @@ from ._kernels import girth_scan
 INFINITE = math.inf
 
 _CHECK_BLOCK = 512  # rows per block of the automorphism check
+_RUN_EDGES = 8192  # edges per run of parts (``_runs``) and per block of the array locate
 _ROW_BLOCK = 16384  # adjacency entries (two per edge) per row block of Graph._row_blocks
 
 
@@ -340,13 +341,13 @@ class Graph:
         """Exact: does the graph contain a cycle of length exactly ``length``?
 
         DFS path enumeration anchored at the smallest cycle vertex, pruned by
-        BFS distance back to the anchor.  Supported for 3 <= length <= 16.
-        The search runs on the non-isolated vertices relabelled 0..k-1 in
-        order, so a sparse part of a large host costs O(k + m) per start,
-        not O(n); the relabelling keeps vertex order, hence the anchoring.
+        BFS distance back to the anchor (see ``_block_cycles``).  Supported
+        for 3 <= length <= 16.  The search runs on the non-isolated vertices
+        relabelled 0..k-1 in order, so a sparse part of a large host costs
+        O(k + m) per start, not O(n); the relabelling keeps vertex order,
+        hence the anchoring.
         """
-        if not 3 <= length <= 16:
-            raise ValueError(f"cycle length {length} outside supported range [3, 16]")
+        _check_cycle_length(length)
         if self.m < length:
             return False
         if self.side is not None and length % 2 == 1:
@@ -355,60 +356,155 @@ class Graph:
         deg = np.diff(indptr)
         active = np.flatnonzero(deg)
         label = np.cumsum(deg > 0) - 1  # new id of each non-isolated vertex
-        starts = np.flatnonzero(deg[active] >= 2).tolist()
-        indptr = indptr[np.append(active, self.n)].tolist()
-        indices = label[indices].tolist()
-        return any(self._cycle_through(s, length, indptr, indices) for s in starts)
-
-    @staticmethod
-    def _cycle_through(s: int, length: int, indptr: list, indices: list) -> bool:
-        # Search cycles whose minimum vertex is s, using vertices > s only.
-        dist = Graph._bfs_dist_from(s, indptr, indices)
-        on_path = [False] * (len(indptr) - 1)
-        on_path[s] = True
-
-        def dfs(v: int, steps: int) -> bool:
-            remaining = length - steps
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                if w == s:
-                    if remaining == 1:
-                        return True
-                    continue
-                if w < s or on_path[w]:
-                    continue
-                if dist[w] > remaining - 1:
-                    continue
-                on_path[w] = True
-                if dfs(w, steps + 1):
-                    on_path[w] = False
-                    return True
-                on_path[w] = False
-            return False
-
-        return dfs(s, 0)
-
-    @staticmethod
-    def _bfs_dist_from(s: int, indptr: list, indices: list) -> list[int]:
-        # Distances from s in the subgraph induced on {v : v >= s}.
-        n = len(indptr) - 1
-        dist = [n + 1] * n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    if w >= s and dist[w] > dist[u] + 1:
-                        dist[w] = dist[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
+        indptr = indptr[np.append(active, self.n)]
+        return _block_cycles(indptr, label[indices], [0, len(active)], length)[0] is not None
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+# ---------------------------------------------------------------------------
+# Fixed-length cycles
+#
+# One DFS serves a single graph (``Graph.has_cycle_of_length``) and the parts
+# of a partition (``_parts_cycles``).  Both hand ``_block_cycles`` CSR arrays
+# whose vertices fall into blocks of consecutive ids with no edge between
+# blocks, and it searches each block on its own, in the block's local ids.
+
+
+def _check_cycle_length(length: int) -> None:
+    if not 3 <= length <= 16:
+        raise ValueError(f"cycle length {length} outside supported range [3, 16]")
+
+
+def _runs(items: list, counts: list):
+    """Consecutive runs of ``items`` whose ``counts`` add up to at most
+    ``_RUN_EDGES``, an item with a larger count on its own."""
+    run, total = [], 0
+    for item, count in zip(items, counts):
+        if run and total + count > _RUN_EDGES:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += count
+    if run:
+        yield run
+
+
+def _parts_cycles(n: int, parts: list, length: int) -> list:
+    """For each (m, 2) int64 edge array of ``parts``: a cycle of exactly
+    ``length`` in the graph on 0..n-1 with those edges, as its vertex ids in
+    order from the smallest, or None if it has none.
+
+    An entry is None exactly when ``Graph(n, part).has_cycle_of_length(length)``
+    is False, and a part that ``Graph(n, part)`` rejects raises its error
+    (the first such part's).  Parts are taken a run at a time (``_runs``),
+    so the extra memory stays near one run's."""
+    _check_cycle_length(length)
+    found = []
+    for run in _runs(parts, [len(part) for part in parts]):
+        found += _run_cycles(n, run, length)
+    return found
+
+
+def _run_cycles(n: int, run: list, length: int) -> list:
+    """``_parts_cycles`` of one run of parts.  The (part, vertex) pairs are
+    numbered 0..N-1 in order by one ``np.unique``, and one ``Graph`` of the
+    parts' disjoint union is built, whose checks catch loops and repeats
+    within a part; ids are range-checked first, because an id >= n would
+    name a vertex of the next part.  Each part is then searched on its own
+    block of the union's CSR."""
+    keys = np.concatenate([np.empty((0, 2), np.int64)] + run)
+    try:
+        if n < 0 or ((keys < 0) | (keys >= n)).any():
+            raise ValueError(f"vertex id out of range for n={n}")
+        keys += np.repeat(np.arange(len(run), dtype=np.int64) * n, [len(part) for part in run])[:, None]
+        ids, local = np.unique(keys, return_inverse=True)
+        del keys  # before the union is built
+        union = Graph(len(ids), local.reshape(-1, 2))
+    except ValueError:
+        for part in run:
+            Graph(n, part)  # raises the first faulty part's own error
+        raise
+    blocks = np.searchsorted(ids, np.arange(len(run) + 1) * n).tolist()
+    found = _block_cycles(*union._csr, blocks, length)
+    for i, cycle in enumerate(found):
+        if cycle is not None:
+            found[i] = tuple((ids[blocks[i] + np.array(cycle)] - i * n).tolist())
+    return found
+
+
+def _block_cycles(indptr: np.ndarray, indices: np.ndarray, blocks: list, length: int) -> list:
+    """For each block of vertices ``blocks[i]``..``blocks[i+1]`` - 1 of a CSR
+    with no edge between blocks: a cycle of exactly ``length`` in the block,
+    as its vertices in order, numbered from the block's first, or None.
+
+    DFS path enumeration anchored at the smallest cycle vertex, from every
+    vertex of degree >= 2, pruned by BFS distance back to the anchor.  Each
+    block is copied to Python lists on its own, in its local ids."""
+    edge_bounds = indptr[blocks].tolist()
+    found = []
+    for a, b, lo, hi in zip(blocks, blocks[1:], edge_bounds, edge_bounds[1:]):
+        cycle = None
+        if hi - lo >= 2 * length:
+            block_indptr = (indptr[a : b + 1] - lo).tolist()
+            block_indices = (indices[lo:hi] - a).tolist()
+            for s in range(b - a):
+                if block_indptr[s + 1] - block_indptr[s] >= 2:
+                    if cycle := _cycle_through(s, length, block_indptr, block_indices):
+                        break
+        found.append(cycle)
+    return found
+
+
+def _cycle_through(s: int, length: int, indptr: list, indices: list) -> Optional[list]:
+    """A cycle of exactly ``length`` whose smallest vertex is s, as its
+    vertices in order from s, or None; only vertices > s are visited."""
+    dist = _bfs_dist_from(s, indptr, indices)
+    on_path = [False] * (len(indptr) - 1)
+    on_path[s] = True
+
+    def dfs(v: int, steps: int) -> Optional[list]:
+        # The cycle's vertices from v on, last first, once it closes at s.
+        remaining = length - steps
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if w == s:
+                if remaining == 1:
+                    return [v]
+                continue
+            if w < s or on_path[w]:
+                continue
+            if dist[w] > remaining - 1:
+                continue
+            on_path[w] = True
+            if path := dfs(w, steps + 1):
+                path.append(v)
+                return path
+            on_path[w] = False
+        return None
+
+    path = dfs(s, 0)
+    return path and path[::-1]
+
+
+def _bfs_dist_from(s: int, indptr: list, indices: list) -> list[int]:
+    # Distances from s in the subgraph induced on {v : v >= s}.
+    n = len(indptr) - 1
+    dist = [n + 1] * n
+    dist[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                if w >= s and dist[w] > dist[u] + 1:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 # ---------------------------------------------------------------------------

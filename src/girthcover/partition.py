@@ -46,10 +46,13 @@ from .algebraic import (
     next_prime_at_least,
 )
 from .graph import (
+    _RUN_EDGES,
     Graph,
     _edge_line_error,
     _hom_failures,
+    _parts_cycles,
     _read_rows,
+    _runs,
     _write_rows,
     edge_array,
     group_edges,
@@ -58,7 +61,6 @@ from .graph import (
 )
 
 _GIRTH_ARITY = {8: 3, 12: 5}
-_LOCATE_BLOCK = 8192  # edges per block of the array locate and of a certificate run
 
 
 def _arity_for(target_girth: int) -> int:
@@ -178,6 +180,7 @@ class PartCheck:
     claim: str
     passed: bool
     decided_by: str  # "certificate" or "search"
+    witness: Optional[tuple[int, ...]] = None  # the forbidden cycle found, its vertices in order
 
 
 @dataclass
@@ -206,7 +209,15 @@ def verify_partition(
     decide is searched directly.  Exactness does not matter to a part's
     girth, but a partition that is not exact may be far smaller than its
     host, so it gets no base with more edges than all its parts have.
+
+    The parts that claim no C_L are searched together, per length L, a run
+    of parts at a time (``graph._parts_cycles``), and a part that fails
+    carries the cycle found as its ``witness``.  A part whose edges ``Graph``
+    rejects raises its ``ValueError``.  Cycle claims are searched before
+    girth claims, so of several such parts the error names the first one
+    with a cycle claim, if there is one.
     """
+    n = p.host.n
     override = (girth_target, forbidden_cycle)
     if override == (None, None):
         claims = [(part.girth_target, part.forbidden_cycle) for part in p.parts]
@@ -215,19 +226,21 @@ def verify_partition(
     exact = p.is_exact()
     max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
     certified = _certified(p, [target for target, _ in claims], max_base_edges)
+    cycles = {}  # part index -> a forbidden cycle in it, or None
+    for length in sorted({forbid for target, forbid in claims if target is None and forbid is not None}):
+        at = [i for i, claim in enumerate(claims) if claim == (None, length)]
+        cycles.update(zip(at, _parts_cycles(n, [p.parts[i].edges for i in at], length)))
     checks = []
-    for part, (target, forbid), by_certificate in zip(p.parts, claims, certified):
+    for i, (part, (target, forbid), by_certificate) in enumerate(zip(p.parts, claims, certified)):
         if by_certificate:
             checks.append(PartCheck(part.name, f"girth>={target}", True, "certificate"))
-            continue
-        g = part.graph(p.host.n)
-        if target is not None:
-            ok = g.girth_exceeds(target - 1)
+        elif target is not None:
+            ok = part.graph(n).girth_exceeds(target - 1)
             checks.append(PartCheck(part.name, f"girth>={target}", ok, "search"))
         elif forbid is not None:
-            ok = not g.has_cycle_of_length(forbid)
-            checks.append(PartCheck(part.name, f"no C_{forbid}", ok, "search"))
+            checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, "search", cycles[i]))
         else:
+            part.graph(n)  # its edges are checked as a searched part's are
             checks.append(PartCheck(part.name, "no claim", False, "search"))
     return VerificationReport(host=p.host, exact=exact, checks=checks)
 
@@ -257,7 +270,7 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
     base's sorted edge keys; (3) no two edges at a vertex have ends with one
     image; and (4) the base's girth, searched with its checked automorphisms
     once per prime, is at least the target.  Parts are taken a run at a
-    time, runs of at most ``_LOCATE_BLOCK`` edges (a larger part alone), so
+    time, runs of at most ``_RUN_EDGES`` edges (a larger part alone), so
     the extra memory stays near one block's or one part's."""
     host = p.host
     certified = np.zeros(len(p.parts), bool)
@@ -330,20 +343,6 @@ def _host_classes(host: HostSpec, girth: int):
     arity = _GIRTH_ARITY[girth]
     m, q = host.a, prime_for_side(host.a, arity)
     return [0], [q], lambda u, v: (_shift_index(u, v - m, q, arity), u, v - m)
-
-
-def _runs(items: list, counts: list):
-    """Consecutive runs of ``items`` whose ``counts`` add up to at most
-    ``_LOCATE_BLOCK``, an item with a larger count on its own."""
-    run, total = [], 0
-    for item, count in zip(items, counts):
-        if run and total + count > _LOCATE_BLOCK:
-            yield run
-            run, total = [], 0
-        run.append(item)
-        total += count
-    if run:
-        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +454,8 @@ class CompleteCoverLocator:
         """
         u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
         ids = np.empty(len(u), np.int64)
-        for lo in range(0, len(u), _LOCATE_BLOCK):
-            block = slice(lo, lo + _LOCATE_BLOCK)
+        for lo in range(0, len(u), _RUN_EDGES):
+            block = slice(lo, lo + _RUN_EDGES)
             ids[block] = self._locate(u[block], v[block])[0]
         return ids
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
+from .graph import Graph, _parts_cycles, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
 from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part
 
 _CYCLE_GIRTH = {6: 8, 10: 12}
@@ -242,7 +242,10 @@ class DecompositionResult:
 def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> DecompositionResult:
     """Partition E(g) into C_{2k}-free classes, k per ``cfg.target_cycle``.
 
-    Every output class is re-certified by exact cycle search.  The planned
+    Every output class is re-certified by exact cycle search before the
+    result is returned: the classes are searched together, a run of classes
+    at a time (``graph._parts_cycles``), and a class that holds a C_{2k}
+    raises ``AssertionError`` naming it and the cycle found.  The planned
     class count (``total_parts``) includes palette classes that came out
     empty, so reported rates are not flattered.
     """
@@ -308,9 +311,10 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             parts.append(Part(f"final_forest{i}", f._pairs(), forbidden_cycle=target))
         planned += len(forests)
     parts = [p for p in parts if len(p.edges)]
-    for part in parts:
-        if Graph(g.n, part.edges).has_cycle_of_length(target):
-            raise AssertionError(f"class {part.name} contains a C_{target}")
+    for part, cycle in zip(parts, _parts_cycles(g.n, [part.edges for part in parts], target)):
+        if cycle is not None:
+            ids = " ".join(map(str, cycle))
+            raise AssertionError(f"class {part.name} contains a C_{target}: cycle {ids}")
     partition = EdgePartition(host=HostSpec.explicit(g.n, g._pairs()), parts=parts)
     return DecompositionResult(
         partition=partition,

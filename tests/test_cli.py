@@ -7,10 +7,10 @@ import sys
 import pytest
 
 from girthcover import cli, graph, partition
-from girthcover.algebraic import build_quadrangle, index_to_tuple
+from girthcover.algebraic import build_hexagon, build_quadrangle, index_to_tuple
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
-from conftest import random_regular
+from conftest import random_regular, traced_peak
 
 
 def run(argv):
@@ -112,6 +112,42 @@ def test_verify_planted_cycle_fails(tmp_path):
         fh.writelines(f"{u} {v}\n" for u, v in hexagon)
         fh.writelines(row + "\n" for row in rows)
     assert run(["verify", "--manifest", manifest, "--cycle", "6"]) == EXIT_FAIL
+
+
+def test_verify_prints_the_witness_cycle(tmp_path, capsys):
+    hexagon = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7)]
+    p = partition.EdgePartition(
+        partition.HostSpec.explicit(9, [(0, 1)] + hexagon),
+        [partition.Part("edge", [(0, 1)], forbidden_cycle=6),
+         partition.Part("hexagon", hexagon, forbidden_cycle=6)],
+    )
+    manifest = partition.write_manifest(p, tmp_path / "m")
+    assert run(["verify", "--manifest", manifest]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "certificates: 1/2 pass (0 by certificate, 2 by search)" in out
+    assert "  FAIL hexagon: no C_6 (cycle 2 3 4 5 6 7)\n" in out
+    assert run(["verify", "--manifest", manifest, "--cycle", "4"]) == EXIT_PASS
+
+
+@pytest.mark.parametrize("block", [7, 1000, 8192])
+def test_label_bytes_do_not_depend_on_the_id_block(tmp_path, monkeypatch, block):
+    # The recorded q = 5 label hashes, with the ids formatted in blocks of
+    # 7 (a short last block), 1,000 and the default.
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+    for plg, argv in ((build_quadrangle(5), ("build-q", "--q", "5")),
+                      (build_hexagon(5, (1, 2, 3, 4)), ("build-h", "--q", "5", "--shift", "1,2,3,4"))):
+        cli._write_labels(plg, tmp_path / "g.labels")
+        digest = hashlib.sha256((tmp_path / "g.labels").read_bytes()).hexdigest()
+        assert digest == BUILD_FILE_SHA256[argv][1]
+
+
+def test_label_writer_memory_stays_near_one_block(tmp_path, monkeypatch):
+    # Blocks of 1,024 of the 16,807 ids a side of the q = 7 hexagon: the
+    # whole (16,807, 6) label table alone would be 0.8 MB.
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 1024)
+    plg = build_hexagon(7)
+    peak, _ = traced_peak(lambda: cli._write_labels(plg, tmp_path / "g.labels"))
+    assert peak < 600_000, peak
 
 
 def test_decompose_cli_roundtrip(tmp_path):
