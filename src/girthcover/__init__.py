@@ -16,7 +16,6 @@ from .graph import (
     degeneracy_order,
     degeneracy_peel,
     forest_decompose,
-    is_locally_injective_hom,
     read_edge_list,
     write_edge_list,
 )

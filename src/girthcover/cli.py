@@ -93,6 +93,7 @@ def _cmd_decompose(args) -> int:
         "retention": args.retention,
         "threshold": result.threshold,
         "rounds": len(result.rounds),
+        "retries": [r.retries for r in result.rounds],
         "planned_parts": result.total_parts,
         "nonempty_parts": len(result.partition.parts),
         "wall_clock_s": round(time.time() - t0, 3),
@@ -138,9 +139,10 @@ def _cmd_verify(args) -> int:
     print(f"host: {report.host.kind} n={report.host.n} "
           f"({report.host.edge_count} edges, {len(ep.parts)} parts)")
     print(f"exactness: {'PASS' if report.exact else 'FAIL'}")
-    by_certificate = sum(c.decided_by == "certificate" for c in report.checks)
+    decided = [c.decided_by for c in report.checks]
     print(f"certificates: {len(report.checks) - len(failed)}/{len(report.checks)} pass "
-          f"({by_certificate} by certificate, {len(report.checks) - by_certificate} by search)")
+          f"({decided.count('certificate')} by certificate, {decided.count('acyclic')} acyclic, "
+          f"{decided.count('search')} by search)")
     for c in failed[:20]:
         witness = "" if c.witness is None else f" (cycle {' '.join(map(str, c.witness))})"
         print(f"  FAIL {c.name}: {c.claim}{witness}")

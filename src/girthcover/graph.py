@@ -198,9 +198,6 @@ class Graph:
             upper = tails < heads
             yield np.stack([tails[upper], heads[upper]], axis=1)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -242,18 +239,10 @@ class Graph:
         if callable(self._automorphisms):  # built on the first girth query
             self._automorphisms = tuple(self._automorphisms())
         checked = [self._checked_automorphism(perm) for perm in self._automorphisms]
-        # The smallest vertex of each orbit, by min-label propagation along
-        # the generators and pointer jumping: labels only fall and stay in
-        # their orbit, and they stop changing once they are constant on it.
-        orbit = np.arange(self.n)
-        while True:
-            last = orbit
-            for perm in checked:
-                orbit = np.minimum(orbit, orbit[perm])
-                orbit[perm] = np.minimum(orbit[perm], orbit)
-            orbit = orbit[orbit]
-            if np.array_equal(orbit, last):
-                break
+        # The smallest vertex of each orbit: the orbits are the components of
+        # the graph that joins every vertex to its image under each generator.
+        everyone = np.arange(self.n)
+        orbit = _components(self.n, [(everyone, perm) for perm in checked])[0]
         if self.side is None:
             return np.flatnonzero(orbit == np.arange(self.n)).astype(np.int32)
         # Every cycle crosses between the sides, so it meets both: one vertex
@@ -357,7 +346,7 @@ class Graph:
         active = np.flatnonzero(deg)
         label = np.cumsum(deg > 0) - 1  # new id of each non-isolated vertex
         indptr = indptr[np.append(active, self.n)]
-        return _block_cycles(indptr, label[indices], [0, len(active)], length)[0] is not None
+        return _block_cycles(indptr, label[indices], [(0, len(active))], length)[0] is not None
 
 
 def cycle_graph(n: int) -> Graph:
@@ -366,11 +355,43 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def _components(n: int, pairs) -> tuple[np.ndarray, int]:
+    """The smallest vertex of each vertex's component in the graph on
+    0..n-1 that joins a[i] and b[i] for each pair of index arrays (a, b) in
+    ``pairs``, and the number of rounds taken.
+
+    Min-label propagation with pointer jumping: each round, for each edge,
+    the label of each end's label falls to the other end's label
+    (``np.minimum.at``, a scatter-min that is right for repeated indices),
+    then every label jumps to its label's label.  Lowering the ends' own
+    labels instead takes about n/3 rounds on a path with shuffled ids.  A
+    label is a vertex of its vertex's component and no larger than it, so
+    each component's smallest vertex stays its own label.  Labels only fall,
+    and after a round that changes none both ends of every edge share one."""
+    label = np.arange(n)
+    rounds = 0
+    while True:
+        rounds += 1
+        last = label.copy()
+        for a, b in pairs:
+            np.minimum.at(label, label[a], label[b])
+            np.minimum.at(label, label[b], label[a])
+        label = label[label]
+        if np.array_equal(label, last):
+            return label, rounds
+
+
 # ---------------------------------------------------------------------------
 # Fixed-length cycles
 #
-# One DFS serves a single graph (``Graph.has_cycle_of_length``) and the parts
-# of a partition (``_parts_cycles``).  Both hand ``_block_cycles`` CSR arrays
+# The parts of a partition (``_parts_check``) are first checked for any
+# cycle: a run of parts is one graph, their disjoint union, and a part with
+# e edges, v non-isolated vertices and c components is a forest iff
+# e = v - c.  The count c' that ``_components`` gives is never below c, even
+# before its loop settles, so e = v - c' implies c' = c: such a part is a
+# forest, has no cycle of any length, and is not searched.  Every other
+# part goes to the one DFS, which also serves a single graph
+# (``Graph.has_cycle_of_length``): both hand ``_block_cycles`` CSR arrays
 # whose vertices fall into blocks of consecutive ids with no edge between
 # blocks, and it searches each block on its own, in the block's local ids.
 
@@ -401,22 +422,36 @@ def _parts_cycles(n: int, parts: list, length: int) -> list:
 
     An entry is None exactly when ``Graph(n, part).has_cycle_of_length(length)``
     is False, and a part that ``Graph(n, part)`` rejects raises its error
-    (the first such part's).  Parts are taken a run at a time (``_runs``),
-    so the extra memory stays near one run's."""
-    _check_cycle_length(length)
-    found = []
+    (the first such part's)."""
+    return _parts_check(n, parts, length)[1]
+
+
+def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[list, list]:
+    """For the (m, 2) int64 edge arrays ``parts``, each the edges of a graph
+    on 0..n-1: whether each is a forest, and, for a ``length``, what
+    ``_parts_cycles`` gives (None for every forest, which is not searched).
+    A part that ``Graph(n, part)`` rejects raises its error (the first such
+    part's).  Parts are taken a run at a time (``_runs``), so the extra
+    memory stays near one run's."""
+    if length is not None:
+        _check_cycle_length(length)
+    acyclic, found = [], []
     for run in _runs(parts, [len(part) for part in parts]):
-        found += _run_cycles(n, run, length)
-    return found
+        run_acyclic, run_found = _run_check(n, run, length)
+        acyclic += run_acyclic
+        found += run_found
+    return acyclic, found
 
 
-def _run_cycles(n: int, run: list, length: int) -> list:
-    """``_parts_cycles`` of one run of parts.  The (part, vertex) pairs are
+def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
+    """``_parts_check`` of one run of parts.  The (part, vertex) pairs are
     numbered 0..N-1 in order by one ``np.unique``, and one ``Graph`` of the
     parts' disjoint union is built, whose checks catch loops and repeats
     within a part; ids are range-checked first, because an id >= n would
-    name a vertex of the next part.  Each part is then searched on its own
-    block of the union's CSR."""
+    name a vertex of the next part.  Each part is a block of the union: its
+    vertices are non-isolated, its edges are counted from the CSR, and its
+    components from the union's ``_components``.  A part that is not a
+    forest is searched on its own block of the union's CSR."""
     keys = np.concatenate([np.empty((0, 2), np.int64)] + run)
     try:
         if n < 0 or ((keys < 0) | (keys >= n)).any():
@@ -429,25 +464,33 @@ def _run_cycles(n: int, run: list, length: int) -> list:
         for part in run:
             Graph(n, part)  # raises the first faulty part's own error
         raise
-    blocks = np.searchsorted(ids, np.arange(len(run) + 1) * n).tolist()
-    found = _block_cycles(*union._csr, blocks, length)
-    for i, cycle in enumerate(found):
-        if cycle is not None:
-            found[i] = tuple((ids[blocks[i] + np.array(cycle)] - i * n).tolist())
-    return found
+    blocks = np.searchsorted(ids, np.arange(len(run) + 1) * n)
+    label = _components(len(ids), [local.reshape(-1, 2).T])[0]
+    roots = np.concatenate([[0], np.cumsum(label == np.arange(len(ids)))])
+    edges = np.diff(union._csr[0][blocks]) // 2
+    acyclic = (edges == np.diff(blocks) - np.diff(roots[blocks])).tolist()
+    found = [None] * len(run)
+    if length is not None:
+        blocks = blocks.tolist()
+        search = [i for i, forest in enumerate(acyclic) if not forest]
+        spans = [(blocks[i], blocks[i + 1]) for i in search]
+        for i, cycle in zip(search, _block_cycles(*union._csr, spans, length)):
+            if cycle is not None:
+                found[i] = tuple((ids[blocks[i] + np.array(cycle)] - i * n).tolist())
+    return acyclic, found
 
 
-def _block_cycles(indptr: np.ndarray, indices: np.ndarray, blocks: list, length: int) -> list:
-    """For each block of vertices ``blocks[i]``..``blocks[i+1]`` - 1 of a CSR
-    with no edge between blocks: a cycle of exactly ``length`` in the block,
-    as its vertices in order, numbered from the block's first, or None.
+def _block_cycles(indptr: np.ndarray, indices: np.ndarray, spans: list, length: int) -> list:
+    """For each block (a, b) of ``spans``, vertices a..b-1 of a CSR with no
+    edge between blocks: a cycle of exactly ``length`` in the block, as its
+    vertices in order, numbered from a, or None.
 
     DFS path enumeration anchored at the smallest cycle vertex, from every
     vertex of degree >= 2, pruned by BFS distance back to the anchor.  Each
     block is copied to Python lists on its own, in its local ids."""
-    edge_bounds = indptr[blocks].tolist()
     found = []
-    for a, b, lo, hi in zip(blocks, blocks[1:], edge_bounds, edge_bounds[1:]):
+    for a, b in spans:
+        lo, hi = indptr[[a, b]].tolist()
         cycle = None
         if hi - lo >= 2 * length:
             block_indptr = (indptr[a : b + 1] - lo).tolist()
@@ -509,22 +552,6 @@ def _bfs_dist_from(s: int, indptr: list, indices: list) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Homomorphisms
-
-
-def is_locally_injective_hom(f: Graph, g: Graph, phi: Sequence[int]) -> bool:
-    """Check that phi is a locally injective homomorphism from f to g.
-
-    Requires (a) every edge of f maps to an edge of g, and (b) for every
-    vertex v of f, phi restricted to the neighborhood of v is injective.
-    phi must be total: a value in [0, g.n) for every vertex of f.
-    """
-    if len(phi) != f.n:
-        raise ValueError("phi must map every vertex of f")
-    phi = np.asarray(phi, dtype=np.int64).reshape(f.n)
-    if (bad := np.flatnonzero((phi < 0) | (phi >= g.n))).size:
-        raise ValueError(f"phi value {phi[bad[0]]} outside target vertex range")
-    u, v = f._pairs().T
-    return _hom_failures(g._keys(), g.n, u, v, phi[u], phi[v], np.zeros(len(u), np.int64)).size == 0
 
 
 def _hom_failures(keys: np.ndarray, n: int, u, v, fu, fv, group) -> np.ndarray:

@@ -50,7 +50,7 @@ from .graph import (
     Graph,
     _edge_line_error,
     _hom_failures,
-    _parts_cycles,
+    _parts_check,
     _read_rows,
     _runs,
     _write_rows,
@@ -179,7 +179,7 @@ class PartCheck:
     name: str
     claim: str
     passed: bool
-    decided_by: str  # "certificate" or "search"
+    decided_by: str  # "certificate", "acyclic" (a forest, so no cycle at all) or "search"
     witness: Optional[tuple[int, ...]] = None  # the forbidden cycle found, its vertices in order
 
 
@@ -205,17 +205,22 @@ def verify_partition(
     arguments; nothing claimed is trusted.  Exactness is checked first.  On
     a partition of K_n or K_{m,m} whose part edges are all host edges, a
     girth claim is then tried by the certificate that the host line and the
-    part's edges determine (see ``_certified``); every part it does not
-    decide is searched directly.  Exactness does not matter to a part's
-    girth, but a partition that is not exact may be far smaller than its
-    host, so it gets no base with more edges than all its parts have.
+    part's edges determine (see ``_certified``).  Exactness does not matter
+    to a part's girth, but a partition that is not exact may be far smaller
+    than its host, so it gets no base with more edges than all its parts
+    have.
 
-    The parts that claim no C_L are searched together, per length L, a run
-    of parts at a time (``graph._parts_cycles``), and a part that fails
-    carries the cycle found as its ``witness``.  A part whose edges ``Graph``
-    rejects raises its ``ValueError``.  Cycle claims are searched before
-    girth claims, so of several such parts the error names the first one
-    with a cycle claim, if there is one.
+    Every part that no certificate decides is first checked for acyclicity,
+    a run of parts at a time (``graph._parts_check``): a part with e edges,
+    v non-isolated vertices and c components is a forest iff e = v - c, and
+    the component count c' used is never below c, so e = v - c' proves it.
+    A forest has no cycle, so it passes any girth or no C_L claim, decided
+    by ``"acyclic"``.  Any other part is searched: for a C_L together with
+    the parts of the same claim, a failing one carrying the cycle found as
+    its ``witness``, and for a girth claim by its own ``Graph``'s girth
+    search.  A part whose edges ``Graph`` rejects raises its ``ValueError``.
+    Cycle claims are checked first, so of several such parts the error
+    names the first one with a cycle claim, if there is one.
     """
     n = p.host.n
     override = (girth_target, forbidden_cycle)
@@ -226,21 +231,26 @@ def verify_partition(
     exact = p.is_exact()
     max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
     certified = _certified(p, [target for target, _ in claims], max_base_edges)
-    cycles = {}  # part index -> a forbidden cycle in it, or None
-    for length in sorted({forbid for target, forbid in claims if target is None and forbid is not None}):
-        at = [i for i, claim in enumerate(claims) if claim == (None, length)]
-        cycles.update(zip(at, _parts_cycles(n, [p.parts[i].edges for i in at], length)))
+    acyclic = [False] * len(p.parts)
+    cycles = [None] * len(p.parts)  # a forbidden cycle found in each part, or None
+    lengths = sorted({forbid for target, forbid in claims if target is None and forbid is not None})
+    groups = [(length, [i for i, claim in enumerate(claims) if claim == (None, length)]) for length in lengths]
+    groups.append((None, [i for i, (target, forbid) in enumerate(claims)
+                          if not certified[i] and (target is not None or forbid is None)]))
+    for length, at in groups:
+        for i, forest, cycle in zip(at, *_parts_check(n, [p.parts[i].edges for i in at], length)):
+            acyclic[i], cycles[i] = forest, cycle
     checks = []
     for i, (part, (target, forbid), by_certificate) in enumerate(zip(p.parts, claims, certified)):
+        decided = "acyclic" if acyclic[i] else "search"
         if by_certificate:
             checks.append(PartCheck(part.name, f"girth>={target}", True, "certificate"))
         elif target is not None:
-            ok = part.graph(n).girth_exceeds(target - 1)
-            checks.append(PartCheck(part.name, f"girth>={target}", ok, "search"))
+            ok = acyclic[i] or part.graph(n).girth_exceeds(target - 1)
+            checks.append(PartCheck(part.name, f"girth>={target}", ok, decided))
         elif forbid is not None:
-            checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, "search", cycles[i]))
+            checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, decided, cycles[i]))
         else:
-            part.graph(n)  # its edges are checked as a searched part's are
             checks.append(PartCheck(part.name, "no claim", False, "search"))
     return VerificationReport(host=p.host, exact=exact, checks=checks)
 

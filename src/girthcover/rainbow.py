@@ -17,8 +17,8 @@ The pipeline per round:
 4. remove the retained edges (max degree drops by a constant factor) and
    repeat until the remainder is low-degree, then finish with forests.
 
-Every class of the output is certified C_{2k}-free by direct search, never
-by trusting the construction.
+Every class of the output is certified C_{2k}-free from its edges, never
+by trusting the construction: shown to be a forest, or searched exactly.
 """
 
 from __future__ import annotations
@@ -79,12 +79,15 @@ class RainbowColoring:
     properness and per-neighborhood injectivity of the coloring on the
     retained subgraph; palette bounded by multiplier * max degree; every
     vertex retains at least the configured fraction of its degree.
+    ``retries`` counts the failed tries of :func:`rainbow_color` before
+    this one.
     """
 
     host: Graph
     retained: Graph
     color: list[int]
     palette_size: int
+    retries: int = 0
 
 
 class RainbowRetentionError(RuntimeError):
@@ -174,7 +177,7 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
         kept_degree = np.bincount(kept.ravel(), minlength=g.n)
         short = np.flatnonzero((degree > 0) & (kept_degree < cfg.retention * degree))
         if short.size == 0:
-            return RainbowColoring(g, Graph(g.n, kept), color, palette_size=palette)
+            return RainbowColoring(g, Graph(g.n, kept), color, palette_size=palette, retries=retry)
         v = int(short[0])
         ratio = int(kept_degree[v]) / int(degree[v])
         if ratio < worst_ratio:
@@ -228,6 +231,7 @@ class RoundLog:
     palette_parts_planned: int
     palette_parts_nonempty: int
     max_degree_after: int
+    retries: int  # failed rainbow-coloring tries before the one kept
 
 
 @dataclass
@@ -242,12 +246,15 @@ class DecompositionResult:
 def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> DecompositionResult:
     """Partition E(g) into C_{2k}-free classes, k per ``cfg.target_cycle``.
 
-    Every output class is re-certified by exact cycle search before the
-    result is returned: the classes are searched together, a run of classes
-    at a time (``graph._parts_cycles``), and a class that holds a C_{2k}
-    raises ``AssertionError`` naming it and the cycle found.  The planned
-    class count (``total_parts``) includes palette classes that came out
-    empty, so reported rates are not flattered.
+    Every output class is re-certified before the result is returned, a
+    run of classes at a time (``graph._parts_cycles``).  Each class is first
+    checked for acyclicity: with e edges, v non-isolated vertices and c
+    components it is a forest iff e = v - c, and the component count c' used
+    is never below c, so e = v - c' proves it; a forest has no cycle and is
+    not searched.  Every other class gets the exact search for a C_{2k}, and
+    a class that holds one raises ``AssertionError`` naming it and the cycle
+    found.  The planned class count (``total_parts``) includes palette
+    classes that came out empty, so reported rates are not flattered.
     """
     cfg = cfg or DecompositionConfig()
     target = cfg.target_cycle
@@ -302,6 +309,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
                 palette_parts_planned=locator.plan.total_parts,
                 palette_parts_nonempty=len(pulled.parts),
                 max_degree_after=current.max_degree(),
+                retries=rc.retries,
             )
         )
     if current.m > 0:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from girthcover._kernels import girth_scan
-from girthcover.graph import Graph
+from girthcover.graph import Graph, _hom_failures
 
 
 # -- small graphs and coordinates used only by the tests ----------------------
@@ -27,6 +27,24 @@ def petersen_graph() -> Graph:
     return Graph(10, outer + spokes + inner)
 
 
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    indptr, indices = g._csr
+    return v in indices[indptr[u] : indptr[u + 1]]
+
+
+def is_locally_injective_hom(f: Graph, g: Graph, phi) -> bool:
+    """Whether phi is a locally injective homomorphism from f to g: every
+    edge of f maps to an edge of g, and phi is injective on every
+    neighbourhood of f.  phi must give a vertex of g for every vertex of f."""
+    if len(phi) != f.n:
+        raise ValueError("phi must map every vertex of f")
+    phi = np.asarray(phi, dtype=np.int64).reshape(f.n)
+    if (bad := np.flatnonzero((phi < 0) | (phi >= g.n))).size:
+        raise ValueError(f"phi value {phi[bad[0]]} outside target vertex range")
+    u, v = f._pairs().T
+    return _hom_failures(g._keys(), g.n, u, v, phi[u], phi[v], np.zeros(len(u), np.int64)).size == 0
+
+
 def disjoint_union(graphs) -> Graph:
     """Disjoint union with vertices relabeled by block offsets.
 
@@ -35,6 +53,18 @@ def disjoint_union(graphs) -> Graph:
     offsets = np.cumsum([0] + [g.n for g in graphs])
     blocks = [g._pairs() + offset for g, offset in zip(graphs, offsets.tolist())]
     return Graph(int(offsets[-1]), np.concatenate([np.empty((0, 2), np.int64)] + blocks))
+
+
+def is_forest(edges) -> bool:
+    """networkx's verdict on the graph with these edges; no edges is a forest."""
+    g = nx.Graph(np.asarray(edges).reshape(-1, 2).tolist())
+    return g.number_of_edges() == 0 or nx.is_forest(g)
+
+
+def searched_as(edges) -> str:
+    """The ``decided_by`` that ``verify_partition`` must give a part with
+    these edges that no certificate decides."""
+    return "acyclic" if is_forest(edges) else "search"
 
 
 def traced_peak(f):

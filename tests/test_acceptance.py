@@ -18,11 +18,11 @@ from girthcover.algebraic import (
     solve_shift_q,
 )
 from girthcover.bounds import lower_bound_exponent, upper_bound
-from girthcover.graph import Graph, is_locally_injective_hom
+from girthcover.graph import Graph
 from girthcover.partition import cover_complete, partition_bipartite_exact, verify_partition
 from girthcover.rainbow import DecompositionConfig, check_rainbow_coloring, decompose, rainbow_color
 from girthcover.randomcover import SeedGraph, cover_random
-from conftest import petersen_graph, random_graph, random_regular
+from conftest import has_edge, is_locally_injective_hom, petersen_graph, random_graph, random_regular
 
 
 def report(criterion, detail=""):
@@ -191,7 +191,7 @@ def test_criterion_10_hom_transfer():
         pairs = [(u, v) for u in range(fn) for v in range(u + 1, fn)]
         rng.shuffle(pairs)
         for u, v in pairs:
-            if phi[u] == phi[v] or not g.has_edge(phi[u], phi[v]):
+            if phi[u] == phi[v] or not has_edge(g, phi[u], phi[v]):
                 continue
             if phi[v] in nbr_images[u] or phi[u] in nbr_images[v]:
                 continue

@@ -14,7 +14,7 @@ from girthcover.algebraic import (
     solve_shift_q,
 )
 from girthcover.graph import Graph
-from conftest import all_roots_girth, line_id, point_id, traced_peak, tuple_to_index
+from conftest import all_roots_girth, has_edge, line_id, point_id, traced_peak, tuple_to_index
 
 
 def without_certificate(g):
@@ -46,7 +46,7 @@ def test_quadrangle_defining_equations_q5():
     # direct substitution: 3-2 = 1*1 and 2-2*3 = -4 = 1 = -2*1*2 (mod 5)
     assert is_edge_q((1, 2, 3), (1, 3, 2), (0, 0), 5)
     plg = build_quadrangle(5)
-    assert plg.graph.has_edge(point_id(plg, (1, 2, 3)), line_id(plg, (1, 3, 2)))
+    assert has_edge(plg.graph, point_id(plg, (1, 2, 3)), line_id(plg, (1, 3, 2)))
 
 
 def test_quadrangle_every_edge_satisfies_equations():
@@ -117,7 +117,7 @@ def test_hexagon_counts_q5():
 def test_hexagon_zero_edge():
     assert is_edge_h((0,) * 5, (0,) * 5, (0, 0, 0, 0), 5)
     plg = build_hexagon(5)
-    assert plg.graph.has_edge(point_id(plg, (0,) * 5), line_id(plg, (0,) * 5))
+    assert has_edge(plg.graph, point_id(plg, (0,) * 5), line_id(plg, (0,) * 5))
 
 
 def test_hexagon_every_edge_satisfies_equations():

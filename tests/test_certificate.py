@@ -24,6 +24,7 @@ from girthcover.partition import (
     cover_complete,
     verify_partition,
 )
+from conftest import searched_as
 
 
 def search_verdicts(p: EdgePartition, target: int) -> list:
@@ -74,7 +75,7 @@ def test_edge_moved_within_level_falls_back_to_search():
     report = verify_partition(ep)
     by_name = {c.name: c for c in report.checks}
     assert by_name[a.name].decided_by == "certificate"
-    assert by_name[b.name].decided_by == "search"
+    assert by_name[b.name].decided_by == searched_as(b.edges)
     assert_matches_search(ep, report, 8)
 
 
@@ -108,7 +109,7 @@ def test_planted_short_cycle_fails_both_ways():
 def test_girth_13_claim_uses_search():
     ep, _ = cover_complete(250, 8)  # its first-level parts are whole quadrangles, of girth 8
     report = verify_partition(ep, girth_target=13)
-    assert decided(report) == {"search"}
+    assert [c.decided_by for c in report.checks] == [searched_as(p.edges) for p in ep.parts]
     assert_matches_search(ep, report, 13)
     assert not report.passed
 
@@ -119,8 +120,12 @@ def test_relabelled_cover_falls_back_to_search_and_passes():
     relabelled = EdgePartition(ep.host, [Part(p.name, perm[p.edges], girth_target=8) for p in ep.parts])
     report = verify_partition(relabelled)
     assert report.passed
-    by_search = sum(c.decided_by == "search" for c in report.checks)
-    assert by_search >= len(report.checks) // 2
+    certified = partition._certified(relabelled, [8] * len(relabelled.parts))
+    assert [c.decided_by for c in report.checks] == [
+        "certificate" if by_certificate else searched_as(p.edges)
+        for p, by_certificate in zip(relabelled.parts, certified)
+    ]
+    assert certified.count(False) >= len(report.checks) // 2
     assert_matches_search(relabelled, report, 8)
 
 
@@ -133,7 +138,8 @@ def test_wrong_shift_solver_falls_back_to_search(monkeypatch):
     shifted = lambda p, l, q, arity: (solve(p, l, q, arity) + 1) % q ** (arity - 1)  # noqa: E731
     monkeypatch.setattr(partition, "_shift_index", shifted)
     report = verify_partition(ep)
-    assert report.passed and decided(report) == {"search"}
+    assert report.passed
+    assert [c.decided_by for c in report.checks] == [searched_as(p.edges) for p in ep.parts]
 
 
 def test_repeated_edge_within_a_part_fails_local_injectivity():
@@ -186,7 +192,8 @@ def test_no_base_larger_than_the_parts_is_built(monkeypatch):
     assert partition._certified(p, [8], max_base_edges=5**4 - 1) == [False] and built == []
     assert partition._certified(p, [8], max_base_edges=5**4) == [True] and built == [5]
     report = verify_partition(p)
-    assert not report.exact and report.checks[0].decided_by == "search" and built == [5]
+    assert not report.exact and built == [5]
+    assert report.checks[0].decided_by == searched_as(p.parts[0].edges)
 
 
 def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):
@@ -195,20 +202,25 @@ def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):
 
     monkeypatch.setattr(partition, "_host_classes", refuse)
     ep, _ = cover_complete(17, 8)
-    assert decided(verify_partition(ep, forbidden_cycle=6)) == {"search"}
+    searched = [searched_as(p.edges) for p in ep.parts]
+    assert [c.decided_by for c in verify_partition(ep, forbidden_cycle=6).checks] == searched
     edges = np.concatenate([p.edges for p in ep.parts])
     explicit = EdgePartition(HostSpec.explicit(17, edges), ep.parts)
     report = verify_partition(explicit)
-    assert report.passed and decided(report) == {"search"}
+    assert report.passed and [c.decided_by for c in report.checks] == searched
 
 
 CHECKS_SCRIPT = """
+import networkx as nx
 import numpy as np
 from girthcover import partition
 from girthcover.partition import EdgePartition, HostSpec, Part, cover_complete, verify_partition
 
 def fail(message):
     raise SystemExit(message)
+
+def searched_as(edges):
+    return "acyclic" if nx.is_forest(nx.Graph(edges.tolist())) else "search"
 
 ep, _ = cover_complete(64, 8)
 if {c.decided_by for c in verify_partition(ep).checks} != {"certificate"}:
@@ -222,9 +234,10 @@ for other in ep.parts:
     other.edges = other.edges[~hit]
 part.edges = np.vstack([part.edges, [[y, z]]])
 report = verify_partition(ep)
-if report.passed or report.checks[0].decided_by != "search":
+if report.passed or report.checks[0].decided_by != searched_as(part.edges):
     fail("planted triangle accepted")
-if verify_partition(cover_complete(17, 8)[0], girth_target=13).checks[0].decided_by != "search":
+small, _ = cover_complete(17, 8)
+if verify_partition(small, girth_target=13).checks[0].decided_by != searched_as(small.parts[0].edges):
     fail("girth 13 decided by certificate")
 p = EdgePartition(HostSpec.complete(64), [Part("a", [(0, 40), (0, 40)])])
 if partition._certified(p, [8]) != [False]:
@@ -232,7 +245,7 @@ if partition._certified(p, [8]) != [False]:
 ep, _ = cover_complete(64, 8)
 solve = partition._shift_index
 partition._shift_index = lambda p, l, q, a: (solve(p, l, q, a) + 1) % q ** (a - 1)
-if {c.decided_by for c in verify_partition(ep).checks} != {"search"}:
+if [c.decided_by for c in verify_partition(ep).checks] != [searched_as(p.edges) for p in ep.parts]:
     fail("wrong shifts certified")
 """
 

@@ -10,7 +10,7 @@ from girthcover import cli, graph, partition
 from girthcover.algebraic import build_hexagon, build_quadrangle, index_to_tuple
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
-from conftest import random_regular, traced_peak
+from conftest import random_regular, searched_as, traced_peak
 
 
 def run(argv):
@@ -124,7 +124,7 @@ def test_verify_prints_the_witness_cycle(tmp_path, capsys):
     manifest = partition.write_manifest(p, tmp_path / "m")
     assert run(["verify", "--manifest", manifest]) == EXIT_FAIL
     out = capsys.readouterr().out
-    assert "certificates: 1/2 pass (0 by certificate, 2 by search)" in out
+    assert "certificates: 1/2 pass (0 by certificate, 1 acyclic, 1 by search)" in out
     assert "  FAIL hexagon: no C_6 (cycle 2 3 4 5 6 7)\n" in out
     assert run(["verify", "--manifest", manifest, "--cycle", "4"]) == EXIT_PASS
 
@@ -161,6 +161,15 @@ def test_decompose_cli_roundtrip(tmp_path):
     # a girth demand the forests meet but cyclic parts need not: use cycle-6
     # claim embedded in the manifest itself as the default check
     assert run(["verify", "--manifest", manifest]) == EXIT_PASS
+
+
+def test_decompose_reports_the_retries_of_each_round(tmp_path, capsys):
+    write_edge_list(random_regular(100, 16, seed=3), tmp_path / "g.edges")
+    argv = ["decompose", "--input", str(tmp_path / "g.edges"), "--cycle", "6",
+            "--retention", "0.4", "--multiplier", "4", "--out", str(tmp_path / "dec")]
+    assert run(argv) == EXIT_PASS
+    report = json.loads(capsys.readouterr().out.split("manifest:")[0])
+    assert report["rounds"] == 1 and report["retries"] == [3]
 
 
 def test_decompose_c10_cli_roundtrip(tmp_path):
@@ -350,9 +359,12 @@ def test_verify_reports_how_parts_were_decided(tmp_path, capsys):
     assert run(["cover-complete", "--n", "64", "--girth", "8", "--out", out]) == EXIT_PASS
     capsys.readouterr()
     assert run(["verify", "--manifest", os.path.join(out, "manifest.txt"), "--girth", "8"]) == EXIT_PASS
-    assert "certificates: 75/75 pass (75 by certificate, 0 by search)\n" in capsys.readouterr().out
+    assert "certificates: 75/75 pass (75 by certificate, 0 acyclic, 0 by search)\n" in capsys.readouterr().out
     assert run(["verify", "--manifest", os.path.join(out, "manifest.txt"), "--cycle", "6"]) == EXIT_PASS
-    assert "certificates: 75/75 pass (0 by certificate, 75 by search)\n" in capsys.readouterr().out
+    searched = [searched_as(p.edges) for p in partition.read_manifest(os.path.join(out, "manifest.txt")).parts]
+    acyclic = searched.count("acyclic")
+    assert f"certificates: 75/75 pass (0 by certificate, {acyclic} acyclic, {75 - acyclic} by search)\n" \
+        in capsys.readouterr().out
 
 
 LIMITED_VERIFY = """

@@ -19,7 +19,6 @@ from girthcover.graph import (
     degeneracy_order,
     degeneracy_peel,
     forest_decompose,
-    is_locally_injective_hom,
     read_edge_list,
     write_edge_list,
 )
@@ -28,6 +27,8 @@ from conftest import (
     complete_graph,
     disjoint_union,
     forest_decompose_buckets,
+    has_edge,
+    is_locally_injective_hom,
     path_graph,
     petersen_graph,
     random_graph,
@@ -53,7 +54,7 @@ def brute_force_cycles(g: Graph, max_len: int):
             if verts[1] > verts[-1]:  # fix orientation
                 continue
             ok = all(
-                g.has_edge(verts[i], verts[(i + 1) % L]) for i in range(L)
+                has_edge(g, verts[i], verts[(i + 1) % L]) for i in range(L)
             )
             if ok:
                 lengths.add(L)
@@ -352,7 +353,7 @@ def test_graph_matches_networkx_on_random_graphs():
                 assert g.degree(v) == oracle.degree(v)
                 assert list(g.neighbors(v)) == sorted(oracle.neighbors(v))
                 for w in range(n):
-                    assert g.has_edge(v, w) == oracle.has_edge(v, w)
+                    assert has_edge(g, v, w) == oracle.has_edge(v, w)
 
 
 # -- locally injective homomorphisms ---------------------------------------
@@ -412,7 +413,7 @@ def _pullback_triple(g: Graph, rng, fn: int):
     pairs = [(u, v) for u in range(fn) for v in range(u + 1, fn)]
     rng.shuffle(pairs)
     for u, v in pairs:
-        if phi[u] == phi[v] or not g.has_edge(phi[u], phi[v]):
+        if phi[u] == phi[v] or not has_edge(g, phi[u], phi[v]):
             continue
         if phi[v] in nbr_colors[u] or phi[u] in nbr_colors[v]:
             continue

@@ -12,7 +12,7 @@ from girthcover import graph, rainbow
 from girthcover.graph import _RUN_EDGES, Graph, _parts_cycles, _runs
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
 from girthcover.rainbow import DecompositionConfig, decompose
-from conftest import random_regular, traced_peak
+from conftest import random_regular, searched_as, traced_peak
 
 LENGTHS = range(3, 17)
 
@@ -126,7 +126,7 @@ def test_decompose_output_with_planted_cycles():
         for part, check in zip(parts, report.checks):
             has = Graph(g.n, part).has_cycle_of_length(L or 6)
             assert (check.passed, check.witness is not None) == (not has, has)
-            assert check.claim == f"no C_{L or 6}" and check.decided_by == "search"
+            assert check.claim == f"no C_{L or 6}" and check.decided_by == searched_as(part)
             if has:
                 assert_cycle_of(list(check.witness), part, L or 6)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from girthcover.graph import Graph, is_locally_injective_hom
+from girthcover.graph import Graph
 from girthcover.partition import CompleteCoverLocator, cover_complete
 from girthcover.rainbow import (
     DecompositionConfig,
@@ -16,7 +16,7 @@ from girthcover.rainbow import (
     pullback_partition,
     rainbow_color,
 )
-from conftest import complete_graph, path_graph, random_regular
+from conftest import complete_graph, is_locally_injective_hom, path_graph, random_regular
 
 
 def test_default_threshold():
@@ -198,6 +198,20 @@ def test_decompose_c10_small():
         assert not Graph(g.n, part.edges).has_cycle_of_length(10)
 
 
+def test_round_logs_record_the_retries():
+    # Here retention 0.4 with a palette of 4 * max degree fails three tries
+    # before the fourth keeps enough of every degree.
+    g = random_regular(100, 16, seed=3)
+    cfg = DecompositionConfig(retention=0.4, color_multiplier=4)
+    rc = rainbow_color(g, cfg)
+    assert rc.retries == 3
+    check_rainbow_coloring(rc, cfg)
+    with pytest.raises(RainbowRetentionError):
+        rainbow_color(g, DecompositionConfig(retention=0.4, color_multiplier=4, max_retries=3))
+    res = decompose(g, cfg)
+    assert [log.retries for log in res.rounds] == [3]
+
+
 def test_decompose_round_log_consistent():
     g = random_regular(300, 16, seed=12)
     res = decompose(g, DecompositionConfig(rng_seed=12))
@@ -209,10 +223,13 @@ def test_decompose_round_log_consistent():
 
 # Recorded before the graph core moved to CSR arrays: part names, ordered
 # edges, claims, round logs and counts of seeded decompositions must not change.
+# The round logs are hashed as they were recorded, without the later
+# ``retries`` field, which is checked on its own.
 DECOMPOSE_SHA256 = {
     (300, 24, 1): "8afc8acc3e72b148220834457c936f794836934775142d3fdc2b63c4a574a4de",
     (600, 40, 2): "c71083db01628d20fc5d8e3e55de7e73600ab3dedf3755c9bdbda3ce964d60b1",
 }
+DECOMPOSE_RETRIES = {(300, 24, 1): [0], (600, 40, 2): [0]}
 
 
 @pytest.mark.parametrize("key", sorted(DECOMPOSE_SHA256))
@@ -224,6 +241,7 @@ def test_decompose_matches_recorded_hash(key):
         edges = list(map(tuple, part.edges.tolist()))
         h.update(f"{part.name}:{edges}:{part.forbidden_cycle}\n".encode())
     for log in res.rounds:
-        h.update(f"{log!r}\n".encode())
+        h.update(f"{log!r}\n".replace(f", retries={log.retries})", ")").encode())
     h.update(f"{res.total_parts} {res.threshold}\n".encode())
     assert h.hexdigest() == DECOMPOSE_SHA256[key]
+    assert [log.retries for log in res.rounds] == DECOMPOSE_RETRIES[key]
