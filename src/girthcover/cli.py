@@ -36,14 +36,14 @@ def _parse_shift(text: str, count: int) -> list[int]:
 def _write_labels(plg, path) -> None:
     """One "vid P:c1,...,ck" line per point, then one "vid L:..." per line,
     formatted a block of ``_WRITE_BLOCK`` ids at a time."""
-    coords = ",".join(["%d"] * plg.arity)
-    with open(path, "w") as fh:
-        fh.write("# vertex-id class coords\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# vertex-id class coords\n")
         for offset, kind in ((0, "P"), (plg.n_side, "L")):
+            seps = (f" {kind}:".encode(), *[b","] * (plg.arity - 1), b"\n")
             for lo in range(0, plg.n_side, _WRITE_BLOCK):
                 ids = np.arange(lo, min(lo + _WRITE_BLOCK, plg.n_side), dtype=np.int64)
                 rows = np.column_stack([ids + offset, *algebraic._coords(ids, plg.q, plg.arity)])
-                _write_rows(fh, f"%d {kind}:{coords}\n", rows)
+                _write_rows(fh, rows, seps)
 
 
 def _cmd_build(args) -> int:
@@ -140,9 +140,10 @@ def _cmd_verify(args) -> int:
           f"({report.host.edge_count} edges, {len(ep.parts)} parts)")
     print(f"exactness: {'PASS' if report.exact else 'FAIL'}")
     decided = [c.decided_by for c in report.checks]
+    unclaimed = f", {n} unclaimed" if (n := decided.count("unclaimed")) else ""
     print(f"certificates: {len(report.checks) - len(failed)}/{len(report.checks)} pass "
           f"({decided.count('certificate')} by certificate, {decided.count('acyclic')} acyclic, "
-          f"{decided.count('search')} by search)")
+          f"{decided.count('search')} by search{unclaimed})")
     for c in failed[:20]:
         witness = "" if c.witness is None else f" (cycle {' '.join(map(str, c.witness))})"
         print(f"  FAIL {c.name}: {c.claim}{witness}")

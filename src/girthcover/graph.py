@@ -28,13 +28,19 @@ the header, ``n m`` or ``n m bipartite a b``; every later one is an edge
 ``u v`` with u < v: exactly two ASCII decimal integers (optionally signed)
 separated by whitespace.  A comment line has ``#`` as its first non-blank
 character, and ``#`` anywhere else is an error.  Line ends may be LF or CRLF.
+Rows are written by a numpy digit formatter and read in chunks of whole
+lines: a chunk in the canonical form the writer produces is parsed by
+``np.fromstring``, any other by numpy's ``loadtxt``, which stays the one
+parser of hand-written text (see "Shared edge-list text format" below).
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -693,35 +699,78 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# Shared edge-list text format (grammar in the module docstring).  The body is
-# parsed by numpy's C reader; a file that fails is read again line by line only
-# to name the first bad line.  A partition manifest's body of part edges is the
-# same edge lines without a header, read by the same two functions.
+# Shared edge-list text format (grammar in the module docstring).  Rows are
+# written and read by one numpy text codec, a block of rows at a time; a
+# partition manifest's body of part edges is the same edge lines without a
+# header, read and written by the same functions, and ``build``'s label file
+# by the same writer.
+#
+# The writer formats each block of non-negative integer rows with one digit
+# place per step (``_format_rows``).  The reader takes the body in chunks of
+# whole lines.  A chunk in the form the writer produces, each line two runs
+# of 1 to 18 ASCII digits around one space, is parsed by ``np.fromstring``
+# (``_canonical_rows``); its checks establish that form, in which that parse
+# and numpy's C ``loadtxt`` give the same rows.  Any other chunk (comments,
+# blank lines, tabs, signs, non-ASCII, longer tokens) is parsed by ``loadtxt``
+# and scanned for a ``#`` after data: the fast path covers only what the
+# writer produces, and ``loadtxt`` stays the one parser of hand-written text.
+# The body is read as text, so CRLF and a lone CR are line ends before either
+# parser sees them.  A body that fails either way is read again line by line
+# only to name the first bad line.
 
 _WRITE_BLOCK = 8192  # rows formatted per write call
-_COMMENT_CHUNK = 1 << 20  # characters per chunk of the body comment scan
+_COMMENT_CHUNK = 1 << 16  # characters per chunk of the body read
+_CANONICAL_DIGITS = 18  # longest token of a canonical line: 10**18 - 1 < 2**63
+_MIN_LINE = 4  # bytes of the shortest edge line, "0 1" and its newline
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
 _COMMENT_AFTER_DATA = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.M)
 
 
-def _write_rows(fh, line_format: str, rows: np.ndarray) -> None:
-    """Write each row of the 2-d integer array ``rows`` with ``line_format``."""
+def _format_rows(rows: np.ndarray, seps: Sequence[bytes]) -> bytes:
+    """The rows of the 2-d array of non-negative integers ``rows`` as text,
+    each entry in decimal followed by its column's separator in ``seps``:
+    byte for byte what ``%d`` formatting gives.
+
+    The text is laid out as one byte matrix, a line per column, with every
+    entry padded with zeros to its column's widest; one ``divmod`` by 10 per
+    digit place fills the digits, a keep-mask drops the leading zeros, and
+    one boolean gather reads the kept bytes out line by line."""
+    if rows.size and rows.min() < 0:
+        raise ValueError("only non-negative integers are formatted")
+    widths = [len(str(int(column.max(initial=0)))) for column in rows.T]
+    text = np.empty((sum(widths) + sum(map(len, seps)), len(rows)), np.uint8)
+    keep = np.ones(text.shape, bool)
+    at = 0
+    for column, width, sep in zip(rows.T, widths, seps):
+        value = column.astype(np.uint32 if width < 10 else np.uint64)
+        for place in range(at + width - 1, at - 1, -1):
+            if place < at + width - 1:
+                np.not_equal(value, 0, out=keep[place])  # not a leading zero
+            value, text[place] = np.divmod(value, 10)
+        text[at : at + width] += ord("0")
+        text[at + width : at + width + len(sep)] = np.frombuffer(sep, np.uint8)[:, None]
+        at += width + len(sep)
+    return text.T[keep.T].tobytes()
+
+
+def _write_rows(fh, rows: np.ndarray, seps: Sequence[bytes]) -> None:
+    """Write the rows of ``rows`` to the binary file ``fh`` as ``_format_rows``
+    text, ``_WRITE_BLOCK`` rows at a time."""
     for lo in range(0, len(rows), _WRITE_BLOCK):
-        block = rows[lo : lo + _WRITE_BLOCK]
-        fh.write((line_format * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(_format_rows(rows[lo : lo + _WRITE_BLOCK], seps))
 
 
 def write_edge_list(g: Graph, path) -> None:
     if g.side is not None and list(g.side) != sorted(g.side):
         raise ValueError("the header can only record sides of the form [0]*a + [1]*b")
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         if g.side is not None:
-            fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n")
+            fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n".encode())
         else:
-            fh.write(f"{g.n} {g.m}\n")
+            fh.write(f"{g.n} {g.m}\n".encode())
         for block in g._row_blocks():
-            _write_rows(fh, "%d %d\n", block)
+            _write_rows(fh, block, (b" ", b"\n"))
 
 
 def read_edge_list(path) -> Graph:
@@ -749,47 +798,74 @@ def read_edge_list(path) -> Graph:
             if a + b != n:
                 raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
             side = [0] * a + [1] * b
-        pairs = _read_rows(fh, path, n, side)
-    if m != len(pairs):
-        raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {len(pairs)}")
+        pairs, count = _read_rows(fh, path, n, side, m)
+    if count != m:
+        raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {count}")
     try:
         return Graph(n, pairs, side=side)
     except ValueError as exc:
         raise _edge_line_error(path, n, side, exc) from None
 
 
-def _read_rows(fh, path, n: int, side, header: bool = True, groups=()) -> np.ndarray:
-    """The edge lines of the rest of ``fh`` as an (m, 2) int64 array, every
-    row u < v.  A body that fails the grammar raises the rescan's error (the
-    arguments after ``path`` are passed on to ``_edge_line_error``)."""
-    body = fh.tell()
-    try:
-        with warnings.catch_warnings():
-            # A body without edges is valid.  Older numpy parses a field
-            # such as '1.5' as a float and casts it, with a deprecation
-            # warning; as an error, that warning fails the parse.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
-            pairs = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-    except (ValueError, DeprecationWarning) as exc:
-        raise _edge_line_error(path, n, side, exc, header, groups) from None
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    fh.seek(body)
-    if pairs.shape[1] != 2 or (pairs[:, 0] >= pairs[:, 1]).any() or _comment_after_data(fh):
-        raise _edge_line_error(path, n, side, "bad edge line", header, groups)
-    return pairs
-
-
-def _comment_after_data(fh) -> bool:
-    """Does a line of the rest of ``fh`` hold a '#' after other text?  The
-    text is read in chunks of whole lines, and only a chunk that holds a '#'
-    is matched line by line."""
+def _read_rows(fh, path, n: int, side, claimed: int, header: bool = True, groups=()):
+    """The edge lines of the rest of the text file ``fh``, every row u < v:
+    a (k, 2) int64 array of its first k rows and the number of its rows,
+    with k the smaller of that number and ``claimed``.  The array is
+    allocated once, for at most as many rows as the file has room for, so a
+    claim past the file's size allocates nothing extra.  A body that fails
+    the grammar raises the rescan's error (the arguments after ``claimed``
+    are passed on to ``_edge_line_error``)."""
+    room = (os.fstat(fh.fileno()).st_size + 1) // _MIN_LINE  # the last line may lack its newline
+    pairs = np.empty((max(0, min(claimed, room)), 2), np.int64)
+    count = 0
     while chunk := fh.read(_COMMENT_CHUNK):
         chunk += fh.readline()
-        if "#" in chunk and _COMMENT_AFTER_DATA.search(chunk):
-            return True
-    return False
+        rows, comment = _canonical_rows(chunk), False
+        if rows is None:
+            try:
+                with warnings.catch_warnings():
+                    # A body without edges is valid.  Older numpy parses a
+                    # field such as '1.5' as a float and casts it, with a
+                    # deprecation warning; as an error, that warning fails
+                    # the parse.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    warnings.filterwarnings("error", "loadtxt", DeprecationWarning)
+                    rows = np.loadtxt(io.StringIO(chunk), dtype=np.int64, ndmin=2)
+            except (ValueError, DeprecationWarning) as exc:
+                raise _edge_line_error(path, n, side, exc, header, groups) from None
+            if rows.size == 0:
+                rows = rows.reshape(0, 2)
+            comment = "#" in chunk and _COMMENT_AFTER_DATA.search(chunk) is not None
+        if comment or rows.shape[1] != 2 or (rows[:, 0] >= rows[:, 1]).any():
+            raise _edge_line_error(path, n, side, "bad edge line", header, groups)
+        kept = rows[: max(0, len(pairs) - count)]
+        pairs[count : count + len(kept)] = kept
+        count += len(rows)
+    return pairs[:count], count
+
+
+def _canonical_rows(chunk: str) -> Optional[np.ndarray]:
+    """The rows of the whole lines ``chunk`` as a (k, 2) int64 array if every
+    line is canonical, ``D{1,18} D{1,18}`` and a newline (optional on the
+    last), else None.  Three checks establish that form: as many spaces as
+    newlines with every other byte an ASCII digit, the i-th space strictly
+    inside the i-th line, and the token lengths that those positions give."""
+    if not chunk.isascii():
+        return None
+    data = chunk.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    chars = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))
+    spaces = np.flatnonzero(chars == ord(" "))
+    if len(spaces) != len(ends) or np.count_nonzero(chars - ord("0") < 10) != len(chars) - 2 * len(ends):
+        return None
+    # The token lengths; a space outside its line makes one of them below 1.
+    first = spaces - np.concatenate([[0], ends[:-1] + 1])
+    second = ends - spaces - 1
+    if min(first.min(), second.min()) < 1 or max(first.max(), second.max()) > _CANONICAL_DIGITS:
+        return None
+    return np.fromstring(data, np.int64, sep=" ").reshape(-1, 2)
 
 
 def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=()) -> ValueError:

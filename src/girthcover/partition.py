@@ -179,7 +179,9 @@ class PartCheck:
     name: str
     claim: str
     passed: bool
-    decided_by: str  # "certificate", "acyclic" (a forest, so no cycle at all) or "search"
+    # "certificate", "acyclic" (a forest, so no cycle at all), "search", or
+    # "unclaimed" for a part with no claim, which fails with nothing decided
+    decided_by: str
     witness: Optional[tuple[int, ...]] = None  # the forbidden cycle found, its vertices in order
 
 
@@ -218,9 +220,10 @@ def verify_partition(
     by ``"acyclic"``.  Any other part is searched: for a C_L together with
     the parts of the same claim, a failing one carrying the cycle found as
     its ``witness``, and for a girth claim by its own ``Graph``'s girth
-    search.  A part whose edges ``Graph`` rejects raises its ``ValueError``.
-    Cycle claims are checked first, so of several such parts the error
-    names the first one with a cycle claim, if there is one.
+    search.  A part with no claim fails, decided by ``"unclaimed"``; its
+    edges are still checked.  A part whose edges ``Graph`` rejects raises
+    its ``ValueError``.  Cycle claims are checked first, so of several such
+    parts the error names the first one with a cycle claim, if there is one.
     """
     n = p.host.n
     override = (girth_target, forbidden_cycle)
@@ -251,7 +254,7 @@ def verify_partition(
         elif forbid is not None:
             checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, decided, cycles[i]))
         else:
-            checks.append(PartCheck(part.name, "no claim", False, "search"))
+            checks.append(PartCheck(part.name, "no claim", False, "unclaimed"))
     return VerificationReport(host=p.host, exact=exact, checks=checks)
 
 
@@ -317,7 +320,7 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
             failed[group[ids != np.repeat(ids[first], counts[has])]] = True  # (1)
             part_level = np.zeros(len(run), np.int64)  # an empty part maps into any base
             part_level[has] = level[first]
-            for k in np.unique(part_level[~failed]).tolist():
+            for k in sorted(set(part_level[~failed].tolist())):
                 q = primes[k]
                 if max_base_edges is not None and q ** (arity + 1) > max_base_edges:
                     failed[part_level == k] = True
@@ -579,8 +582,8 @@ def write_manifest(p: EdgePartition, directory) -> str:
         write_edge_list(Graph(n, p.host.edges), os.path.join(directory, "host.edges"))
         lines.append("host file host.edges")
     lines.append(f"parts {len(p.parts)}")
-    with open(os.path.join(directory, "parts.edges"), "w") as fh:
-        _write_rows(fh, "%d %d\n", pairs)
+    with open(os.path.join(directory, "parts.edges"), "wb") as fh:
+        _write_rows(fh, pairs, (b" ", b"\n"))
     for part, count in zip(p.parts, counts):
         if part.girth_target is not None:
             claim = f"girth {part.girth_target}"
@@ -677,9 +680,9 @@ def _read_body(path: str, n: int, counts: list) -> list[np.ndarray]:
     wrong row count, an id outside 0..n-1 or an edge repeated within one part
     raises ``ValueError``, naming the body line where there is one."""
     with open(path) as fh:
-        pairs = _read_rows(fh, path, n, None, header=False, groups=counts)
-    if len(pairs) != sum(counts):
-        raise ValueError(f"{path}: the manifest claims {sum(counts)} edges, the file has {len(pairs)}")
+        pairs, count = _read_rows(fh, path, n, None, sum(counts), header=False, groups=counts)
+    if count != sum(counts):
+        raise ValueError(f"{path}: the manifest claims {sum(counts)} edges, the file has {count}")
     keys, bad = _edge_keys(pairs, n)
     if bad.any() or _part_rows(keys, counts)[2].any():
         raise _edge_line_error(path, n, None, "bad edge line", header=False, groups=counts)

@@ -182,7 +182,7 @@ def test_verify_decides_forests_as_acyclic():
         elif part.forbidden_cycle is not None:
             assert check.passed == (check.witness is None) == (not g.has_cycle_of_length(part.forbidden_cycle))
         else:
-            assert not check.passed and check.decided_by == "search"
+            assert not check.passed and check.decided_by == "unclaimed"
             continue
         assert check.decided_by == searched_as(part.edges), part.name
     for override in ({"girth_target": 5}, {"forbidden_cycle": 3}):

@@ -257,3 +257,27 @@ def test_certificate_checks_hold_under_optimize():
         [sys.executable, "-O", "-c", CHECKS_SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+FIRST_VERIFY_SCRIPT = """
+import sys
+from girthcover.partition import cover_complete, verify_partition
+p, _ = cover_complete(60, 8)
+before = set(sys.modules)
+report = verify_partition(p)
+if not report.passed or {c.decided_by for c in report.checks} != {"certificate"}:
+    raise SystemExit("the cover did not pass by certificate")
+if new := sorted(set(sys.modules) - before):
+    raise SystemExit(f"imported {new}")
+"""
+
+
+def test_first_verify_imports_no_module():
+    # A module imported on first use (numpy.ma, by the plain form of
+    # np.unique) would be timed as part of the first verification.
+    src = os.path.dirname(os.path.dirname(girthcover.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_VERIFY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

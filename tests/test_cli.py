@@ -129,6 +129,22 @@ def test_verify_prints_the_witness_cycle(tmp_path, capsys):
     assert run(["verify", "--manifest", manifest, "--cycle", "4"]) == EXIT_PASS
 
 
+def test_verify_counts_unclaimed_parts_apart(tmp_path, capsys):
+    # A part with no claim fails without any search; the summary names the
+    # unclaimed count only when there is one.
+    p = partition.EdgePartition(
+        partition.HostSpec.explicit(4, [(0, 1), (1, 2), (2, 3)]),
+        [partition.Part("tree", [(0, 1), (1, 2)], forbidden_cycle=6), partition.Part("bare", [(2, 3)])],
+    )
+    manifest = partition.write_manifest(p, tmp_path / "m")
+    assert run(["verify", "--manifest", manifest]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "certificates: 1/2 pass (0 by certificate, 1 acyclic, 0 by search, 1 unclaimed)\n" in out
+    assert "  FAIL bare: no claim\n" in out
+    assert run(["verify", "--manifest", manifest, "--cycle", "4"]) == EXIT_PASS
+    assert "certificates: 2/2 pass (0 by certificate, 2 acyclic, 0 by search)\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("block", [7, 1000, 8192])
 def test_label_bytes_do_not_depend_on_the_id_block(tmp_path, monkeypatch, block):
     # The recorded q = 5 label hashes, with the ids formatted in blocks of
@@ -367,14 +383,23 @@ def test_verify_reports_how_parts_were_decided(tmp_path, capsys):
         in capsys.readouterr().out
 
 
-LIMITED_VERIFY = """
+LIMITED_MAIN = """
 import resource, sys
 limit = 2 * 1024**3
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from girthcover.cli import main
-sys.argv = ["girthcover", "verify", "--manifest", sys.argv[1]]
+sys.argv = ["girthcover", *sys.argv[1:]]
 main()
 """
+
+
+def run_limited(*argv):
+    """The CLI with ``argv`` in a subprocess under a 2 GB address-space limit."""
+    src = os.path.dirname(os.path.dirname(partition.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
 
 
 def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):
@@ -383,11 +408,28 @@ def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):
     (tmp_path / "parts.edges").write_text("0 1\n")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 200000\nparts 1\npart a girth 8 1\n")
-    src = os.path.dirname(os.path.dirname(partition.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", LIMITED_VERIFY, str(manifest)],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-    )
+    done = run_limited("verify", "--manifest", manifest)
     assert done.returncode == EXIT_FAIL, done.stdout + done.stderr
     assert "exactness: FAIL" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def test_edge_counts_past_the_file_size_allocate_nothing(tmp_path):
+    # A claim of 10**12 edges would be 16 TB of rows; the readers allocate
+    # for what the file can hold, so under a 2 GB address-space limit the
+    # claim is reported, on one line.
+    edges = tmp_path / "g.edges"
+    edges.write_text("5 1000000000000\n0 1\n1 2\n")
+    (tmp_path / "parts.edges").write_text("0 1\n1 2\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 5\nparts 2\n"
+                        "part a girth 8 600000000000\npart b girth 8 400000000000\n")
+    for argv, message in [
+        (("decompose", "--input", edges, "--cycle", "6", "--out", tmp_path / "dec"),
+         f"{edges}, line 1: header claims 1000000000000 edges, file has 2"),
+        (("verify", "--manifest", manifest),
+         f"{tmp_path / 'parts.edges'}: the manifest claims 1000000000000 edges, the file has 2"),
+    ]:
+        done = run_limited(*argv)
+        assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
+        assert done.stderr == f"error: {message}\n"

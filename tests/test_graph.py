@@ -732,6 +732,24 @@ def test_write_edge_list_rejects_sides_the_header_cannot_record(tmp_path):
     assert not (tmp_path / "g.edges").exists()
 
 
+def test_format_rows_matches_percent_formatting():
+    # Every digit count from 1 to 19, the powers of ten and their
+    # neighbours, both sides of the 32-bit switch, and separators that are
+    # empty, several bytes long or not ASCII.
+    rng = random.Random(41)
+    special = [0, 9, 10, 99, 100, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1]
+    special += [10**k + d for k in range(1, 19) for d in (-1, 0, 1)]
+    for seps in [(b" ", b"\n"), (b"\n",), (b" P:", b",", b",", b"\n"), (b"", b"\xc2\xa0->", b"\r\n")]:
+        for k in (0, 1, 7, 300):
+            rows = [[rng.choice(special) if rng.random() < 0.5 else rng.randrange(10 ** rng.randrange(1, 19))
+                     for _ in seps] for _ in range(k)]
+            want = b"".join(b"%d%s" % (x, sep) for row in rows for x, sep in zip(row, seps))
+            array = np.array(rows, np.int64).reshape(k, len(seps))
+            assert graph_module._format_rows(array, seps) == want
+    with pytest.raises(ValueError, match="non-negative"):
+        graph_module._format_rows(np.array([[0, -1]]), (b" ", b"\n"))
+
+
 @pytest.mark.parametrize("bad", ["0 1 2", "0", "0 x"])
 def test_edge_list_malformed_edge_line_names_file_and_line(tmp_path, bad):
     path = tmp_path / "bad.edges"
@@ -755,16 +773,24 @@ def test_edge_list_rejects_bad_header(tmp_path):
 # -- edge-list reader against the line-by-line oracle ------------------------
 
 
-def _decorated_text(g, rng):
-    """The edge-list text of ``g`` with every allowed decoration sprinkled in:
-    comment and blank lines, CRLF ends, tabs, leading and trailing blanks."""
+def _decorated_text(g, rng, share):
+    """The edge-list text of ``g`` with a ``share`` of its edge lines (0 for
+    the canonical text the writer produces, 1 for all of them) given every
+    allowed decoration: comment and blank lines before it, tabs, leading and
+    trailing blanks.  Ids are sometimes padded with zeros to up to 20 digits
+    (18 is the longest canonical token), and line ends may be CRLF."""
     eol = rng.choice(["\n", "\r\n"])
     header = f"{g.n} {g.m}"
     if g.side is not None:
         header += f" bipartite {g.side.count(0)} {g.side.count(1)}"
-    lines = ["# leading comment", ""] if rng.random() < 0.5 else []
+    lines = ["# leading comment", ""] if rng.random() < share else []
     lines.append(header)
     for u, v in g.edges():
+        if rng.random() < 0.1:
+            u, v = (str(x).zfill(rng.choice([2, 17, 18, 19, 20])) for x in (u, v))
+        if rng.random() >= share:
+            lines.append(f"{u} {v}")
+            continue
         r = rng.random()
         if r < 0.1:
             lines.append(rng.choice(["# comment", "  # indented comment", "#"]))
@@ -775,7 +801,9 @@ def _decorated_text(g, rng):
     return eol.join(lines) + rng.choice([eol, ""])
 
 
-def test_edge_list_reader_matches_line_oracle(tmp_path):
+def test_edge_list_reader_matches_line_oracle(tmp_path, monkeypatch):
+    # Canonical, mixed and fully decorated texts, each read in chunks that
+    # hold one line, a few lines or the whole body.
     rng = random.Random(23)
     path = tmp_path / "g.edges"
     graphs = [Graph(0, []), Graph(7, []), Graph(4, [], side=[0, 0, 1, 1])]
@@ -789,12 +817,15 @@ def test_edge_list_reader_matches_line_oracle(tmp_path):
             side = None
             pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(0, min(len(pairs), 90) + 1)), side=side))
-    for g in graphs:
+    for i, g in enumerate(graphs):
         with open(path, "w", newline="") as fh:  # keep CRLF as written
-            fh.write(_decorated_text(g, rng))
-        got, want = read_edge_list(path), read_edge_list_lines(path)
-        assert (got.n, got.side, list(got.edges())) == (want.n, want.side, list(want.edges()))
-        assert (got.n, got.side, list(got.edges())) == (g.n, g.side, list(g.edges()))
+            fh.write(_decorated_text(g, rng, (0, 0.03, 1)[i % 3]))
+        want = read_edge_list_lines(path)
+        assert (want.n, want.side, list(want.edges())) == (g.n, g.side, list(g.edges()))
+        for chunk in (1, 4, 64, graph_module._COMMENT_CHUNK):
+            monkeypatch.setattr(graph_module, "_COMMENT_CHUNK", chunk)
+            got = read_edge_list(path)
+            assert (got.n, got.side, list(got.edges())) == (g.n, g.side, list(g.edges()))
 
 
 def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
@@ -874,6 +905,24 @@ def test_edge_list_without_edges_reads_without_warning(tmp_path):
         assert (g.n, g.m) == (n, 0)
 
 
+def read_outcome(read, path):
+    """The edges ``read(path)`` gives, or the text of its ``ValueError``."""
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return list(result.edges())
+
+
+def whole_body_outcome(monkeypatch, read, path):
+    """``read_outcome`` with the body read as one chunk and parsed by
+    ``loadtxt``: the reference that the canonical path must match."""
+    with monkeypatch.context() as patch:
+        patch.setattr(graph_module, "_canonical_rows", lambda chunk: None)
+        patch.setattr(graph_module, "_COMMENT_CHUNK", 1 << 30)
+        return read_outcome(read, path)
+
+
 @pytest.mark.parametrize("chunk", [1, 4, 64])
 def test_comment_scan_reads_whole_lines_per_chunk(tmp_path, monkeypatch, chunk):
     # The comment-after-data scan reads a chunk, then up to the end of its
@@ -889,6 +938,95 @@ def test_comment_scan_reads_whole_lines_per_chunk(tmp_path, monkeypatch, chunk):
         path.write_bytes(text.encode())
         with pytest.raises(ValueError, match=rf"c\.edges, line {line}: malformed edge line"):
             read_edge_list(path)
+    # Canonical chunks, which take the fast path, next to chunks that do not:
+    # each gives the edges or the error of the whole-body loadtxt reader.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    for text, want in [
+        ("5 4\n0 1\n1 2\n2 3\n3 4\n", edges),
+        ("5 4\r\n0 1\r\n1 2\r\n2 3\r\n3 4\r\n", edges),
+        ("5 4\n0 1\n1 2\n2 3\n3 4", edges),  # no final newline
+        ("5 4\n000000000000000000 1\n1 2\n2 3\n003 00000000000000004\n", edges),  # 18 digits
+        ("5 4\n0000000000000000000 1\n1 2\n2 3\n3 4\n", edges),  # 19 digits
+        ("5 4\n0 1\r1 2\n2 3\n3 4\n", edges),  # a lone CR ends a line
+        ("5 4\n0\xa01\n1 2\n2 3\n3 4\n", edges),
+        ("5 4\n0 1\n1 2\n# mid\n\n2 3\n3 4\n", edges),
+        ("5 0\n", []),
+        ("5 0\n\n", []),
+        ("5 4\n0 1\n1 2\n2 3\n3 9999999999999999999\n", "line 5: vertex id outside int64 in '3 9999999999999999999'"),
+        ("5 4\n0 1\n1 2\n2 3\n3 1000000000000000000\n", "line 5: edge (3, 1000000000000000000) out of range for n=5"),
+        ("5 4\n0 1\n1 1\n2 3\n3 4\n", "line 3: edge (1,1) not in u < v form"),
+        ("5 4\n0 1\n2 1\n2 3\n3 4\n", "line 3: edge (2,1) not in u < v form"),
+        ("5 4\n0 1\n1 2\x00\n2 3\n3 4\n", "line 3: malformed edge line '1 2\\x00'"),
+        ("5 4\n0 1 #\n1 2\n2 3\n3 4\n", "line 2: malformed edge line '0 1 #'"),
+        ("5 4\n0 1\n1 2\n2 3\n3 4\n0 4\n", "line 1: header claims 4 edges, file has 5"),
+        ("5 4\n0 1\n1 2\n", "line 1: header claims 4 edges, file has 2"),
+        ("5 1000000000000\n0 1\n1 2\n", "line 1: header claims 1000000000000 edges, file has 2"),
+        ("5 2\n0 1\n1 2\n2 3\n4 0\n", "line 5: edge (4,0) not in u < v form"),  # before the count
+    ]:
+        path.write_bytes(text.encode())
+        if isinstance(want, str):
+            want = f"{path}, {want}"
+        assert read_outcome(read_edge_list, path) == whole_body_outcome(monkeypatch, read_edge_list, path) == want
+    from girthcover.partition import _read_body
+
+    path.write_bytes(b"0 1\n1 2\n2 3\n")
+    for counts in ([1, 1], [2, 2], [10**12, 10**12]):
+        want = f"{path}: the manifest claims {sum(counts)} edges, the file has 3"
+        assert read_outcome(lambda p: _read_body(p, 5, counts), path) == want
+
+
+
+def test_edge_list_reader_memory_beyond_its_rows(tmp_path):
+    # The q = 7 hexagon's 117,649 edges are 1.9 MB of rows, read in chunks
+    # of 64 KB; the reader's own buffers are one chunk's text and arrays,
+    # not a second copy of the rows.
+    from girthcover.algebraic import build_hexagon
+
+    g = build_hexagon(7).graph
+    path = tmp_path / "h7.edges"
+    write_edge_list(g, path)
+    with open(path) as fh:
+        fh.readline()
+        peak, (pairs, count) = traced_peak(lambda: graph_module._read_rows(fh, path, g.n, None, g.m))
+    assert count == g.m and np.array_equal(pairs, g._pairs())
+    assert peak - pairs.nbytes < 1_000_000, peak
+
+
+READER_CHECKS_SCRIPT = """
+import sys
+import girthcover.graph as graph
+path = sys.argv[1]
+cases = [
+    ("3 1\\n0 1000000000000000000\\n", "line 2: edge (0, 1000000000000000000) out of range for n=3"),
+    ("3 1\\n0 9999999999999999999\\n", "line 2: vertex id outside int64 in '0 9999999999999999999'"),
+    ("3 2\\n0 1\\n1 1\\n", "line 3: edge (1,1) not in u < v form"),
+    ("3 2\\n0 1\\n2 1\\n", "line 3: edge (2,1) not in u < v form"),
+    ("3 2\\n0 1\\n1 2 #\\n", "line 3: malformed edge line '1 2 #'"),
+    ("3 1\\n0 1\\n1 2\\n", "line 1: header claims 1 edges, file has 2"),
+]
+for chunk in (4, graph._COMMENT_CHUNK):
+    graph._COMMENT_CHUNK = chunk
+    for text, message in cases:
+        with open(path, "w") as fh:
+            fh.write(text)
+        try:
+            graph.read_edge_list(path)
+        except ValueError as exc:
+            if str(exc) == f"{path}, {message}":
+                continue
+            raise SystemExit(f"{text!r}: {exc}")
+        raise SystemExit(f"accepted {text!r}")
+"""
+
+
+def test_edge_list_reader_checks_hold_under_optimize(tmp_path):
+    # The canonical path's rejections, as ``python -O`` runs them.
+    src = os.path.dirname(os.path.dirname(girthcover.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", READER_CHECKS_SCRIPT, str(tmp_path / "g.edges")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 @pytest.mark.parametrize(
