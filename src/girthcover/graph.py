@@ -810,11 +810,13 @@ def read_edge_list(path) -> Graph:
 def _read_rows(fh, path, n: int, side, claimed: int, header: bool = True, groups=()):
     """The edge lines of the rest of the text file ``fh``, every row u < v:
     a (k, 2) int64 array of its first k rows and the number of its rows,
-    with k the smaller of that number and ``claimed``.  The array is
-    allocated once, for at most as many rows as the file has room for, so a
-    claim past the file's size allocates nothing extra.  A body that fails
-    the grammar raises the rescan's error (the arguments after ``claimed``
-    are passed on to ``_edge_line_error``)."""
+    with k the smaller of that number and ``claimed``.  The array is first
+    allocated for at most as many rows as the file's size has room for, so
+    a claim past that size allocates nothing extra; where the size falls
+    short of the text (a pipe, a file still being written), the array grows
+    by doubling up to ``claimed``.  A body that fails the grammar raises the
+    rescan's error (the arguments after ``claimed`` are passed on to
+    ``_edge_line_error``)."""
     room = (os.fstat(fh.fileno()).st_size + 1) // _MIN_LINE  # the last line may lack its newline
     pairs = np.empty((max(0, min(claimed, room)), 2), np.int64)
     count = 0
@@ -838,6 +840,10 @@ def _read_rows(fh, path, n: int, side, claimed: int, header: bool = True, groups
             comment = "#" in chunk and _COMMENT_AFTER_DATA.search(chunk) is not None
         if comment or rows.shape[1] != 2 or (rows[:, 0] >= rows[:, 1]).any():
             raise _edge_line_error(path, n, side, "bad edge line", header, groups)
+        if count + len(rows) > len(pairs) and len(pairs) < claimed:
+            grown = np.empty((min(claimed, max(count + len(rows), 2 * len(pairs))), 2), np.int64)
+            grown[:count] = pairs[:count]
+            pairs = grown
         kept = rows[: max(0, len(pairs) - count)]
         pairs[count : count + len(kept)] = kept
         count += len(rows)
@@ -876,7 +882,10 @@ def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=())
     groups of edges, each checked for repeats on its own; rows past them,
     or all rows if it is empty, form one more group.  Called only once the
     array parse, its checks or the graph build have failed; with no line to
-    name, the error gives ``reason``."""
+    name, or no regular file to read again (a pipe has been read to its
+    end), the error gives ``reason``."""
+    if not os.path.isfile(path):
+        return ValueError(f"{path}: malformed edge list ({reason})")
     starts = set(itertools.accumulate(groups))
     seen = set()
     row = 0

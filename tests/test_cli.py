@@ -393,13 +393,31 @@ main()
 """
 
 
-def run_limited(*argv):
-    """The CLI with ``argv`` in a subprocess under a 2 GB address-space limit."""
+def run_limited(*argv, stdin=None):
+    """The CLI with ``argv`` in a subprocess under a 2 GB address-space
+    limit, with the text ``stdin`` piped to its standard input."""
     src = os.path.dirname(os.path.dirname(partition.__file__))
     return subprocess.run(
-        [sys.executable, "-c", LIMITED_MAIN, *map(str, argv)],
+        [sys.executable, "-c", LIMITED_MAIN, *map(str, argv)], input=stdin,
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
+
+
+def test_decompose_reads_its_input_from_a_pipe(tmp_path):
+    # A pipe reports a size of 0; the whole graph is still read, and a bad
+    # body is an error, not a smaller graph.
+    g = random_regular(120, 8, seed=2)
+    inp = tmp_path / "g.edges"
+    write_edge_list(g, inp)
+    out = tmp_path / "dec"
+    done = run_limited("decompose", "--input", "/dev/stdin", "--cycle", "6", "--out", out, stdin=inp.read_text())
+    assert done.returncode == EXIT_PASS, done.stdout + done.stderr
+    parts = partition.read_manifest(out / "manifest.txt").parts
+    assert sum(len(p.edges) for p in parts) == g.m
+    done = run_limited("decompose", "--input", "/dev/stdin", "--cycle", "6", "--out", out,
+                       stdin=inp.read_text() + "0 1\n")
+    assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
+    assert done.stderr == f"error: /dev/stdin, line 1: header claims {g.m} edges, file has {g.m + 1}\n"
 
 
 def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):

@@ -775,7 +775,7 @@ def test_edge_list_rejects_bad_header(tmp_path):
 
 def _decorated_text(g, rng, share):
     """The edge-list text of ``g`` with a ``share`` of its edge lines (0 for
-    the canonical text the writer produces, 1 for all of them) given every
+    text in the canonical form, 1 for all of them) given every
     allowed decoration: comment and blank lines before it, tabs, leading and
     trailing blanks.  Ids are sometimes padded with zeros to up to 20 digits
     (18 is the longest canonical token), and line ends may be CRLF."""
@@ -783,7 +783,7 @@ def _decorated_text(g, rng, share):
     header = f"{g.n} {g.m}"
     if g.side is not None:
         header += f" bipartite {g.side.count(0)} {g.side.count(1)}"
-    lines = ["# leading comment", ""] if rng.random() < share else []
+    lines = ["# leading comment", ""] if share and rng.random() < 0.5 else []
     lines.append(header)
     for u, v in g.edges():
         if rng.random() < 0.1:
@@ -802,8 +802,8 @@ def _decorated_text(g, rng, share):
 
 
 def test_edge_list_reader_matches_line_oracle(tmp_path, monkeypatch):
-    # Canonical, mixed and fully decorated texts, each read in chunks that
-    # hold one line, a few lines or the whole body.
+    # Every graph as a fully decorated, a canonical and a mixed text, each
+    # read in chunks that hold one line, a few lines or the whole body.
     rng = random.Random(23)
     path = tmp_path / "g.edges"
     graphs = [Graph(0, []), Graph(7, []), Graph(4, [], side=[0, 0, 1, 1])]
@@ -817,9 +817,9 @@ def test_edge_list_reader_matches_line_oracle(tmp_path, monkeypatch):
             side = None
             pairs = list(itertools.combinations(range(n), 2))
         graphs.append(Graph(n, rng.sample(pairs, rng.randrange(0, min(len(pairs), 90) + 1)), side=side))
-    for i, g in enumerate(graphs):
+    for g, share in itertools.product(graphs, (1, 0, 0.03)):
         with open(path, "w", newline="") as fh:  # keep CRLF as written
-            fh.write(_decorated_text(g, rng, (0, 0.03, 1)[i % 3]))
+            fh.write(_decorated_text(g, rng, share))
         want = read_edge_list_lines(path)
         assert (want.n, want.side, list(want.edges())) == (g.n, g.side, list(g.edges()))
         for chunk in (1, 4, 64, graph_module._COMMENT_CHUNK):
@@ -1017,6 +1017,46 @@ for chunk in (4, graph._COMMENT_CHUNK):
             raise SystemExit(f"{text!r}: {exc}")
         raise SystemExit(f"accepted {text!r}")
 """
+
+
+PIPE_READER_SCRIPT = """
+import os, sys, threading
+import girthcover.graph as graph
+graph._COMMENT_CHUNK = 64  # many chunks, so the row array grows often
+path = sys.argv[1]
+if path != "/dev/stdin":
+    text = sys.stdin.read()
+    os.mkfifo(path)
+    def write():
+        with open(path, "w") as fh:
+            fh.write(text)
+    threading.Thread(target=write, daemon=True).start()
+try:
+    print(repr(list(graph.read_edge_list(path).edges())))
+except ValueError as exc:
+    print(repr(str(exc)))
+"""
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1000 999\n" + "".join(f"{u} {u + 1}\n" for u in range(999)), [(u, u + 1) for u in range(999)]),
+    ("4 3\n0 1\n# x\n1 2\n\n2 3\n", [(0, 1), (1, 2), (2, 3)]),
+    ("4 3\n0 1\n1 2\n2 3\n0 3\n", ", line 1: header claims 3 edges, file has 4"),
+    ("4 3\n0 1\n1 2\n", ", line 1: header claims 3 edges, file has 2"),
+    ("4 3\n0 1\n2 1\n2 3\n", ": malformed edge list (bad edge line)"),
+], ids=["many-chunks", "decorated", "too-many", "too-few", "bad-line"])
+def test_edge_list_reader_reads_pipes_whole(tmp_path, text, want):
+    # A pipe or FIFO reports a size of 0, so its rows outgrow the array
+    # sized from that: every row is read, or the read fails.  A bad line of
+    # a pipe cannot be found by reading it again, so its error gives the
+    # reason.  A FIFO, and a pipe as /dev/stdin, are read in a subprocess,
+    # with a timeout in place of a hang.
+    src = os.path.dirname(os.path.dirname(girthcover.__file__))
+    for path in (str(tmp_path / "g.fifo"), "/dev/stdin"):
+        done = subprocess.run([sys.executable, "-c", PIPE_READER_SCRIPT, path], input=text,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert ast.literal_eval(done.stdout) == (path + want if isinstance(want, str) else want)
 
 
 def test_edge_list_reader_checks_hold_under_optimize(tmp_path):
