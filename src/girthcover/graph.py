@@ -68,14 +68,37 @@ def edge_array(edges) -> np.ndarray:
     return pairs.astype(np.int64, copy=False)
 
 
+def _key_fits(*spans: int) -> bool:
+    """Whether every int64 key packed from digits 0 <= d_i < spans[i], the
+    sum of each d_i times the product of the later spans, fits in int64.
+    The largest such key is the product of the spans less one, computed
+    here in Python ints; a span of 0 or less admits no digit."""
+    return math.prod(max(int(span), 0) for span in spans) <= 1 << 63
+
+
+def _stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.argsort(keys, kind="stable")`` of the int64 ``keys``, and the
+    keys in that order.  Where the distinct packed keys (key - lowest) * m
+    + index fit in int64, one sort of them gives both; otherwise a stable
+    argsort does."""
+    keys = np.asarray(keys, np.int64)
+    m = len(keys)
+    low, high = (int(keys.min()), int(keys.max())) if m else (0, 0)
+    if not _key_fits(high - low + 1, m):
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    packed = np.sort((keys - low) * m + np.arange(m))
+    return packed % m, packed // m + low
+
+
 def group_edges(pairs: np.ndarray, ids: np.ndarray):
     """Yield (id, edges) for the rows of the (m, 2) array ``pairs`` grouped by
     the int64 class ``ids``, in increasing id order, each group's edges an
     (k, 2) array in row order.  Every producer of edge classes (covers,
     pullbacks, forests) labels its edges and groups them here."""
-    order = np.argsort(ids, kind="stable")
-    ids, pairs = ids[order], pairs[order]
-    bounds = np.flatnonzero(np.diff(ids, prepend=-1, append=-1)).tolist()
+    order, ids = _stable_argsort(ids)
+    pairs = pairs[order]
+    bounds = np.flatnonzero(np.diff(ids, prepend=ids[:1] - 1, append=ids[-1:] + 1)).tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         yield int(ids[lo]), pairs[lo:hi]
 
@@ -114,6 +137,8 @@ class Graph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if not _key_fits(n, n):  # every key u*n + v of this graph's edges fits
+            raise ValueError(f"vertex count {n} too large for int64 edge keys")
         pairs = edge_array(edges)
         m = len(pairs)
         u, w = pairs.T
@@ -165,12 +190,16 @@ class Graph:
         return len(self._csr[1]) // 2
 
     def neighbors(self, v: int) -> list[int]:
-        lo, hi = self._csr[0][v : v + 2].tolist()
-        return self._csr[1][lo:hi].tolist()
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        indptr, indices = self._csr
+        return indices[indptr.item(v) : indptr.item(v + 1)].tolist()
 
     def degree(self, v: int) -> int:
-        lo, hi = self._csr[0][v : v + 2].tolist()
-        return hi - lo
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        indptr = self._csr[0]
+        return indptr.item(v + 1) - indptr.item(v)
 
     def max_degree(self) -> int:
         return int(np.diff(self._csr[0]).max(initial=0))
@@ -451,20 +480,35 @@ def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[lis
 
 def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
     """``_parts_check`` of one run of parts.  The (part, vertex) pairs are
-    numbered 0..N-1 in order by one ``np.unique``, and one ``Graph`` of the
-    parts' disjoint union is built, whose checks catch loops and repeats
-    within a part; ids are range-checked first, because an id >= n would
-    name a vertex of the next part.  Each part is a block of the union: its
+    keyed part*n + vertex and numbered 0..N-1 in key order, by one argsort
+    and a running count of new keys, and one ``Graph`` of the parts'
+    disjoint union is built, whose checks catch loops and repeats within a
+    part; ids are range-checked first, because an id >= n would name a
+    vertex of the next part.  A run whose keys would not fit in int64 is
+    taken a part at a time.  Each part is a block of the union: its
     vertices are non-isolated, its edges are counted from the CSR, and its
     components from the union's ``_components``.  A part that is not a
     forest is searched on its own block of the union's CSR."""
+    if len(run) > 1 and not _key_fits(len(run), n):
+        checks = [_run_check(n, [part], length) for part in run]
+        return [c[0][0] for c in checks], [c[1][0] for c in checks]
     keys = np.concatenate([np.empty((0, 2), np.int64)] + run)
     try:
         if n < 0 or ((keys < 0) | (keys >= n)).any():
             raise ValueError(f"vertex id out of range for n={n}")
         keys += np.repeat(np.arange(len(run), dtype=np.int64) * n, [len(part) for part in run])[:, None]
-        ids, local = np.unique(keys, return_inverse=True)
+        order = np.argsort(keys, axis=None)  # equal keys get one number, so any order will do
+        keys = keys.ravel()[order]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        ids = keys[new]
         del keys  # before the union is built
+        rank = np.cumsum(new)
+        rank -= 1
+        local = np.empty_like(rank)
+        local[order] = rank
+        del order, rank
         union = Graph(len(ids), local.reshape(-1, 2))
     except ValueError:
         for part in run:
@@ -567,20 +611,28 @@ def _hom_failures(keys: np.ndarray, n: int, u, v, fu, fv, group) -> np.ndarray:
     Edge (u[i], v[i]) of group ``group[i]`` is sent to (fu[i], fv[i]) in a
     target on n vertices whose sorted directed-edge keys are ``keys``.  A
     group fails if one of its edge images is not a target edge, or if one of
-    its vertices has two edges whose other ends share an image: a duplicate
-    among the sorted (group, vertex, image of the other end) triples.  The
-    images must come from a map on vertices for this to check one.
+    its vertices has two edges whose other ends share an image: a repeat
+    among the (group, vertex, image of the other end) triples, found by one
+    sort of the triples packed into int64 keys where their bounds allow, or
+    else by a lexsort.  The images must come from a map on vertices for this
+    to check one.
     """
     images = fu * n + fv
     if keys.size:
         missing = keys.take(np.searchsorted(keys, images), mode="clip") != images
     else:
         missing = np.ones(len(images), bool)
-    tails, heads, groups = (np.concatenate(pair) for pair in ((u, v), (fv, fu), (group, group)))
-    order = np.lexsort((heads, tails, groups))
-    tails, heads, groups = tails[order], heads[order], groups[order]
-    repeat = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1]) & (groups[1:] == groups[:-1])
-    return np.concatenate([group[missing], groups[1:][repeat]])
+    triples = [np.concatenate(pair) for pair in ((group, group), (u, v), (fv, fu))]
+    spans = [int(a.max(initial=0)) + 1 for a in triples]
+    if min(int(a.min(initial=0)) for a in triples) >= 0 and _key_fits(*spans):
+        groups, tails, heads = triples
+        packed = np.sort((groups * spans[1] + tails) * spans[2] + heads)
+        repeats = packed[1:][packed[1:] == packed[:-1]] // (spans[1] * spans[2])
+    else:
+        order = np.lexsort(triples[::-1])
+        groups, tails, heads = (a[order] for a in triples)
+        repeats = groups[1:][(tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1]) & (groups[1:] == groups[:-1])]
+    return np.concatenate([group[missing], repeats])
 
 
 # ---------------------------------------------------------------------------

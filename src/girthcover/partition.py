@@ -50,6 +50,7 @@ from .graph import (
     Graph,
     _edge_line_error,
     _hom_failures,
+    _key_fits,
     _parts_check,
     _read_rows,
     _runs,
@@ -108,11 +109,21 @@ class HostSpec:
         return len(self.edges)
 
 
+def _ordered(pairs: np.ndarray) -> np.ndarray:
+    """The (m, 2) array ``pairs`` with each row (u, v) as (min, max): what
+    ``np.sort(pairs, axis=1)`` gives, without a sort per row."""
+    u, v = pairs.T
+    return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+
+
 def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For edges given as (u, v) with u <= v: the keys u*n + v, and which
     edges are a loop or have an id outside 0..n-1.  Only the keys of the
     other edges are sound; a flagged edge can share its key with an edge of
-    K_n."""
+    K_n.  A host whose keys would not fit in int64 raises ``ValueError``:
+    two of its edges could share a key."""
+    if not _key_fits(n, n):
+        raise ValueError(f"host of {n} vertices is too large for int64 edge keys")
     u, v = pairs.T
     return u * n + v, (u < 0) | (v >= n) | (u == v)
 
@@ -120,7 +131,7 @@ def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_keys(pairs: np.ndarray, n: int) -> Optional[np.ndarray]:
     """The sorted keys of the edges, each taken as (u, v) with u < v, or None
     if one is a loop or has an id outside 0..n-1."""
-    keys, bad = _edge_keys(np.sort(pairs, axis=1), n)
+    keys, bad = _edge_keys(_ordered(pairs), n)
     return None if bad.any() else np.sort(keys)
 
 
@@ -310,7 +321,7 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
             counts = np.array([len(p.parts[i].edges) for i in run])
             run_targets = np.array([targets[i] for i in run])
             edges = np.concatenate([np.empty((0, 2), np.int64)] + [p.parts[i].edges for i in run])
-            u, v = np.sort(edges, axis=1).T
+            u, v = _ordered(edges).T
             group = np.repeat(np.arange(len(run)), counts)
             ids, points, lines = locate(u, v)
             level = np.searchsorted(offsets, ids, side="right") - 1
@@ -338,7 +349,7 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
 
 def _host_edges(host: HostSpec, edges: np.ndarray) -> bool:
     """Whether every row of ``edges`` is an edge of the K_n or K_{m,m} ``host``."""
-    pairs = np.sort(edges, axis=1)
+    pairs = _ordered(edges)
     bad = _edge_keys(pairs, host.n)[1]
     if host.kind == "bipartite":
         bad |= (pairs < host.a).sum(axis=1) != 1
@@ -533,8 +544,10 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 #
 # The body has no header: it is the "u v" lines of the edge-list format, the
 # parts' rows back to back in the order of the part lines, each part's rows
-# sorted with u < v.  Its name is fixed, so no manifest line can point it
-# elsewhere.  The first line selects the version; a manifest without the v2
+# sorted with u < v.  A body in this writer order is checked for repeats
+# without a sort (``_part_rows``); a part's rows in any other order are still
+# accepted, sorted to find repeats.  Its name is fixed, so no manifest line
+# can point it elsewhere.  The first line selects the version; a manifest without the v2
 # line is read as v1, whose part lines are "part <name> <relative-path>
 # <claim>", one edge-list file per part.  Relative paths must stay inside the
 # manifest directory.
@@ -546,9 +559,16 @@ def _part_rows(keys: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.nda
     """For the edge keys of the parts back to back, ``counts`` rows per part:
     the order of the rows by (part, key), and for each ordered row its part
     index and whether it repeats the row before it in that part.
-    Two stable sorts, by key and then by part, are far faster than a lexsort
-    and cannot overflow as a part*n*n term could."""
+
+    Keys that strictly rise within every part, as the writer emits them,
+    are already in that order with no repeat: one pass over the keys finds
+    this, and the identity order is returned.  Otherwise a stable sort by
+    key and then one by part give the order; sorting by part alone after
+    the key sort keeps the result exact for any key, where a packed
+    part*n*n + key could overflow."""
     index = np.repeat(np.arange(len(counts)), counts)
+    if ((keys[1:] > keys[:-1]) | (index[1:] != index[:-1])).all():
+        return np.arange(len(keys)), index, np.zeros(len(keys), bool)
     by_key = np.argsort(keys, kind="stable")
     order = by_key[np.argsort(index[by_key], kind="stable")]
     keys, index = keys[order], index[order]
@@ -563,7 +583,7 @@ def write_manifest(p: EdgePartition, directory) -> str:
     ``ValueError`` naming the part."""
     n = p.host.n
     counts = [len(part.edges) for part in p.parts]
-    pairs = np.sort(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in p.parts]), axis=1)
+    pairs = _ordered(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in p.parts]))
     keys, bad = _edge_keys(pairs, n)
     order, index, repeat = _part_rows(keys, counts)
     pairs = pairs[order]

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _parts_cycles, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
+from .graph import Graph, _parts_cycles, _stable_argsort, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
 from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part
 
 _CYCLE_GIRTH = {6: 8, 10: 12}
@@ -142,8 +142,7 @@ def _try_rainbow(g: Graph, palette: int, rng: random.Random):
     # each neighborhood (lowest neighbor id wins), so an edge stays iff each end
     # is the lowest neighbor of its color at the other.  Deleting edges can only
     # help injectivity, so one pass suffices.  The CSR arcs come in (tail, head)
-    # order, so the first arc of a (tail, head color) has the lowest head; in
-    # (head, tail) order they come in the CSR order of their reverses.
+    # order, so the first arc of a (tail, head color) has the lowest head.
     c = np.array(color, np.int64)
     indptr, heads = g._csr
     tails = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
@@ -151,11 +150,22 @@ def _try_rainbow(g: Graph, palette: int, rng: random.Random):
     for lo in range(0, g.n, _PRUNE_BLOCK):  # a block of rows at a time bounds the sort's memory
         a, b = indptr[[lo, min(lo + _PRUNE_BLOCK, g.n)]].tolist()
         tail, colors = tails[a:b], c[heads[a:b]]
-        lowest = np.unique(tail.astype(np.int64) * palette + colors, return_index=True)[1]
+        order, keys = _stable_argsort(tail.astype(np.int64) * palette + colors)
+        lowest = order[np.diff(keys, prepend=-1) != 0]  # the first arc of each (tail, head color)
         keep[a + lowest] = c[tail[lowest]] != colors[lowest]
-    keep &= keep[np.argsort(heads, kind="stable")]  # and so is the reverse arc
+    keep &= keep[_reverse_arcs(g)]  # and so is the reverse arc
     keep &= tails < heads
     return color, np.stack([tails[keep], heads[keep]], axis=1)
+
+
+def _reverse_arcs(g: Graph) -> np.ndarray:
+    """For each CSR arc of ``g``, in CSR order, the position of its reverse:
+    the order of the arcs by (head, tail).  Their keys head*n + tail are
+    distinct and fit in int64 (``Graph`` checks n*n), so one unstable
+    argsort gives it."""
+    indptr, heads = g._csr
+    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
+    return np.argsort(heads * np.int64(g.n) + tails)
 
 
 def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:

@@ -45,6 +45,50 @@ def is_locally_injective_hom(f: Graph, g: Graph, phi) -> bool:
     return _hom_failures(g._keys(), g.n, u, v, phi[u], phi[v], np.zeros(len(u), np.int64)).size == 0
 
 
+def reference_part_rows(keys, counts):
+    """``partition._part_rows`` as two stable sorts, by key and then by part,
+    on every input: the oracle for its order check."""
+    index = np.repeat(np.arange(len(counts)), counts)
+    by_key = np.argsort(keys, kind="stable")
+    order = by_key[np.argsort(index[by_key], kind="stable")]
+    keys, index = keys[order], index[order]
+    repeat = np.zeros(len(order), bool)
+    repeat[1:] = (keys[1:] == keys[:-1]) & (index[1:] == index[:-1])
+    return order, index, repeat
+
+
+def reference_hom_failures(keys, n, u, v, fu, fv, group):
+    """``graph._hom_failures`` with the repeats found by a lexsort of the
+    (group, vertex, image of the other end) triples: the oracle for its
+    packed sort."""
+    images = fu * n + fv
+    if keys.size:
+        missing = keys.take(np.searchsorted(keys, images), mode="clip") != images
+    else:
+        missing = np.ones(len(images), bool)
+    tails, heads, groups = (np.concatenate(pair) for pair in ((u, v), (fv, fu), (group, group)))
+    order = np.lexsort((heads, tails, groups))
+    tails, heads, groups = tails[order], heads[order], groups[order]
+    repeat = (tails[1:] == tails[:-1]) & (heads[1:] == heads[:-1]) & (groups[1:] == groups[:-1])
+    return np.concatenate([group[missing], groups[1:][repeat]])
+
+
+def reference_reverse_arcs(g: Graph):
+    """The CSR arcs of ``g`` in (head, tail) order, by a stable argsort of
+    the heads: the oracle for ``rainbow._reverse_arcs``."""
+    return np.argsort(g._csr[1], kind="stable")
+
+
+def reference_group_edges(pairs, ids):
+    """(id, rows) for each distinct id, in increasing id order, each with
+    its rows of ``pairs`` in row order, grouped in a dict: the oracle for
+    ``graph.group_edges``."""
+    groups = {}
+    for row, i in zip(pairs.tolist(), ids.tolist()):
+        groups.setdefault(i, []).append(row)
+    return sorted(groups.items())
+
+
 def disjoint_union(graphs) -> Graph:
     """Disjoint union with vertices relabeled by block offsets.
 

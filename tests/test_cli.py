@@ -432,6 +432,17 @@ def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+
+def test_verify_refuses_a_host_too_large_for_edge_keys(tmp_path):
+    # Edge keys u*n + v of K_{2**40} overflow int64, so two distinct edges
+    # could share one: the manifest is refused on one line, exit 2.
+    (tmp_path / "parts.edges").write_text(f"5 {2**30}\n{5 + 2**24} {2**30}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete {2**40}\nparts 1\npart a cycle-free 6 2\n")
+    done = run_limited("verify", "--manifest", manifest)
+    assert done.returncode == EXIT_USAGE, done.stdout + done.stderr
+    assert done.stderr == f"error: host of {2**40} vertices is too large for int64 edge keys\n"
+
 def test_edge_counts_past_the_file_size_allocate_nothing(tmp_path):
     # A claim of 10**12 edges would be 16 TB of rows; the readers allocate
     # for what the file can hold, so under a 2 GB address-space limit the

@@ -356,6 +356,19 @@ def test_graph_matches_networkx_on_random_graphs():
                     assert has_edge(g, v, w) == oracle.has_edge(v, w)
 
 
+
+@pytest.mark.parametrize("v", [-1, -2, -5, -6, 5, 6, 2**70, -(2**70)])
+def test_degree_and_neighbors_refuse_a_vertex_outside_the_graph(v):
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    for query in (g.degree, g.neighbors):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
+            query(v)
+    assert [g.degree(w) for w in range(5)] == [1, 2, 1, 1, 1]
+    assert [g.neighbors(np.int64(w)) for w in range(5)] == [[1], [0, 2], [1], [4], [3]]
+    with pytest.raises(ValueError):
+        Graph(0, []).degree(0)
+
+
 # -- locally injective homomorphisms ---------------------------------------
 
 
