@@ -30,7 +30,15 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Graph, _parts_cycles, _stable_argsort, degeneracy_order, degeneracy_peel, forest_decompose, group_edges
+from .graph import (
+    Graph,
+    _parts_cycles,
+    _stable_argsort,
+    degeneracy_order,
+    degeneracy_peel,
+    forest_decompose,
+    group_edges,
+)
 from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part
 
 _CYCLE_GIRTH = {6: 8, 10: 12}

@@ -185,9 +185,9 @@ def test_hom_failures_falls_back_to_lexsort(shift, why):
     v = rng.integers(6, 12, 50) + shift
     group = np.repeat(np.arange(5), 10) * 2**30
     fu, fv = u % 3, 3 + v % 3
-    keys = np.sort([a * 6 + b for a in range(3) for b in range(3, 6)] + [b * 6 + a for a in range(3) for b in range(3, 6)])
-    got = _hom_failures(np.array(keys), 6, u, v, fu, fv, group)
-    assert got.tolist() == reference_hom_failures(np.array(keys), 6, u, v, fu, fv, group).tolist()
+    keys = np.sort([x * 6 + y for a in range(3) for b in range(3, 6) for x, y in ((a, b), (b, a))])
+    got = _hom_failures(keys, 6, u, v, fu, fv, group)
+    assert got.tolist() == reference_hom_failures(keys, 6, u, v, fu, fv, group).tolist()
     assert got.size, why
 
 
@@ -241,7 +241,8 @@ def test_rainbow_pruning_keeps_the_lowest_neighbour_of_each_colour(seed):
     for u, v in g.edges():
         for a, b in ((u, v), (v, u)):
             lowest[a, color[b]] = min(lowest.get((a, color[b]), b), b)
-    want = [(u, v) for u, v in g.edges() if color[u] != color[v] and lowest[u, color[v]] == v and lowest[v, color[u]] == u]
+    want = [(u, v) for u, v in g.edges()
+            if color[u] != color[v] and lowest[u, color[v]] == v and lowest[v, color[u]] == u]
     assert kept.tolist() == [list(e) for e in want]
 
 
