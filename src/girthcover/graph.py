@@ -622,7 +622,7 @@ def _hom_failures(keys: np.ndarray, n: int, u, v, fu, fv, group) -> np.ndarray:
         missing = keys.take(np.searchsorted(keys, images), mode="clip") != images
     else:
         missing = np.ones(len(images), bool)
-    triples = [np.concatenate(pair) for pair in ((group, group), (u, v), (fv, fu))]
+    triples = [np.concatenate(pair, dtype=np.int64) for pair in ((group, group), (u, v), (fv, fu))]
     spans = [int(a.max(initial=0)) + 1 for a in triples]
     if min(int(a.min(initial=0)) for a in triples) >= 0 and _key_fits(*spans):
         groups, tails, heads = triples
