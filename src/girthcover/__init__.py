@@ -47,7 +47,6 @@ from .rainbow import (
     DecompositionResult,
     RainbowColoring,
     RainbowRetentionError,
-    check_rainbow_coloring,
     decompose,
     pullback_partition,
     rainbow_color,

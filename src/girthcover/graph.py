@@ -189,12 +189,6 @@ class Graph:
     def m(self) -> int:
         return len(self._csr[1]) // 2
 
-    def neighbors(self, v: int) -> list[int]:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        indptr, indices = self._csr
-        return indices[indptr.item(v) : indptr.item(v + 1)].tolist()
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -450,24 +444,15 @@ def _runs(items: list, counts: list):
         yield run
 
 
-def _parts_cycles(n: int, parts: list, length: int) -> list:
-    """For each (m, 2) int64 edge array of ``parts``: a cycle of exactly
-    ``length`` in the graph on 0..n-1 with those edges, as its vertex ids in
-    order from the smallest, or None if it has none.
-
-    An entry is None exactly when ``Graph(n, part).has_cycle_of_length(length)``
-    is False, and a part that ``Graph(n, part)`` rejects raises its error
-    (the first such part's)."""
-    return _parts_check(n, parts, length)[1]
-
-
 def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[list, list]:
     """For the (m, 2) int64 edge arrays ``parts``, each the edges of a graph
-    on 0..n-1: whether each is a forest, and, for a ``length``, what
-    ``_parts_cycles`` gives (None for every forest, which is not searched).
-    A part that ``Graph(n, part)`` rejects raises its error (the first such
-    part's).  Parts are taken a run at a time (``_runs``), so the extra
-    memory stays near one run's."""
+    on 0..n-1: whether each is a forest, and, for a ``length``, a cycle of
+    exactly that length in each, as its vertex ids in order from the
+    smallest, or None if it has none; that is None exactly when
+    ``Graph(n, part).has_cycle_of_length(length)`` is False, and a forest is
+    not searched.  A part that ``Graph(n, part)`` rejects raises its error
+    (the first such part's).  Parts are taken a run at a time (``_runs``), so
+    the extra memory stays near one run's."""
     if length is not None:
         _check_cycle_length(length)
     acyclic, found = [], []

@@ -298,9 +298,9 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
     the extra memory stays near one block's or one part's."""
     host = p.host
     certified = np.zeros(len(p.parts), bool)
-    if not (host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b):
-        return certified.tolist()
-    if not all(_host_edges(host, part.edges) for part in p.parts):
+    square = host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b
+    # _host_edges raises for a host too large for edge keys; with no parts it is not called.
+    if not (p.parts and square and _host_edges(host, p.parts)):
         return certified.tolist()
     bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
 
@@ -347,9 +347,10 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
     return certified.tolist()
 
 
-def _host_edges(host: HostSpec, edges: np.ndarray) -> bool:
-    """Whether every row of ``edges`` is an edge of the K_n or K_{m,m} ``host``."""
-    pairs = _ordered(edges)
+def _host_edges(host: HostSpec, parts: list) -> bool:
+    """Whether every edge of ``parts`` is an edge of the K_n or K_{m,m} ``host``:
+    one check on all their edges at once."""
+    pairs = _ordered(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in parts]))
     bad = _edge_keys(pairs, host.n)[1]
     if host.kind == "bipartite":
         bad |= (pairs < host.a).sum(axis=1) != 1
@@ -536,7 +537,7 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 #
 # A manifest is a directory: "manifest.txt" plus one body file, "parts.edges",
 # that holds the edges of every part, and "host.edges" for an explicit host.
-# manifest.txt:
+# manifest.txt, whose first line must be the v2 line:
 #     # girthcover partition manifest v2
 #     host complete 250            (or "host bipartite 125 125" / "host file host.edges")
 #     parts 25
@@ -546,11 +547,8 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 # parts' rows back to back in the order of the part lines, each part's rows
 # sorted with u < v.  A body in this writer order is checked for repeats
 # without a sort (``_part_rows``); a part's rows in any other order are still
-# accepted, sorted to find repeats.  Its name is fixed, so no manifest line
-# can point it elsewhere.  The first line selects the version; a manifest without the v2
-# line is read as v1, whose part lines are "part <name> <relative-path>
-# <claim>", one edge-list file per part.  Relative paths must stay inside the
-# manifest directory.
+# accepted, sorted to find repeats.  Both file names are fixed, so no manifest
+# line can point outside the manifest directory.
 
 _MANIFEST_V2 = "# girthcover partition manifest v2"
 
@@ -619,17 +617,9 @@ def write_manifest(p: EdgePartition, directory) -> str:
 
 
 def read_manifest(manifest_path) -> EdgePartition:
-    """Parse a v2 or v1 manifest; any malformed line raises ``ValueError``
-    naming it, and a bad part edge names its file and line."""
+    """Parse a v2 manifest; a missing v2 first line or any malformed line
+    raises ``ValueError`` naming it, and a bad edge names its file and line."""
     directory = os.path.dirname(os.path.abspath(manifest_path))
-    prefix = os.path.join(directory, "")
-
-    def inside(rel: str, line: str) -> str:
-        # A lexical check on the normalised path: O(1), no file system calls.
-        path = os.path.normpath(os.path.join(directory, rel))
-        if not path.startswith(prefix):
-            raise ValueError(f"{manifest_path}: path outside the manifest directory: {line}")
-        return path
 
     def malformed(line: str) -> ValueError:
         return ValueError(f"{manifest_path}: malformed manifest line: {line}")
@@ -639,6 +629,12 @@ def read_manifest(manifest_path) -> EdgePartition:
             return int(token)
         except ValueError:
             raise malformed(line) from None
+
+    def size(token: str, line: str) -> int:
+        """A host size or an edge count, which may not be negative."""
+        if (value := number(token, line)) < 0:
+            raise malformed(line)
+        return value
 
     def claim(tokens: list, line: str) -> tuple[Optional[int], Optional[int]]:
         """(girth target, forbidden cycle) of a part line's claim."""
@@ -653,10 +649,10 @@ def read_manifest(manifest_path) -> EdgePartition:
 
     host = None
     n_parts = None
-    specs = []  # (name, girth target, forbidden cycle, edge count or v1 part path)
+    specs = []  # (name, girth target, forbidden cycle, edge count)
     with open(manifest_path) as fh:
-        v2 = fh.readline().strip() == _MANIFEST_V2
-        fh.seek(0)
+        if fh.readline().strip() != _MANIFEST_V2:
+            raise ValueError(f"{manifest_path}: first line is not {_MANIFEST_V2!r}")
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -667,30 +663,24 @@ def read_manifest(manifest_path) -> EdgePartition:
                 case ["parts", *_] if n_parts is not None:
                     raise ValueError(f"{manifest_path}: repeated parts line: {line}")
                 case ["host", "complete", n]:
-                    host = HostSpec.complete(number(n, line))
+                    host = HostSpec.complete(size(n, line))
                 case ["host", "bipartite", a, b]:
-                    host = HostSpec.bipartite(number(a, line), number(b, line))
-                case ["host", "file", rel]:
-                    g = read_edge_list(inside(rel, line))
+                    host = HostSpec.bipartite(size(a, line), size(b, line))
+                case ["host", "file", "host.edges"]:
+                    g = read_edge_list(os.path.join(directory, "host.edges"))
                     host = HostSpec.explicit(g.n, g._pairs())
                 case ["parts", count]:
                     n_parts = number(count, line)
-                case ["part", name, *tokens, count] if v2:
-                    if (edges := number(count, line)) < 0:
-                        raise malformed(line)
+                case ["part", name, *tokens, count]:
+                    edges = size(count, line)
                     specs.append((name, *claim(tokens, line), edges))
-                case ["part", name, rel, *tokens] if not v2:
-                    specs.append((name, *claim(tokens, line), inside(rel, line)))
                 case _:
                     raise malformed(line)
     if host is None:
         raise ValueError(f"{manifest_path}: missing host line")
     if n_parts is not None and n_parts != len(specs):
         raise ValueError(f"{manifest_path}: expected {n_parts} parts, found {len(specs)}")
-    if v2:
-        edges = _read_body(os.path.join(directory, "parts.edges"), host.n, [s[3] for s in specs])
-    else:
-        edges = _read_v1_parts(specs, host.n)
+    edges = _read_body(os.path.join(directory, "parts.edges"), host.n, [s[3] for s in specs])
     parts = [Part(name, e, girth, forbid) for (name, girth, forbid, _), e in zip(specs, edges)]
     return EdgePartition(host=host, parts=parts)
 
@@ -707,16 +697,3 @@ def _read_body(path: str, n: int, counts: list) -> list[np.ndarray]:
     if bad.any() or _part_rows(keys, counts)[2].any():
         raise _edge_line_error(path, n, None, "bad edge line", header=False, groups=counts)
     return np.split(pairs, np.cumsum(counts, dtype=np.int64)[:-1])
-
-
-def _read_v1_parts(specs: list, n: int) -> list[np.ndarray]:
-    """The parts' edges from v1 part files, one edge-list file each.  An id
-    of a part file outside the host's 0..n-1 raises ``ValueError`` naming the
-    file and line."""
-    edges = []
-    for *_, path in specs:
-        pairs = read_edge_list(path)._pairs()
-        if pairs.size and pairs.max() >= n:
-            raise _edge_line_error(path, n, None, "edge outside the host")
-        edges.append(pairs)
-    return edges

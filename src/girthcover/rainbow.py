@@ -32,7 +32,7 @@ import numpy as np
 
 from .graph import (
     Graph,
-    _parts_cycles,
+    _parts_check,
     _stable_argsort,
     degeneracy_order,
     degeneracy_peel,
@@ -83,10 +83,11 @@ class DecompositionConfig:
 class RainbowColoring:
     """A vertex coloring plus the spanning subgraph it is valid on.
 
-    Invariants (all enforced, see :func:`check_rainbow_coloring`):
-    properness and per-neighborhood injectivity of the coloring on the
-    retained subgraph; palette bounded by multiplier * max degree; every
-    vertex retains at least the configured fraction of its degree.
+    Invariants, which :func:`rainbow_color` builds in: properness and
+    per-neighborhood injectivity of the coloring on the retained subgraph
+    (its pruning); palette bounded by multiplier * max degree; every vertex
+    retains at least the configured fraction of its degree (checked on
+    every try).
     ``retries`` counts the failed tries of :func:`rainbow_color` before
     this one.
     """
@@ -116,32 +117,6 @@ class RainbowRetentionError(RuntimeError):
             f"retention not achieved after {retries} retries; "
             f"worst vertex {worst_vertex} kept only {worst_ratio:.3f} of its degree"
         )
-
-
-def check_rainbow_coloring(rc: RainbowColoring, cfg: DecompositionConfig) -> None:
-    """Check every RainbowColoring invariant; raises AssertionError on violation.
-
-    The checks are explicit raises, so they also run under ``python -O``.
-    """
-    g, h = rc.host, rc.retained
-    if h.n != g.n:
-        raise AssertionError(f"retained graph has {h.n} vertices, host has {g.n}")
-    if rc.palette_size > cfg.color_multiplier * max(g.max_degree(), 1):
-        raise AssertionError(f"palette {rc.palette_size} exceeds multiplier * max degree")
-    host_edges = set(g.edges())
-    for e in h.edges():
-        if e not in host_edges:
-            raise AssertionError(f"retained edge {e} not in host")
-    for u, v in h.edges():
-        if rc.color[u] == rc.color[v]:
-            raise AssertionError(f"monochromatic retained edge ({u},{v})")
-    for v in range(h.n):
-        seen = [rc.color[w] for w in h.neighbors(v)]
-        if len(set(seen)) != len(seen):
-            raise AssertionError(f"repeated color in neighborhood of {v}")
-    for v in range(g.n):
-        if g.degree(v) > 0 and h.degree(v) < cfg.retention * g.degree(v):
-            raise AssertionError(f"vertex {v} retains {h.degree(v)}/{g.degree(v)}")
 
 
 def _try_rainbow(g: Graph, palette: int, rng: random.Random):
@@ -265,7 +240,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     """Partition E(g) into C_{2k}-free classes, k per ``cfg.target_cycle``.
 
     Every output class is re-certified before the result is returned, a
-    run of classes at a time (``graph._parts_cycles``).  Each class is first
+    run of classes at a time (``graph._parts_check``).  Each class is first
     checked for acyclicity: with e edges, v non-isolated vertices and c
     components it is a forest iff e = v - c, and the component count c' used
     is never below c, so e = v - c' proves it; a forest has no cycle and is
@@ -337,7 +312,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             parts.append(Part(f"final_forest{i}", f._pairs(), forbidden_cycle=target))
         planned += len(forests)
     parts = [p for p in parts if len(p.edges)]
-    for part, cycle in zip(parts, _parts_cycles(g.n, [part.edges for part in parts], target)):
+    for part, cycle in zip(parts, _parts_check(g.n, [part.edges for part in parts], target)[1]):
         if cycle is not None:
             ids = " ".join(map(str, cycle))
             raise AssertionError(f"class {part.name} contains a C_{target}: cycle {ids}")

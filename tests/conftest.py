@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from girthcover._kernels import girth_scan
-from girthcover.graph import Graph, _hom_failures
+from girthcover.graph import Graph, _hom_failures, _parts_check
+from girthcover.rainbow import DecompositionConfig, RainbowColoring
 
 
 # -- small graphs and coordinates used only by the tests ----------------------
@@ -30,6 +31,43 @@ def petersen_graph() -> Graph:
 def has_edge(g: Graph, u: int, v: int) -> bool:
     indptr, indices = g._csr
     return v in indices[indptr[u] : indptr[u + 1]]
+
+
+def neighbors(g: Graph, v: int) -> list[int]:
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for n={g.n}")
+    indptr, indices = g._csr
+    return indices[indptr.item(v) : indptr.item(v + 1)].tolist()
+
+
+def parts_cycles(n: int, parts: list, length: int) -> list:
+    """For each edge array of ``parts``: a cycle of exactly ``length`` in the
+    graph on 0..n-1 with those edges, its vertex ids in order from the
+    smallest, or None; what ``decompose``'s self-check reads."""
+    return _parts_check(n, parts, length)[1]
+
+
+def check_rainbow_coloring(rc: RainbowColoring, cfg: DecompositionConfig) -> None:
+    """Check every RainbowColoring invariant; raises AssertionError on violation."""
+    g, h = rc.host, rc.retained
+    if h.n != g.n:
+        raise AssertionError(f"retained graph has {h.n} vertices, host has {g.n}")
+    if rc.palette_size > cfg.color_multiplier * max(g.max_degree(), 1):
+        raise AssertionError(f"palette {rc.palette_size} exceeds multiplier * max degree")
+    host_edges = set(g.edges())
+    for e in h.edges():
+        if e not in host_edges:
+            raise AssertionError(f"retained edge {e} not in host")
+    for u, v in h.edges():
+        if rc.color[u] == rc.color[v]:
+            raise AssertionError(f"monochromatic retained edge ({u},{v})")
+    for v in range(h.n):
+        seen = [rc.color[w] for w in neighbors(h, v)]
+        if len(set(seen)) != len(seen):
+            raise AssertionError(f"repeated color in neighborhood of {v}")
+    for v in range(g.n):
+        if g.degree(v) > 0 and h.degree(v) < cfg.retention * g.degree(v):
+            raise AssertionError(f"vertex {v} retains {h.degree(v)}/{g.degree(v)}")
 
 
 def is_locally_injective_hom(f: Graph, g: Graph, phi) -> bool:

@@ -20,9 +20,17 @@ from girthcover.algebraic import (
 from girthcover.bounds import lower_bound_exponent, upper_bound
 from girthcover.graph import Graph
 from girthcover.partition import cover_complete, partition_bipartite_exact, verify_partition
-from girthcover.rainbow import DecompositionConfig, check_rainbow_coloring, decompose, rainbow_color
+from girthcover.rainbow import DecompositionConfig, decompose, rainbow_color
 from girthcover.randomcover import SeedGraph, cover_random
-from conftest import has_edge, is_locally_injective_hom, petersen_graph, random_graph, random_regular
+from conftest import (
+    check_rainbow_coloring,
+    has_edge,
+    is_locally_injective_hom,
+    neighbors,
+    petersen_graph,
+    random_graph,
+    random_regular,
+)
 
 
 def report(criterion, detail=""):
@@ -123,7 +131,7 @@ def test_criterion_6_rainbow_contract():
         for u, v in rc.retained.edges():
             assert rc.color[u] != rc.color[v]
         for v in range(g.n):
-            seen = [rc.color[w] for w in rc.retained.neighbors(v)]
+            seen = [rc.color[w] for w in neighbors(rc.retained, v)]
             assert len(set(seen)) == len(seen)
             assert rc.retained.degree(v) >= g.degree(v) / 10
         check_rainbow_coloring(rc, cfg)

@@ -18,9 +18,9 @@ import pytest
 import girthcover
 from girthcover import graph
 from girthcover.algebraic import build_hexagon, build_quadrangle
-from girthcover.graph import _RUN_EDGES, _components, _parts_check, _parts_cycles
+from girthcover.graph import _RUN_EDGES, _components, _parts_check
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
-from conftest import is_forest, searched_as
+from conftest import is_forest, parts_cycles, searched_as
 
 
 def as_array(edges) -> np.ndarray:
@@ -55,7 +55,7 @@ def assert_matches_networkx(n: int, parts: list):
     for length in (3, 6):
         acyclic_too, found = _parts_check(n, parts, length)
         assert acyclic_too == acyclic
-        assert found == _parts_cycles(n, parts, length)
+        assert found == parts_cycles(n, parts, length)
         assert all(cycle is None for forest, cycle in zip(acyclic, found) if forest)
 
 

@@ -181,8 +181,9 @@ def test_cover_missing_an_edge_is_certified_and_not_exact():
     ],
 )
 def test_only_host_edges_are_certified(host, edges, certified):
-    p = EdgePartition(host, [Part("a", edges), Part("b", [])])
-    assert partition._certified(p, [8, 8]) == [certified] * 2
+    # the edges in the first part and in the last: every part's edges are checked
+    for parts in ([Part("a", edges), Part("b", [])], [Part("b", []), Part("a", edges)]):
+        assert partition._certified(EdgePartition(host, parts), [8, 8]) == [certified] * 2
 
 
 def test_no_base_larger_than_the_parts_is_built(monkeypatch):

@@ -265,55 +265,60 @@ def test_partition_bipartite_rejects_non_prime_q(tmp_path, q):
 
 
 @pytest.mark.parametrize(
-    "line",
-    [
-        "host",
-        "part a",
-        "part a ../outside.edges girth 8",
-        "host complete x",
-        "parts y",
-        "part a e.edges girth z",
-        "host complete 5",  # repeats the host line
-        "parts 0\nparts 0",  # the second parts line is named
-    ],
-)
-def test_verify_malformed_manifest_line(tmp_path, capsys, line):
-    write_edge_list(cycle_graph(10), tmp_path / "outside.edges")
-    (tmp_path / "m").mkdir()
-    manifest = tmp_path / "m" / "manifest.txt"
-    manifest.write_text(f"host complete 10\n{line}\n")
-    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
-    assert line.splitlines()[-1] in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
     "line, message",
     [
         ("parts 1\nparts 1", "repeated parts line"),
-        ("host complete 5", "repeated host line"),
+        ("host complete 10\nhost complete 5", "repeated host line"),
         ("part a parts/a.edges girth 8", "malformed part claim"),  # the v1 form
         ("part a girth 8", "malformed part claim"),  # no edge count
         ("part a girth 8 x", "malformed manifest line"),
         ("part a girth 8 -1", "malformed manifest line"),
+        ("part a", "malformed manifest line"),
+        ("part a e.edges girth z", "malformed manifest line"),
+        ("parts y", "malformed manifest line"),
+        ("host", "malformed manifest line"),
+        ("host complete x", "malformed manifest line"),
+        ("host complete -5", "malformed manifest line"),
+        ("host bipartite -3 5", "malformed manifest line"),
+        # each file exists and is a valid edge list; only host.edges is read
+        ("host file ../outside.edges", "malformed manifest line"),
+        ("host file other.edges", "malformed manifest line"),
+        ("host file {root}/m/host.edges", "malformed manifest line"),
     ],
 )
 def test_verify_malformed_v2_manifest_line(tmp_path, capsys, line, message):
-    write_edge_list(cycle_graph(10), tmp_path / "outside.edges")
     (tmp_path / "m").mkdir()
+    for path in ("outside.edges", "m/other.edges", "m/host.edges"):
+        write_edge_list(cycle_graph(10), tmp_path / path)
     (tmp_path / "m" / "parts.edges").write_text("")
     manifest = tmp_path / "m" / "manifest.txt"
-    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 10\n{line}\n")
+    line = line.format(root=tmp_path)
+    host = "" if line.startswith("host") else "host complete 10\n"
+    manifest.write_text(f"{partition._MANIFEST_V2}\n{host}{line}\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
     assert f"{message}: {line.splitlines()[-1]}" in capsys.readouterr().err
 
 
-def test_verify_one_token_edge_list_header(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "first", ["# girthcover partition manifest v1\n", "", "\n# girthcover partition manifest v2\n"]
+)
+def test_verify_refuses_a_manifest_without_the_v2_first_line(tmp_path, capsys, first):
+    (tmp_path / "parts.edges").write_text("")
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text("host complete 10\npart a a.edges girth 8\n")
+    manifest.write_text(f"{first}host complete 10\nparts 0\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: first line is not {partition._MANIFEST_V2!r}\n"
+
+
+def test_verify_one_token_edge_list_header(tmp_path, capsys):
+    (tmp_path / "parts.edges").write_text("")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost file host.edges\nparts 0\n")
     for header in ["10", "3 x", "3 1 bipartite 1 x"]:
-        (tmp_path / "a.edges").write_text(f"{header}\n")
+        (tmp_path / "host.edges").write_text(f"{header}\n")
         assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
-        assert f"a.edges, line 1: malformed header {header}" in capsys.readouterr().err
+        assert f"host.edges, line 1: malformed header {header}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -322,16 +327,16 @@ def test_verify_one_token_edge_list_header(tmp_path, capsys):
         ("3 1\n0 5\n", 2, "edge (0, 5) out of range for n=3"),
         ("3 2\n0 1\n0 1\n", 3, "duplicate edge (0, 1)"),
         ("4 1 bipartite 2 2\n0 1\n", 2, "edge (0, 1) does not cross the bipartition"),
-        ("10 2\n0 1\n0 7\n", 3, "edge (0, 7) out of range for n=4"),  # valid file, not in the host
     ],
 )
 def test_verify_names_part_file_and_line_of_bad_edge(tmp_path, capsys, text, line, message):
-    (tmp_path / "parts").mkdir()
-    (tmp_path / "parts" / "part_00000.edges").write_text(text)
+    # The host file, the one edge-list file that a manifest names.
+    (tmp_path / "host.edges").write_text(text)
+    (tmp_path / "parts.edges").write_text("")
     manifest = tmp_path / "manifest.txt"
-    manifest.write_text("host complete 4\npart a parts/part_00000.edges girth 8\n")
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost file host.edges\nparts 0\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
-    assert f"part_00000.edges, line {line}: {message}" in capsys.readouterr().err
+    assert f"host.edges, line {line}: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

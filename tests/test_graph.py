@@ -29,6 +29,7 @@ from conftest import (
     forest_decompose_buckets,
     has_edge,
     is_locally_injective_hom,
+    neighbors,
     path_graph,
     petersen_graph,
     random_graph,
@@ -351,7 +352,7 @@ def test_graph_matches_networkx_on_random_graphs():
             assert g.max_degree() == max((d for _, d in oracle.degree()), default=0)
             for v in range(n):
                 assert g.degree(v) == oracle.degree(v)
-                assert list(g.neighbors(v)) == sorted(oracle.neighbors(v))
+                assert list(neighbors(g, v)) == sorted(oracle.neighbors(v))
                 for w in range(n):
                     assert has_edge(g, v, w) == oracle.has_edge(v, w)
 
@@ -360,11 +361,11 @@ def test_graph_matches_networkx_on_random_graphs():
 @pytest.mark.parametrize("v", [-1, -2, -5, -6, 5, 6, 2**70, -(2**70)])
 def test_degree_and_neighbors_refuse_a_vertex_outside_the_graph(v):
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    for query in (g.degree, g.neighbors):
+    for query in (g.degree, lambda w: neighbors(g, w)):
         with pytest.raises(ValueError, match=f"vertex {v} out of range for n=5"):
             query(v)
     assert [g.degree(w) for w in range(5)] == [1, 2, 1, 1, 1]
-    assert [g.neighbors(np.int64(w)) for w in range(5)] == [[1], [0, 2], [1], [4], [3]]
+    assert [neighbors(g, np.int64(w)) for w in range(5)] == [[1], [0, 2], [1], [4], [3]]
     with pytest.raises(ValueError):
         Graph(0, []).degree(0)
 
@@ -567,20 +568,10 @@ def test_bad_certificate_rejected(perm):
         g.girth_exceeds(7)
 
 
-# Self-checks that raise AssertionError: a coloring with palette 10^9 or a
-# monochromatic edge, and shift solvers whose result fails the oracle.
+# Self-checks that raise AssertionError: shift solvers whose result fails
+# the oracle.
 SELF_CHECKS_SCRIPT = (
     "import girthcover.algebraic as algebraic\n"
-    "from girthcover.graph import Graph\n"
-    "from girthcover.rainbow import DecompositionConfig, RainbowColoring, check_rainbow_coloring\n"
-    "edge = Graph(2, [(0, 1)])\n"
-    "for color, palette in (([0, 1], 10**9), ([0, 0], 2)):\n"
-    "    rc = RainbowColoring(host=edge, retained=edge, color=color, palette_size=palette)\n"
-    "    try:\n"
-    "        check_rainbow_coloring(rc, DecompositionConfig())\n"
-    "    except AssertionError:\n"
-    "        continue\n"
-    "    raise SystemExit(f'accepted coloring {color} with palette {palette}')\n"
     "algebraic.is_edge_q = algebraic.is_edge_h = lambda *args: False\n"
     "for solve, arity in ((algebraic.solve_shift_q, 3), (algebraic.solve_shift_h, 5)):\n"
     "    try:\n"

@@ -2,8 +2,6 @@ import hashlib
 import math
 import os
 import re
-import shutil
-from pathlib import Path
 
 import pytest
 
@@ -310,33 +308,18 @@ def test_manifest_roundtrip(tmp_path):
     assert verify_partition(back).passed
 
 
-# The v1 writer's output for cover_complete(60, 8): 75 part files.
-FIXTURE_V1 = Path(__file__).parent / "data" / "cover_k60_v1"
-
-
-def tamper_and_verify(root, first, last, skip: int):
-    """Replace the first edge of the first part (file ``first``, after ``skip``
-    header lines) by the last edge of the last part (file ``last``): the edge
-    is then in two parts and another in none.  The manifest still reads, but
-    exactness must fail."""
-    lines = first.read_text().splitlines()
-    lines[skip] = last.read_text().splitlines()[-1]
-    first.write_text("\n".join(lines) + "\n")
-    rep = verify_partition(read_manifest(root / "manifest.txt"))
-    assert not rep.exact and not rep.passed
-
-
 def test_manifest_tamper_detected(tmp_path):
+    # The first edge of the first part replaced by the last edge of the last
+    # part: that edge is then in two parts and another in none.  The manifest
+    # still reads, but exactness must fail.
     root = tmp_path / "m"
     write_manifest(cover_complete(60, 8)[0], root)
-    tamper_and_verify(root, root / "parts.edges", root / "parts.edges", 0)
-
-
-def test_manifest_v1_tamper_detected(tmp_path):
-    root = tmp_path / "m"
-    shutil.copytree(FIXTURE_V1, root)
-    parts = root / "parts"
-    tamper_and_verify(root, parts / "part_00000.edges", parts / "part_00074.edges", 1)
+    body = root / "parts.edges"
+    lines = body.read_text().splitlines()
+    lines[0] = lines[-1]
+    body.write_text("\n".join(lines) + "\n")
+    rep = verify_partition(read_manifest(root / "manifest.txt"))
+    assert not rep.exact and not rep.passed
 
 
 def test_manifest_explicit_host(tmp_path):
@@ -386,27 +369,11 @@ def tree_sha256(root) -> str:
 
 
 def test_cover_complete_manifest_matches_recorded_hash(tmp_path):
-    # The v1 hash was recorded before the graph core moved to CSR arrays, and
-    # pins the committed v1 fixture; the v2 hash pins the v2 writer's output
-    # for the same partition.  Names and bytes must not change.
-    assert tree_sha256(FIXTURE_V1) == "d1214f20ea229a2d221c7acd584b9caf7bebd8e45e4dfa616a10d783d4939cc3"
+    # The hash pins the v2 writer's output: names and bytes must not change.
     ep, _ = cover_complete(60, 8)
     write_manifest(ep, tmp_path / "m")
     assert sorted(os.listdir(tmp_path / "m")) == ["manifest.txt", "parts.edges"]
     assert tree_sha256(tmp_path / "m") == "0c8202821739bd6cdd0b0cf56336d5235009683498df3e8e6c3143247a20867c"
-
-
-def test_v1_fixture_and_v2_write_decode_to_equal_parts(tmp_path):
-    v1 = read_manifest(FIXTURE_V1 / "manifest.txt")
-    ep, _ = cover_complete(60, 8)
-    v2 = read_manifest(write_manifest(ep, tmp_path / "m"))
-    assert (v1.host.kind, v1.host.n) == (v2.host.kind, v2.host.n) == ("complete", 60)
-    assert len(v1.parts) == len(v2.parts) == len(ep.parts) == 75
-    for a, b, c in zip(v1.parts, v2.parts, ep.parts):
-        assert (a.name, a.girth_target, a.forbidden_cycle) == (b.name, b.girth_target, b.forbidden_cycle)
-        assert (b.name, b.girth_target) == (c.name, c.girth_target)
-        assert np.array_equal(a.edges, b.edges) and np.array_equal(b.edges, c.edges)
-    assert verify_partition(v1).passed and verify_partition(v2).passed
 
 
 @pytest.mark.parametrize(

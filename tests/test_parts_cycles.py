@@ -1,5 +1,5 @@
 """The batched fixed-length cycle search over the parts of a partition,
-``graph._parts_cycles``, against the one-graph search
+the cycles that ``graph._parts_check`` finds, against the one-graph search
 ``Graph(n, part).has_cycle_of_length(L)``: the same verdicts, a witness cycle
 for every part that has one, and the same errors."""
 
@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from girthcover import graph, rainbow
-from girthcover.graph import _RUN_EDGES, Graph, _parts_cycles, _runs
+from girthcover.graph import _RUN_EDGES, Graph, _runs
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
 from girthcover.rainbow import DecompositionConfig, decompose
-from conftest import random_regular, searched_as, traced_peak
+from conftest import parts_cycles, random_regular, searched_as, traced_peak
 
 LENGTHS = range(3, 17)
 
@@ -32,7 +32,7 @@ def assert_cycle_of(cycle, edges: np.ndarray, length: int):
 
 def assert_matches_per_part_search(n: int, parts: list):
     for length in LENGTHS:
-        found = _parts_cycles(n, parts, length)
+        found = parts_cycles(n, parts, length)
         assert len(found) == len(parts)
         for i, (part, cycle) in enumerate(zip(parts, found)):
             assert (cycle is not None) == Graph(n, part).has_cycle_of_length(length), (i, length)
@@ -70,9 +70,9 @@ def test_empty_parts_and_parts_with_fewer_edges_than_the_length():
     empty = as_array([])
     assert_matches_per_part_search(9, [empty, c5, empty, path, empty])
     assert_matches_per_part_search(9, [empty, empty])
-    assert _parts_cycles(9, [], 6) == []
-    assert _parts_cycles(0, [empty], 3) == [None]
-    assert _parts_cycles(9, [c5], 5) == [(0, 1, 2, 3, 4)]
+    assert parts_cycles(9, [], 6) == []
+    assert parts_cycles(0, [empty], 3) == [None]
+    assert parts_cycles(9, [c5], 5) == [(0, 1, 2, 3, 4)]
 
 
 def star_with_leaf_path(leaves: int, path: int) -> np.ndarray:
@@ -95,9 +95,9 @@ def test_a_part_larger_than_one_run():
 def test_run_boundaries_do_not_change_the_answer(monkeypatch, run_edges):
     rng = random.Random(run_edges)
     parts = random_parts(rng, 30, 25)
-    want = [_parts_cycles(30, parts, length) for length in LENGTHS]
+    want = [parts_cycles(30, parts, length) for length in LENGTHS]
     monkeypatch.setattr(graph, "_RUN_EDGES", run_edges)
-    assert [_parts_cycles(30, parts, length) for length in LENGTHS] == want
+    assert [parts_cycles(30, parts, length) for length in LENGTHS] == want
 
 
 def test_decompose_output_with_planted_cycles():
@@ -116,8 +116,8 @@ def test_decompose_output_with_planted_cycles():
         parts.append(as_array(edges))
     assert_matches_per_part_search(g.n, parts)
     # Every length is planted, and the unplanted classes stay C_6-free.
-    assert all(any(c is not None for c in _parts_cycles(g.n, parts, L)) for L in LENGTHS)
-    assert not any(_parts_cycles(g.n, parts[1::3], 6))
+    assert all(any(c is not None for c in parts_cycles(g.n, parts, L)) for L in LENGTHS)
+    assert not any(parts_cycles(g.n, parts[1::3], 6))
     # verify_partition gives the per-part verdicts, with a witness for each failure.
     p = EdgePartition(HostSpec.explicit(g.n, g._pairs()),
                       [Part(f"p{i}", e, forbidden_cycle=6) for i, e in enumerate(parts)])
@@ -158,7 +158,7 @@ def test_faulty_parts_raise_the_graph_error(case):
     parts = [np.array(p, np.int64).reshape(-1, 2) for p in parts]
     want = next(graph_error(n, p) for p in parts if not _builds(n, p))
     with pytest.raises(ValueError) as info:
-        _parts_cycles(n, parts, 6)
+        parts_cycles(n, parts, 6)
     assert str(info.value) == want
     partition = EdgePartition(HostSpec.explicit(n, []),
                               [Part(f"p{i}", p, forbidden_cycle=6) for i, p in enumerate(parts)])
@@ -184,7 +184,7 @@ def test_lengths_outside_the_range_raise(length):
     assert want == f"cycle length {length} outside supported range [3, 16]"
     for parts in ([c5], [as_array([])], []):
         with pytest.raises(ValueError) as info:
-            _parts_cycles(5, parts, length)
+            parts_cycles(5, parts, length)
         assert str(info.value) == want
     p = EdgePartition(HostSpec.explicit(5, c5), [Part("c5", c5, forbidden_cycle=length)])
     with pytest.raises(ValueError) as info:
@@ -196,7 +196,7 @@ def test_an_edge_shared_by_two_parts_is_searched_per_part():
     triangle = as_array([(0, 1), (1, 2), (0, 2)])
     edge = as_array([(0, 1)])
     # Together the parts hold (0, 1) twice, but each part is a simple graph.
-    assert _parts_cycles(3, [triangle, edge], 3) == [(0, 1, 2), None]
+    assert parts_cycles(3, [triangle, edge], 3) == [(0, 1, 2), None]
     p = EdgePartition(HostSpec.explicit(3, triangle),
                       [Part("t", triangle, forbidden_cycle=4), Part("e", edge, forbidden_cycle=4)])
     report = verify_partition(p)
@@ -216,7 +216,7 @@ def test_memory_stays_near_one_run():
         e = np.sort(rng.choice(n, size=(54, 2)), axis=1)
         parts.append(np.unique(e[e[:, 0] < e[:, 1]], axis=0))
     assert 60_000 < sum(map(len, parts)) < 66_000
-    peak, found = traced_peak(lambda: _parts_cycles(n, parts, 6))
+    peak, found = traced_peak(lambda: parts_cycles(n, parts, 6))
     assert len(found) == len(parts)
     assert peak < 3_000_000, peak
 

@@ -10,13 +10,12 @@ from girthcover.rainbow import (
     DecompositionConfig,
     RainbowRetentionError,
     _try_rainbow,
-    check_rainbow_coloring,
     decompose,
     default_threshold,
     pullback_partition,
     rainbow_color,
 )
-from conftest import complete_graph, is_locally_injective_hom, path_graph, random_regular
+from conftest import check_rainbow_coloring, complete_graph, is_locally_injective_hom, path_graph, random_regular
 
 
 def test_default_threshold():
