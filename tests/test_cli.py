@@ -264,11 +264,23 @@ def test_partition_bipartite_rejects_non_prime_q(tmp_path, q):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("line", ["host complete 5", "parts 0\nparts 0"])
+def test_verify_malformed_manifest_line(tmp_path, capsys, line):
+    """A repeated line is named, second copy, in a one-line error."""
+    (tmp_path / "parts.edges").write_text("")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{partition._MANIFEST_V2}\nhost complete 10\n{line}\n")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    kind = line.split()[0]
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: repeated {kind} line: {line.splitlines()[-1]}\n"
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
         ("parts 1\nparts 1", "repeated parts line"),
-        ("host complete 10\nhost complete 5", "repeated host line"),
+        ("host complete 5", "repeated host line"),
         ("part a parts/a.edges girth 8", "malformed part claim"),  # the v1 form
         ("part a girth 8", "malformed part claim"),  # no edge count
         ("part a girth 8 x", "malformed manifest line"),
@@ -293,7 +305,9 @@ def test_verify_malformed_v2_manifest_line(tmp_path, capsys, line, message):
     (tmp_path / "m" / "parts.edges").write_text("")
     manifest = tmp_path / "m" / "manifest.txt"
     line = line.format(root=tmp_path)
-    host = "" if line.startswith("host") else "host complete 10\n"
+    # a malformed host line stands alone; every other line follows a good one
+    alone = line.startswith("host") and message != "repeated host line"
+    host = "" if alone else "host complete 10\n"
     manifest.write_text(f"{partition._MANIFEST_V2}\n{host}{line}\n")
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
     assert f"{message}: {line.splitlines()[-1]}" in capsys.readouterr().err
