@@ -358,24 +358,17 @@ class Graph:
     def has_cycle_of_length(self, length: int) -> bool:
         """Exact: does the graph contain a cycle of length exactly ``length``?
 
-        DFS path enumeration anchored at the smallest cycle vertex, pruned by
-        BFS distance back to the anchor (see ``_block_cycles``).  Supported
-        for 3 <= length <= 16.  The search runs on the non-isolated vertices
-        relabelled 0..k-1 in order, so a sparse part of a large host costs
-        O(k + m) per start, not O(n); the relabelling keeps vertex order,
-        hence the anchoring.
+        Supported for 3 <= length <= 16.  The graph is searched as the one
+        part of a run (``_parts_check``): a forest is not searched, any
+        other graph by the DFS of ``_block_cycles`` on its non-isolated
+        vertices.
         """
         _check_cycle_length(length)
         if self.m < length:
             return False
         if self.side is not None and length % 2 == 1:
             return False
-        indptr, indices = self._csr
-        deg = np.diff(indptr)
-        active = np.flatnonzero(deg)
-        label = np.cumsum(deg > 0) - 1  # new id of each non-isolated vertex
-        indptr = indptr[np.append(active, self.n)]
-        return _block_cycles(indptr, label[indices], [(0, len(active))], length)[0] is not None
+        return _parts_check(self.n, [self._pairs()], length)[1][0] is not None
 
 
 def cycle_graph(n: int) -> Graph:
@@ -419,10 +412,10 @@ def _components(n: int, pairs) -> tuple[np.ndarray, int]:
 # e = v - c.  The count c' that ``_components`` gives is never below c, even
 # before its loop settles, so e = v - c' implies c' = c: such a part is a
 # forest, has no cycle of any length, and is not searched.  Every other
-# part goes to the one DFS, which also serves a single graph
-# (``Graph.has_cycle_of_length``): both hand ``_block_cycles`` CSR arrays
-# whose vertices fall into blocks of consecutive ids with no edge between
-# blocks, and it searches each block on its own, in the block's local ids.
+# part goes to the one DFS, ``_block_cycles``, on the run's union CSR: its
+# vertices fall into blocks of consecutive ids with no edge between blocks,
+# and each block is searched on its own, in the block's local ids.  A single
+# graph (``Graph.has_cycle_of_length``) is a run of one part.
 
 
 def _check_cycle_length(length: int) -> None:
@@ -448,11 +441,10 @@ def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[lis
     """For the (m, 2) int64 edge arrays ``parts``, each the edges of a graph
     on 0..n-1: whether each is a forest, and, for a ``length``, a cycle of
     exactly that length in each, as its vertex ids in order from the
-    smallest, or None if it has none; that is None exactly when
-    ``Graph(n, part).has_cycle_of_length(length)`` is False, and a forest is
-    not searched.  A part that ``Graph(n, part)`` rejects raises its error
-    (the first such part's).  Parts are taken a run at a time (``_runs``), so
-    the extra memory stays near one run's."""
+    smallest, or None if it has none; a forest is not searched.  A part
+    that ``Graph(n, part)`` rejects raises its error (the first such
+    part's).  Parts are taken a run at a time (``_runs``), so the extra
+    memory stays near one run's."""
     if length is not None:
         _check_cycle_length(length)
     acyclic, found = [], []

@@ -77,14 +77,15 @@ def _arity_for(target_girth: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class HostSpec:
-    """What a partition partitions: K_n, K_{a,b}, or an explicit edge set,
-    held as an (m, 2) int64 array."""
+    """What a partition partitions: K_n, K_{a,b}, or the edges of an
+    explicit ``Graph``, held as ``graph``.  A host has no sides, so
+    ``explicit`` rebuilds a graph with sides without them."""
 
     kind: str  # "complete" | "bipartite" | "explicit"
     n: int = 0
     a: int = 0
     b: int = 0
-    edges: Optional[np.ndarray] = None
+    graph: Optional[Graph] = None
 
     @staticmethod
     def complete(n: int) -> "HostSpec":
@@ -96,9 +97,10 @@ class HostSpec:
         return HostSpec(kind="bipartite", n=a + b, a=a, b=b)
 
     @staticmethod
-    def explicit(n: int, edges) -> "HostSpec":
-        """The host with the given edges: any edge input that ``Graph`` accepts."""
-        return HostSpec(kind="explicit", n=n, edges=edge_array(edges))
+    def explicit(graph: Graph) -> "HostSpec":
+        if graph.side is not None:
+            graph = Graph(graph.n, graph._pairs())
+        return HostSpec(kind="explicit", n=graph.n, graph=graph)
 
     @property
     def edge_count(self) -> int:
@@ -106,7 +108,26 @@ class HostSpec:
             return self.n * (self.n - 1) // 2
         if self.kind == "bipartite":
             return self.a * self.b
-        return len(self.edges)
+        return self.graph.m
+
+    def _non_edges(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For edges given as (u, v) with u <= v: their keys u*n + v in
+        ascending order, and for each key whether its edge is not a host
+        edge: a loop, an id outside 0..n-1, an edge within a side of a
+        bipartite host, or a key missing from an explicit host's sorted
+        keys.  An edge flagged before that lookup has the key -1.  A host
+        too large for int64 keys raises ``ValueError`` (``_edge_keys``)."""
+        keys, bad = _edge_keys(pairs, self.n)
+        if self.kind == "bipartite":
+            bad |= (pairs < self.a).sum(axis=1) != 1
+        keys[bad] = -1
+        keys.sort()  # the lookup of sorted keys is several times faster
+        bad = keys < 0
+        if self.kind == "explicit":
+            host_keys = self.graph._keys()
+            found = host_keys.take(np.searchsorted(host_keys, keys), mode="clip") if host_keys.size else -1
+            bad |= found != keys
+        return keys, bad
 
 
 def _ordered(pairs: np.ndarray) -> np.ndarray:
@@ -128,11 +149,9 @@ def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u * n + v, (u < 0) | (v >= n) | (u == v)
 
 
-def _sorted_keys(pairs: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """The sorted keys of the edges, each taken as (u, v) with u < v, or None
-    if one is a loop or has an id outside 0..n-1."""
-    keys, bad = _edge_keys(_ordered(pairs), n)
-    return None if bad.any() else np.sort(keys)
+def _all_edges(parts: list) -> np.ndarray:
+    """The edges of ``parts`` back to back, each row as (min, max)."""
+    return _ordered(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in parts]))
 
 
 @dataclass(eq=False)
@@ -166,23 +185,14 @@ class EdgePartition:
         """Union of parts equals the host edge set, each edge exactly once.
 
         The part edges are counted against the host's before anything is
-        built, then sorted once as keys.  A complete or bipartite host is
-        never enumerated: as many distinct valid keys as it has edges
-        (crossing ones, for a bipartite host) are its edge set.  An explicit
-        host's sorted keys are compared with the parts'."""
-        host = self.host
-        if sum(len(p.edges) for p in self.parts) != host.edge_count:
+        built.  Then, for every kind of host, no part edge may be a non-edge
+        of the host (``HostSpec._non_edges``) and no key may repeat: as many
+        distinct host edges as the host has are its edge set, so a complete
+        or bipartite host is never enumerated."""
+        if sum(len(p.edges) for p in self.parts) != self.host.edge_count:
             return False
-        pairs = np.concatenate([np.empty((0, 2), np.int64)] + [p.edges for p in self.parts])
-        keys = _sorted_keys(pairs, host.n)
-        if keys is None or (keys[1:] == keys[:-1]).any():
-            return False
-        if host.kind == "bipartite":
-            return bool(((pairs < host.a).sum(axis=1) == 1).all())
-        if host.kind == "explicit":
-            host_keys = _sorted_keys(host.edges, host.n)
-            return host_keys is not None and np.array_equal(keys, host_keys)
-        return True
+        keys, bad = self.host._non_edges(_all_edges(self.parts))
+        return not bad.any() and not (keys[1:] == keys[:-1]).any()
 
 
 @dataclass
@@ -215,13 +225,15 @@ def verify_partition(
     """Re-derive every certificate from the edge lists alone.
 
     Per-part claims stored on the parts are used unless overridden by the
-    arguments; nothing claimed is trusted.  Exactness is checked first.  On
-    a partition of K_n or K_{m,m} whose part edges are all host edges, a
-    girth claim is then tried by the certificate that the host line and the
-    part's edges determine (see ``_certified``).  Exactness does not matter
-    to a part's girth, but a partition that is not exact may be far smaller
-    than its host, so it gets no base with more edges than all its parts
-    have.
+    arguments; nothing claimed is trusted.  Exactness is checked first
+    (``EdgePartition.is_exact``), for an explicit host against its
+    ``Graph``'s own sorted keys.  On a partition of K_n or K_{m,m} whose
+    part edges are all host edges (``HostSpec._non_edges``, which both
+    checks use), a girth claim is then tried by the certificate that the
+    host line and the part's edges determine (see ``_certified``).
+    Exactness does not matter to a part's girth, but a partition that is not
+    exact may be far smaller than its host, so it gets no base with more
+    edges than all its parts have.
 
     Every part that no certificate decides is first checked for acyclicity,
     a run of parts at a time (``graph._parts_check``): a part with e edges,
@@ -299,8 +311,8 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
     host = p.host
     certified = np.zeros(len(p.parts), bool)
     square = host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b
-    # _host_edges raises for a host too large for edge keys; with no parts it is not called.
-    if not (p.parts and square and _host_edges(host, p.parts)):
+    # _non_edges raises for a host too large for edge keys; with no parts it is not called.
+    if not (p.parts and square and not host._non_edges(_all_edges(p.parts))[1].any()):
         return certified.tolist()
     bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
 
@@ -345,16 +357,6 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
                 failed[(part_level == k) & (run_targets > base_girth)] = True  # (4)
             certified[np.array(run)[~failed]] = True
     return certified.tolist()
-
-
-def _host_edges(host: HostSpec, parts: list) -> bool:
-    """Whether every edge of ``parts`` is an edge of the K_n or K_{m,m} ``host``:
-    one check on all their edges at once."""
-    pairs = _ordered(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in parts]))
-    bad = _edge_keys(pairs, host.n)[1]
-    if host.kind == "bipartite":
-        bad |= (pairs < host.a).sum(axis=1) != 1
-    return not bad.any()
 
 
 def _host_classes(host: HostSpec, girth: int):
@@ -581,7 +583,7 @@ def write_manifest(p: EdgePartition, directory) -> str:
     ``ValueError`` naming the part."""
     n = p.host.n
     counts = [len(part.edges) for part in p.parts]
-    pairs = _ordered(np.concatenate([np.empty((0, 2), np.int64)] + [part.edges for part in p.parts]))
+    pairs = _all_edges(p.parts)
     keys, bad = _edge_keys(pairs, n)
     order, index, repeat = _part_rows(keys, counts)
     pairs = pairs[order]
@@ -597,7 +599,7 @@ def write_manifest(p: EdgePartition, directory) -> str:
     elif p.host.kind == "bipartite":
         lines.append(f"host bipartite {p.host.a} {p.host.b}")
     else:
-        write_edge_list(Graph(n, p.host.edges), os.path.join(directory, "host.edges"))
+        write_edge_list(p.host.graph, os.path.join(directory, "host.edges"))
         lines.append("host file host.edges")
     lines.append(f"parts {len(p.parts)}")
     with open(os.path.join(directory, "parts.edges"), "wb") as fh:
@@ -667,8 +669,7 @@ def read_manifest(manifest_path) -> EdgePartition:
                 case ["host", "bipartite", a, b]:
                     host = HostSpec.bipartite(size(a, line), size(b, line))
                 case ["host", "file", "host.edges"]:
-                    g = read_edge_list(os.path.join(directory, "host.edges"))
-                    host = HostSpec.explicit(g.n, g._pairs())
+                    host = HostSpec.explicit(read_edge_list(os.path.join(directory, "host.edges")))
                 case ["parts", count]:
                     n_parts = number(count, line)
                 case ["part", name, *tokens, count]:

@@ -43,6 +43,7 @@ from .partition import CompleteCoverLocator, EdgePartition, HostSpec, Part
 
 _CYCLE_GIRTH = {6: 8, 10: 12}
 _PRUNE_BLOCK = 512  # rows per block of the rainbow pruning
+_MAX_RETRIES = 20  # rainbow-coloring tries per round; round r's seed is rng_seed + (r - 1) * this
 
 
 def default_threshold(delta: int) -> int:
@@ -62,7 +63,6 @@ class DecompositionConfig:
     color_multiplier: int = 200
     retention: float = 0.1
     rng_seed: int = 0
-    max_retries: int = 20
 
     def __post_init__(self):
         if self.target_cycle not in _CYCLE_GIRTH:
@@ -71,8 +71,6 @@ class DecompositionConfig:
             raise ValueError("retention must be in (0, 1)")
         if self.color_multiplier < 1:
             raise ValueError("color multiplier must be >= 1")
-        if self.max_retries < 1:
-            raise ValueError("max retries must be >= 1")
 
     @property
     def palette_girth(self) -> int:
@@ -155,7 +153,8 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
     """Random proper rainbow coloring of a spanning subgraph of g.
 
     One-shot uniform coloring with conflict pruning; full retry with fresh
-    randomness whenever some vertex drops below the retention floor.
+    randomness, up to ``_MAX_RETRIES`` tries, whenever some vertex drops
+    below the retention floor.
     Deterministic given (rng_seed, retry index).
     """
     delta = g.max_degree()
@@ -164,7 +163,7 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
     palette = cfg.color_multiplier * delta
     degree = np.diff(g._csr[0])
     worst_v, worst_ratio = -1, 1.0
-    for retry in range(cfg.max_retries):
+    for retry in range(_MAX_RETRIES):
         rng = random.Random(cfg.rng_seed * 1_000_003 + retry)
         color, kept = _try_rainbow(g, palette, rng)
         kept_degree = np.bincount(kept.ravel(), minlength=g.n)
@@ -175,7 +174,7 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
         ratio = int(kept_degree[v]) / int(degree[v])
         if ratio < worst_ratio:
             worst_v, worst_ratio = v, ratio
-    raise RainbowRetentionError(worst_v, worst_ratio, cfg.max_retries)
+    raise RainbowRetentionError(worst_v, worst_ratio, _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,8 @@ def pullback_partition(
     found by one ``palette.locate`` call over all retained edges; the color
     map restricted to a class is a locally injective homomorphism into the
     corresponding palette part, so girth transfers.  Classes are named
-    ``pull_`` plus the palette part's name.
+    ``pull_`` plus the palette part's name and come in part-id order, the
+    (level, shift) order of ``cover_complete``.
     """
     if palette.n != rc.palette_size:
         raise ValueError(
@@ -202,12 +202,11 @@ def pullback_partition(
     pairs = rc.retained._pairs()
     color = np.array(rc.color, np.int64)
     ids = palette.locate(color[pairs[:, 0]], color[pairs[:, 1]])
-    groups = sorted(group_edges(pairs, ids), key=lambda g: str(palette.part_key(g[0])))
     parts = [
         Part(name="pull_" + palette.part_name(pid), edges=edges, forbidden_cycle=target_cycle)
-        for pid, edges in groups
+        for pid, edges in group_edges(pairs, ids)
     ]
-    return EdgePartition(HostSpec.explicit(rc.retained.n, pairs), parts)
+    return EdgePartition(HostSpec.explicit(rc.retained), parts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     locators: dict[int, CompleteCoverLocator] = {}
     current = g
     rnd = 0
-    seed_step = 0
     while current.m > 0 and current.max_degree() >= threshold:
         rnd += 1
         delta_before = current.max_degree()
@@ -272,8 +270,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             # everything peeled into forests; no rainbow round happened
             current = core
             break
-        sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + seed_step)
-        seed_step += cfg.max_retries
+        sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + (rnd - 1) * _MAX_RETRIES)
         try:
             rc = rainbow_color(core, sub_cfg)
         except RainbowRetentionError as err:
@@ -316,7 +313,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         if cycle is not None:
             ids = " ".join(map(str, cycle))
             raise AssertionError(f"class {part.name} contains a C_{target}: cycle {ids}")
-    partition = EdgePartition(host=HostSpec.explicit(g.n, g._pairs()), parts=parts)
+    partition = EdgePartition(host=HostSpec.explicit(g), parts=parts)
     return DecompositionResult(
         partition=partition,
         rounds=rounds,

@@ -172,7 +172,7 @@ def test_verify_decides_forests_as_acyclic():
     n = 40
     parts = random_parts(rng, n, 48)
     claims = [(8, None), (None, 6), (None, 4), (None, None)]
-    p = EdgePartition(HostSpec.explicit(n, []),
+    p = EdgePartition(HostSpec.explicit(graph.Graph(n, [])),
                       [Part(f"p{i}", e, *claims[i % 4]) for i, e in enumerate(parts)])
     report = verify_partition(p)
     for part, check in zip(p.parts, report.checks):
@@ -235,7 +235,7 @@ import math
 import networkx as nx
 import numpy as np
 from girthcover.algebraic import build_quadrangle
-from girthcover.graph import _components, _parts_check
+from girthcover.graph import Graph, _components, _parts_check
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
 
 def fail(message):
@@ -255,7 +255,7 @@ if _parts_check(7, parts)[0] != [is_forest(p) for p in parts]:
     fail("forest verdicts")
 if _parts_check(7, parts, 4)[1] != [None, None, None, (3, 4, 5, 6)]:
     fail("cycle search")
-report = verify_partition(EdgePartition(HostSpec.explicit(7, []), [Part(str(i), p, 8) for i, p in enumerate(parts)]))
+report = verify_partition(EdgePartition(HostSpec.explicit(Graph(7, [])), [Part(str(i), p, 8) for i, p in enumerate(parts)]))
 if [c.decided_by for c in report.checks] != ["search", "acyclic", "acyclic", "search"]:
     fail("decided_by")
 if [c.passed for c in report.checks] != [False, True, True, False]:

@@ -16,6 +16,7 @@ import pytest
 import girthcover
 from girthcover import partition
 from girthcover.algebraic import build_quadrangle
+from girthcover.graph import Graph
 from girthcover.partition import (
     EdgePartition,
     HostSpec,
@@ -206,7 +207,7 @@ def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):
     searched = [searched_as(p.edges) for p in ep.parts]
     assert [c.decided_by for c in verify_partition(ep, forbidden_cycle=6).checks] == searched
     edges = np.concatenate([p.edges for p in ep.parts])
-    explicit = EdgePartition(HostSpec.explicit(17, edges), ep.parts)
+    explicit = EdgePartition(HostSpec.explicit(Graph(17, edges)), ep.parts)
     report = verify_partition(explicit)
     assert report.passed and [c.decided_by for c in report.checks] == searched
 

@@ -117,7 +117,7 @@ def test_verify_planted_cycle_fails(tmp_path):
 def test_verify_prints_the_witness_cycle(tmp_path, capsys):
     hexagon = [(2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 7)]
     p = partition.EdgePartition(
-        partition.HostSpec.explicit(9, [(0, 1)] + hexagon),
+        partition.HostSpec.explicit(graph.Graph(9, [(0, 1)] + hexagon)),
         [partition.Part("edge", [(0, 1)], forbidden_cycle=6),
          partition.Part("hexagon", hexagon, forbidden_cycle=6)],
     )
@@ -133,7 +133,7 @@ def test_verify_counts_unclaimed_parts_apart(tmp_path, capsys):
     # A part with no claim fails without any search; the summary names the
     # unclaimed count only when there is one.
     p = partition.EdgePartition(
-        partition.HostSpec.explicit(4, [(0, 1), (1, 2), (2, 3)]),
+        partition.HostSpec.explicit(graph.Graph(4, [(0, 1), (1, 2), (2, 3)])),
         [partition.Part("tree", [(0, 1), (1, 2)], forbidden_cycle=6), partition.Part("bare", [(2, 3)])],
     )
     manifest = partition.write_manifest(p, tmp_path / "m")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 import numpy as np
 
 from girthcover.algebraic import index_to_tuple, solve_shift_h, solve_shift_q
-from girthcover.graph import Graph
+from girthcover.graph import Graph, write_edge_list
 from girthcover.partition import (
     CompleteCoverLocator,
     EdgePartition,
@@ -219,7 +220,7 @@ def reference_host_edges(host: HostSpec) -> list:
         return [(u, v) for u in range(n) for v in range(u + 1, n)]
     if host.kind == "bipartite":
         return [(u, host.a + v) for u in range(host.a) for v in range(host.b)]
-    return list(map(tuple, host.edges.tolist()))
+    return list(host.graph.edges())
 
 
 def reference_is_exact(p: EdgePartition) -> bool:
@@ -238,7 +239,7 @@ def reference_is_exact(p: EdgePartition) -> bool:
     [
         HostSpec.complete(9),
         HostSpec.bipartite(4, 6),
-        HostSpec.explicit(12, random_graph(12, 0.4, seed=3).edges()),
+        HostSpec.explicit(random_graph(12, 0.4, seed=3)),
     ],
     ids=["complete", "bipartite", "explicit"],
 )
@@ -265,9 +266,31 @@ def test_is_exact_matches_tuple_reference(host, seed):
     }
     if host.kind == "bipartite":  # vertices 0 and 1 are on one side
         mutations["edge within a side"] = [blocks[0], np.vstack([blocks[1][1:], [[0, 1]]])] + blocks[2:]
+    if host.kind == "explicit":  # an edge of K_n that the host lacks
+        absent = sorted(set(itertools.combinations(range(host.n), 2)) - set(reference_host_edges(host)))[seed]
+        mutations["edge not in the host"] = [blocks[0], np.vstack([blocks[1][1:], [absent]])] + blocks[2:]
     for name, parts in mutations.items():
         p = EdgePartition(host, [Part(f"p{i}", b) for i, b in enumerate(parts)])
         assert p.is_exact() == reference_is_exact(p) == (name == "none"), name
+
+
+@pytest.mark.parametrize(
+    "host",
+    [
+        HostSpec.complete(6),
+        HostSpec.bipartite(2, 4),
+        HostSpec.explicit(Graph(6, [(0, 1), (2, 5), (3, 4)])),
+        HostSpec.explicit(Graph(6, [])),
+    ],
+    ids=["complete", "bipartite", "explicit", "explicit without edges"],
+)
+def test_non_edges_flags_every_edge_outside_the_host(host):
+    pairs = np.array([(u, v) for u in range(-1, 8) for v in range(u, 8)], np.int64)
+    keys, bad = host._non_edges(pairs)
+    edges = set(reference_host_edges(host))
+    assert (np.diff(keys) >= 0).all()
+    assert keys[~bad].tolist() == sorted(u * host.n + v for u, v in edges)
+    assert bad.sum() == len(pairs) - len(edges)
 
 
 def test_is_exact_rejects_edge_whose_key_collides():
@@ -280,12 +303,12 @@ def test_is_exact_rejects_edge_whose_key_collides():
 
 def test_explicit_host_takes_an_edge_iterator():
     g = Graph(5, [(0, 1), (1, 2), (2, 3)])
-    host = HostSpec.explicit(5, g.edges())
-    assert host.edges.dtype == np.int64 and host.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+    host = HostSpec.explicit(Graph(5, g.edges()))
+    assert host.edge_count == 3 and list(host.graph.edges()) == [(0, 1), (1, 2), (2, 3)]
     assert EdgePartition(host, [Part("a", g.edges())]).is_exact()
-    doubled = HostSpec.explicit(5, [(0, 1), (0, 1)])
-    p = EdgePartition(doubled, [Part("a", [(0, 1)]), Part("b", [(1, 0)])])
-    assert not p.is_exact() and not reference_is_exact(p)
+    # A host is a Graph, so a doubled host edge is refused when it is built.
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
+        HostSpec.explicit(Graph(5, [(0, 1), (0, 1)]))
 
 
 def test_verify_partition_reports_bad_girth():
@@ -325,7 +348,7 @@ def test_manifest_tamper_detected(tmp_path):
 def test_manifest_explicit_host(tmp_path):
     g = Graph(5, [(0, 1), (1, 2), (2, 3)])
     ep = EdgePartition(
-        HostSpec.explicit(5, g.edges()),
+        HostSpec.explicit(g),
         [Part("x", [(0, 1), (2, 3)], forbidden_cycle=6), Part("y", [(1, 2)], forbidden_cycle=6)],
     )
     path = write_manifest(ep, tmp_path / "m")
@@ -333,6 +356,28 @@ def test_manifest_explicit_host(tmp_path):
     assert back.host.kind == "explicit"
     rep = verify_partition(back)
     assert rep.passed
+
+
+def test_write_manifest_builds_no_graph_for_an_explicit_host(tmp_path, monkeypatch):
+    g = random_graph(30, 0.3, seed=5)
+    ep = EdgePartition(HostSpec.explicit(g), [Part("all", g._pairs(), forbidden_cycle=6)])
+    built = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda self, n, *args, **kw: built.append(n) or init(self, n, *args, **kw))
+    path = write_manifest(ep, tmp_path / "m")
+    assert built == []
+    back = read_manifest(path)
+    assert built == [30] and back.host.graph._pairs().tolist() == g._pairs().tolist()
+
+
+def test_a_host_with_sides_is_written_without_them(tmp_path):
+    edges = [(0, 3), (0, 4), (1, 4), (2, 5)]
+    sided = Graph(6, edges, side=[0, 0, 0, 1, 1, 1])
+    host = HostSpec.explicit(sided)
+    assert host.graph.side is None and host.edge_count == 4
+    write_manifest(EdgePartition(host, [Part("all", edges, forbidden_cycle=6)]), tmp_path / "m")
+    write_edge_list(Graph(6, edges), tmp_path / "plain.edges")
+    assert (tmp_path / "m" / "host.edges").read_bytes() == (tmp_path / "plain.edges").read_bytes()
 
 
 # Recorded from the per-point generator that the vectorised one replaced:

@@ -119,7 +119,7 @@ def test_decompose_output_with_planted_cycles():
     assert all(any(c is not None for c in parts_cycles(g.n, parts, L)) for L in LENGTHS)
     assert not any(parts_cycles(g.n, parts[1::3], 6))
     # verify_partition gives the per-part verdicts, with a witness for each failure.
-    p = EdgePartition(HostSpec.explicit(g.n, g._pairs()),
+    p = EdgePartition(HostSpec.explicit(g),
                       [Part(f"p{i}", e, forbidden_cycle=6) for i, e in enumerate(parts)])
     for L in (6, 10, None):
         report = verify_partition(p, forbidden_cycle=L)
@@ -160,7 +160,9 @@ def test_faulty_parts_raise_the_graph_error(case):
     with pytest.raises(ValueError) as info:
         parts_cycles(n, parts, 6)
     assert str(info.value) == want
-    partition = EdgePartition(HostSpec.explicit(n, []),
+    # A host of -1 vertices is not a Graph; K_n is only a host line.
+    host = HostSpec.complete(n) if n < 0 else HostSpec.explicit(Graph(n, []))
+    partition = EdgePartition(host,
                               [Part(f"p{i}", p, forbidden_cycle=6) for i, p in enumerate(parts)])
     with pytest.raises(ValueError) as info:
         verify_partition(partition)
@@ -186,7 +188,7 @@ def test_lengths_outside_the_range_raise(length):
         with pytest.raises(ValueError) as info:
             parts_cycles(5, parts, length)
         assert str(info.value) == want
-    p = EdgePartition(HostSpec.explicit(5, c5), [Part("c5", c5, forbidden_cycle=length)])
+    p = EdgePartition(HostSpec.explicit(Graph(5, c5)), [Part("c5", c5, forbidden_cycle=length)])
     with pytest.raises(ValueError) as info:
         verify_partition(p)
     assert str(info.value) == want
@@ -197,7 +199,7 @@ def test_an_edge_shared_by_two_parts_is_searched_per_part():
     edge = as_array([(0, 1)])
     # Together the parts hold (0, 1) twice, but each part is a simple graph.
     assert parts_cycles(3, [triangle, edge], 3) == [(0, 1, 2), None]
-    p = EdgePartition(HostSpec.explicit(3, triangle),
+    p = EdgePartition(HostSpec.explicit(Graph(3, triangle)),
                       [Part("t", triangle, forbidden_cycle=4), Part("e", edge, forbidden_cycle=4)])
     report = verify_partition(p)
     assert not report.exact and not report.passed

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from girthcover import rainbow
 from girthcover.graph import Graph
 from girthcover.partition import CompleteCoverLocator, cover_complete
 from girthcover.rainbow import (
@@ -31,8 +32,6 @@ def test_config_validation():
         DecompositionConfig(retention=1.5)
     with pytest.raises(ValueError):
         DecompositionConfig(color_multiplier=0)
-    with pytest.raises(ValueError):
-        DecompositionConfig(max_retries=0)
 
 
 def test_rainbow_single_edge_rejected():
@@ -90,18 +89,21 @@ def test_rainbow_pruning_matches_scalar_reference():
             assert kept.tolist() == [list(e) for e in want_kept]
 
 
-def test_rainbow_retention_failure_surfaced():
+def test_rainbow_retention_failure_surfaced(monkeypatch):
     # palette of size max-degree on a clique cannot keep 90% everywhere
+    monkeypatch.setattr(rainbow, "_MAX_RETRIES", 5)
     g = complete_graph(6)
-    cfg = DecompositionConfig(color_multiplier=1, retention=0.9, max_retries=5, rng_seed=0)
+    cfg = DecompositionConfig(color_multiplier=1, retention=0.9, rng_seed=0)
     with pytest.raises(RainbowRetentionError) as exc:
         rainbow_color(g, cfg)
-    assert 0 <= exc.value.worst_ratio < 0.9
+    assert 0 <= exc.value.worst_ratio < 0.9 and exc.value.retries == 5
 
 
-def test_retention_failure_in_decompose_carries_completed_rounds():
+def test_retention_failure_in_decompose_carries_completed_rounds(monkeypatch):
+    # One try per round, so round 2 draws its colours from seed 4 + 1.
+    monkeypatch.setattr(rainbow, "_MAX_RETRIES", 1)
     g = random_regular(60, 32, seed=1)
-    cfg = DecompositionConfig(color_multiplier=1, retention=0.06, max_retries=1, rng_seed=4)
+    cfg = DecompositionConfig(color_multiplier=1, retention=0.06, rng_seed=4)
     with pytest.raises(RainbowRetentionError) as exc:
         decompose(g, cfg)
     assert [log.round_index for log in exc.value.rounds] == [1]
@@ -197,7 +199,7 @@ def test_decompose_c10_small():
         assert not Graph(g.n, part.edges).has_cycle_of_length(10)
 
 
-def test_round_logs_record_the_retries():
+def test_round_logs_record_the_retries(monkeypatch):
     # Here retention 0.4 with a palette of 4 * max degree fails three tries
     # before the fourth keeps enough of every degree.
     g = random_regular(100, 16, seed=3)
@@ -205,10 +207,11 @@ def test_round_logs_record_the_retries():
     rc = rainbow_color(g, cfg)
     assert rc.retries == 3
     check_rainbow_coloring(rc, cfg)
-    with pytest.raises(RainbowRetentionError):
-        rainbow_color(g, DecompositionConfig(retention=0.4, color_multiplier=4, max_retries=3))
     res = decompose(g, cfg)
     assert [log.retries for log in res.rounds] == [3]
+    monkeypatch.setattr(rainbow, "_MAX_RETRIES", 3)
+    with pytest.raises(RainbowRetentionError):
+        rainbow_color(g, cfg)
 
 
 def test_decompose_round_log_consistent():
@@ -220,13 +223,16 @@ def test_decompose_round_log_consistent():
     assert res.threshold == default_threshold(16)
 
 
-# Recorded before the graph core moved to CSR arrays: part names, ordered
-# edges, claims, round logs and counts of seeded decompositions must not change.
-# The round logs are hashed as they were recorded, without the later
-# ``retries`` field, which is checked on its own.
+# Part names, ordered edges, claims, round logs and counts of seeded
+# decompositions must not change.  Recorded before the graph core moved to
+# CSR arrays, and again when the pullback classes took their part-id order
+# in place of a sort by the string of their (level, shift) key: the same
+# (name, edges, claim) triples and round logs, in a new order.  The round
+# logs are hashed as they were recorded, without the later ``retries``
+# field, which is checked on its own.
 DECOMPOSE_SHA256 = {
-    (300, 24, 1): "8afc8acc3e72b148220834457c936f794836934775142d3fdc2b63c4a574a4de",
-    (600, 40, 2): "c71083db01628d20fc5d8e3e55de7e73600ab3dedf3755c9bdbda3ce964d60b1",
+    (300, 24, 1): "aa413b66cfc1521624412729928e516e1631206788f22716485e90181f31fc16",
+    (600, 40, 2): "41db86fc17d524ff937e080f699bb6452fd0ee142b093ddc7ed7a2cb3aa57409",
 }
 DECOMPOSE_RETRIES = {(300, 24, 1): [0], (600, 40, 2): [0]}
 

@@ -296,11 +296,14 @@ BIG = 2**40  # edge keys u*n + v of K_n would need 80 bits
 
 
 def test_verify_refuses_a_host_too_large_for_edge_keys():
-    # (5 + 2**24)*2**40 + 2**30 wraps to 5*2**40 + 2**30 in int64: without the
-    # fit check the part's non-host edge was taken for the host's only edge.
-    p = EdgePartition(HostSpec.explicit(BIG, [(5, 2**30)]), [Part("a", [(5 + 2**24, 2**30)])])
+    # (5 + 2**24)*2**40 + 2**30 wraps to 5*2**40 + 2**30 in int64, the key of
+    # another edge of K_BIG: without the fit check two host edges share a key.
+    p = EdgePartition(HostSpec.complete(BIG), [Part("a", [(5 + 2**24, 2**30)])])
     with pytest.raises(ValueError, match=f"host of {BIG} vertices is too large for int64 edge keys"):
         verify_partition(p, forbidden_cycle=6)
+    # An explicit host that large is refused when its Graph is built.
+    with pytest.raises(ValueError, match=f"vertex count {BIG} too large for int64 edge keys"):
+        Graph(BIG, [(5, 2**30)])
 
 
 def test_write_manifest_refuses_a_host_too_large_for_edge_keys(tmp_path):
