@@ -18,9 +18,11 @@ Three layers:
 it: ``locate`` maps arrays of edges to part ids, so ``cover_complete``
 locates every edge of K_n in one call, and the decomposition pipeline only
 the colour pairs of its retained edges, where K_n would be far too large to
-enumerate.  Both name parts with the locator and, like every other producer
-of parts (the pullback, the forests, the random cover), group the edges by
-their int64 class ids with ``graph.group_edges``.
+enumerate.  It places every edge in one pass, from a per-vertex code of the
+halving (see the class), and solves the shifts once per level.  Both name
+parts with the locator and, like every other producer of parts (the
+pullback, the forests, the random cover), group the edges by their int64
+class ids with ``graph.group_edges``.
 """
 
 from __future__ import annotations
@@ -189,10 +191,19 @@ class EdgePartition:
         of the host (``HostSpec._non_edges``) and no key may repeat: as many
         distinct host edges as the host has are its edge set, so a complete
         or bipartite host is never enumerated."""
+        return self._exact()
+
+    def _exact(self, non_edges=None) -> bool:
+        """``is_exact``, reading ``non_edges`` (``_non_edges()``) if given."""
         if sum(len(p.edges) for p in self.parts) != self.host.edge_count:
             return False
-        keys, bad = self.host._non_edges(_all_edges(self.parts))
+        keys, bad = self._non_edges() if non_edges is None else non_edges
         return not bad.any() and not (keys[1:] == keys[:-1]).any()
+
+    def _non_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """``HostSpec._non_edges`` of all part edges: the one ordered pass
+        over them that exactness and the certificates share."""
+        return self.host._non_edges(_all_edges(self.parts))
 
 
 @dataclass
@@ -226,11 +237,12 @@ def verify_partition(
 
     Per-part claims stored on the parts are used unless overridden by the
     arguments; nothing claimed is trusted.  Exactness is checked first
-    (``EdgePartition.is_exact``), for an explicit host against its
+    (as ``EdgePartition.is_exact``), for an explicit host against its
     ``Graph``'s own sorted keys.  On a partition of K_n or K_{m,m} whose
-    part edges are all host edges (``HostSpec._non_edges``, which both
-    checks use), a girth claim is then tried by the certificate that the
-    host line and the part's edges determine (see ``_certified``).
+    part edges are all host edges, a girth claim is then tried by the
+    certificate that the host line and the part's edges determine (see
+    ``_certified``).  Both checks read one ordered pass over the part edges
+    (``EdgePartition._non_edges``).
     Exactness does not matter to a part's girth, but a partition that is not
     exact may be far smaller than its host, so it gets no base with more
     edges than all its parts have.
@@ -254,9 +266,10 @@ def verify_partition(
         claims = [(part.girth_target, part.forbidden_cycle) for part in p.parts]
     else:  # an explicit override ignores the part's own claim entirely
         claims = [override] * len(p.parts)
-    exact = p.is_exact()
+    non_edges = p._non_edges() if _square_host(p) else None
+    exact = p._exact(non_edges)
     max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
-    certified = _certified(p, [target for target, _ in claims], max_base_edges)
+    certified = _certified(p, [target for target, _ in claims], max_base_edges, non_edges)
     acyclic = [False] * len(p.parts)
     cycles = [None] * len(p.parts)  # a forbidden cycle found in each part, or None
     lengths = sorted({forbid for target, forbid in claims if target is None and forbid is not None})
@@ -296,7 +309,17 @@ def verify_partition(
 # class, so on a part whose edges share one class it is a map on vertices.
 
 
-def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = None) -> list[bool]:
+def _square_host(p: EdgePartition) -> bool:
+    """Whether ``p`` has parts and its host is K_n (n >= 2) or K_{m,m}, the
+    hosts whose parts a certificate may decide."""
+    host = p.host
+    square = host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b
+    return bool(p.parts) and square
+
+
+def _certified(
+    p: EdgePartition, targets: list, max_base_edges: Optional[int] = None, non_edges=None
+) -> list[bool]:
     """For each part of ``p``, whether a checked certificate shows girth >=
     its entry of ``targets`` (None: no girth claim).  No part passes unless
     the host is K_n or K_{m,m} and every part edge is one of its edges, and
@@ -307,12 +330,12 @@ def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = 
     image; and (4) the base's girth, searched with its checked automorphisms
     once per prime, is at least the target.  Parts are taken a run at a
     time, runs of at most ``_RUN_EDGES`` edges (a larger part alone), so
-    the extra memory stays near one block's or one part's."""
+    the extra memory stays near one block's or one part's.  ``non_edges``
+    is ``p._non_edges()`` if the caller has it."""
     host = p.host
     certified = np.zeros(len(p.parts), bool)
-    square = host.kind == "complete" and host.n >= 2 or host.kind == "bipartite" and host.a == host.b
     # _non_edges raises for a host too large for edge keys; with no parts it is not called.
-    if not (p.parts and square and not host._non_edges(_all_edges(p.parts))[1].any()):
+    if not _square_host(p) or (p._non_edges() if non_edges is None else non_edges)[1].any():
         return certified.tolist()
     bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
 
@@ -456,6 +479,15 @@ class CompleteCoverLocator:
     (point, line) coordinate pair.  Parts are (level, shift tuple), shared
     by every sibling pair of the level; a part id is the level's offset
     plus the shift's canonical index, so ids sort as (level, shift).
+
+    Two int64 tables, built once in O(n) memory, place an edge without
+    halving: ``_code[x]`` holds vertex x's left (0) or right (1) choice at
+    each of the L halving depths, the first depth in the top of L bits, and
+    ``_start[(1 << d) + prefix]`` the first vertex of the depth-d block with
+    that d-bit prefix (fewer than 4n entries).  The ends of an edge first
+    separate at the highest set bit of ``_code[u] ^ _code[v]``, and their
+    local point and line are their offsets from the starts of their blocks
+    one depth below.
     """
 
     def __init__(self, n: int, target_girth: int):
@@ -471,13 +503,23 @@ class CompleteCoverLocator:
             levels.append(CoverLevel(len(levels) + 1, half, q, parts=q ** (self.arity - 1)))
         self.plan = CoverPlan(n=n, target_girth=target_girth, levels=levels)
         self._offsets = list(itertools.accumulate((lv.parts for lv in levels), initial=0))
+        # The blocks of each depth in prefix order, empty ones included; at
+        # depth L every block holds at most one vertex, in vertex order.
+        self._start = np.zeros(2 << len(levels), np.int64)
+        lo, hi = np.zeros(1, np.int64), np.full(1, n, np.int64)
+        for depth in range(1, len(levels) + 1):
+            mid = lo + (hi - lo + 1) // 2
+            lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
+            self._start[1 << depth : 2 << depth] = lo
+        self._code = np.flatnonzero(hi > lo)
+        self._bits = 1 << np.arange(len(levels), dtype=np.int64)
 
     def locate(self, u, v) -> np.ndarray:
         """Part ids of the edges (u[i], v[i]) of K_n, as an int64 array.
 
-        Per block of edges: the levels by halving all intervals at once, the
-        shifts by one array solve per level.  A loop or an id outside 0..n-1
-        raises ``ValueError`` naming the first such pair.
+        Per block of edges: the levels and local coordinates from the
+        tables, the shifts by one array solve per level.  A loop or an id
+        outside 0..n-1 raises ``ValueError`` naming the first such pair.
         """
         u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
         ids = np.empty(len(u), np.int64)
@@ -492,18 +534,17 @@ class CompleteCoverLocator:
         u, v = np.minimum(u, v), np.maximum(u, v)
         if (bad := np.flatnonzero((u == v) | (u < 0) | (v >= self.n))).size:
             raise ValueError(f"({u[bad[0]]},{v[bad[0]]}) is not an edge of K_{self.n}")
-        ids, points, lines = (np.empty(len(u), np.int64) for _ in range(3))
-        rows = np.arange(len(u))  # the edges not yet separated; lo, hi: their interval
-        lo, hi = np.zeros_like(u), np.full_like(u, self.n)
-        for info, offset in zip(self.plan.levels, self._offsets):
-            mid = lo + (hi - lo + 1) // 2
-            split = (u < mid) & (v >= mid)
-            at = rows[split]
-            points[at], lines[at] = u[split] - lo[split], v[split] - mid[split]
-            ids[at] = offset + _shift_index(points[at], lines[at], info.prime, self.arity)
-            left = v < mid
-            lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
-            rows, u, v, lo, hi = (a[~split] for a in (rows, u, v, lo, hi))
+        depths = len(self.plan.levels)
+        cu, cv = self._code[u], self._code[v]
+        split = np.searchsorted(self._bits, cu ^ cv, side="right") - 1  # the bit where u and v part
+        block = np.left_shift(1, depths - split)  # 1 << the depth below the split
+        points = u - self._start[block + (cu >> split)]
+        lines = v - self._start[block + (cv >> split)]
+        level = depths - 1 - split
+        ids = np.empty(len(u), np.int64)
+        for k, (info, offset) in enumerate(zip(self.plan.levels, self._offsets)):
+            if (at := np.flatnonzero(level == k)).size:
+                ids[at] = offset + _shift_index(points[at], lines[at], info.prime, self.arity)
         return ids, points, lines
 
     def part_key(self, part_id: int) -> tuple[int, tuple[int, ...]]:

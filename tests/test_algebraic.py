@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from girthcover import algebraic
@@ -228,6 +229,43 @@ def test_tuple_index_roundtrip():
             assert tuple_to_index(t, q) == idx
     with pytest.raises(ValueError):
         tuple_to_index((0, 5, 0), 5)
+
+
+# -- array arithmetic mod q ----------------------------------------------------
+
+INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 1_000_003])
+def test_mod_and_index_match_the_remainder_form(q):
+    # Floor division and a subtraction give what % gives on every int64,
+    # negatives, values >= q and both ends of the range included.
+    rng = np.random.default_rng(q)
+    edges = [INT64.min, INT64.min + 1, -q - 1, -q, -q + 1, -1, 0, 1, q - 1, q, q + 1, INT64.max - 1, INT64.max]
+    x = np.r_[edges, rng.integers(INT64.min, INT64.max, 20_000, endpoint=True), rng.integers(-3 * q, 3 * q, 20_000)]
+    assert (algebraic._mod(x, q) == x % q).all()
+    arity = 3 if q > 11 else 5
+    coords = [rng.permutation(x) for _ in range(arity)]
+    expected = 0
+    for c in coords:
+        expected = expected * q + c % q
+    assert (algebraic._index(coords, q) == expected).all()
+
+
+@pytest.mark.parametrize("q, arity", [(5, 3), (7, 3), (5, 5), (7, 5)])
+def test_coords_and_shift_index_match_the_scalar_oracles(q, arity):
+    everything = np.arange(q**arity, dtype=np.int64)
+    tuples = [index_to_tuple(i, q, arity) for i in everything.tolist()]
+    assert list(zip(*(c.tolist() for c in algebraic._coords(everything, q, arity)))) == tuples
+    # Every point once, each with a line of a permutation, so every line
+    # once too; and for the smallest space every pair.
+    rng = np.random.default_rng(q * arity)
+    points, lines = everything, rng.permutation(everything)
+    if q**arity == 125:
+        points, lines = np.repeat(everything, 125), np.tile(everything, 125)
+    solve = solve_shift_q if arity == 3 else solve_shift_h
+    expected = [tuple_to_index(solve(tuples[p], tuples[l], q), q) for p, l in zip(points.tolist(), lines.tolist())]
+    assert algebraic._shift_index(points, lines, q, arity).tolist() == expected
 
 
 # Recorded from the per-point generator that the vectorised one replaced.

@@ -198,6 +198,38 @@ def test_no_base_larger_than_the_parts_is_built(monkeypatch):
     assert report.checks[0].decided_by == searched_as(p.parts[0].edges)
 
 
+def test_exactness_and_certificates_share_one_ordered_pass(monkeypatch):
+    # verify_partition orders the part edges once for both checks, and each
+    # still refuses what it refused: an edge within a side of K_{m,m}, in
+    # place of a host edge or added to them, leaves the partition neither
+    # exact nor certified; a dropped edge leaves it certified, not exact.
+    passes = []
+    non_edges = HostSpec._non_edges
+    counted = lambda host, pairs: passes.append(len(pairs)) or non_edges(host, pairs)  # noqa: E731
+    monkeypatch.setattr(HostSpec, "_non_edges", counted)
+    edges = cover_bipartite(125, 8).parts[0].edges
+    for change, exact, certified in [
+        (lambda e: e, True, True),
+        (lambda e: np.vstack([e[1:], [[0, 1]]]), False, False),
+        (lambda e: np.vstack([e, [[0, 1]]]), False, False),
+        (lambda e: e[1:], False, True),
+    ]:
+        ep = cover_bipartite(125, 8)
+        ep.parts[0].edges = change(edges)
+        passes.clear()
+        report = verify_partition(ep)
+        assert passes == [sum(len(p.edges) for p in ep.parts)]
+        assert report.exact == ep.is_exact() == exact
+        assert {c.decided_by for c in report.checks} == ({"certificate"} if certified else {"search"})
+        assert partition._certified(ep, [8] * len(ep.parts))[0] == certified
+    # A host that no certificate decides is not ordered unless counted.
+    host = HostSpec.bipartite(2, 3)
+    for edges, exact in [([(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)], True), ([(0, 2)], False)]:
+        passes.clear()
+        report = verify_partition(EdgePartition(host, [Part("a", edges, girth_target=8)]))
+        assert report.exact == exact and passes == ([6] if exact else [])
+
+
 def test_explicit_host_and_cycle_claims_run_no_certificate(monkeypatch):
     def refuse(*args):
         raise AssertionError("certificate code ran")

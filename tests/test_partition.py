@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from girthcover.algebraic import index_to_tuple, solve_shift_h, solve_shift_q
+from girthcover.algebraic import _shift_index, index_to_tuple, solve_shift_h, solve_shift_q
 from girthcover.graph import Graph, write_edge_list
 from girthcover.partition import (
     CompleteCoverLocator,
@@ -24,7 +24,7 @@ from girthcover.partition import (
     write_manifest,
 )
 from girthcover.rainbow import RainbowColoring, pullback_partition
-from conftest import random_graph
+from conftest import random_graph, traced_peak
 
 
 def test_partition_bipartite_exact_q5():
@@ -148,8 +148,10 @@ def test_locator_rejects_non_edges():
 
 
 def scalar_locate(loc, u, v):
-    """(level, shift tuple) of the edge uv of K_n, one pair at a time: the
-    level by halving the interval, the shift by the scalar solvers."""
+    """(level, shift tuple, point, line) of the edge uv of K_n, one pair at
+    a time: the level by halving the interval, the shift by the scalar
+    solvers, and the local point and line as the ends' offsets in the two
+    sibling blocks where they separate."""
     u, v = min(u, v), max(u, v)
     lo, hi, level = 0, loc.n, 0
     while True:
@@ -164,7 +166,47 @@ def scalar_locate(loc, u, v):
     q = loc.plan.levels[level - 1].prime
     p, l = index_to_tuple(u - lo, q, loc.arity), index_to_tuple(v - mid, q, loc.arity)
     solve = solve_shift_q if loc.arity == 3 else solve_shift_h
-    return level, solve(p, l, q)
+    return level, solve(p, l, q), u - lo, v - mid
+
+
+def halving_locate(loc, u, v):
+    """(levels, points, lines) of the edges by halving every interval a
+    level at a time on arrays: the array form of ``scalar_locate``'s walk,
+    the oracle for the locator's tables on whole hosts."""
+    u, v = np.minimum(u, v), np.maximum(u, v)
+    levels, points, lines = (np.full(len(u), -1, np.int64) for _ in range(3))
+    lo, hi = np.zeros_like(u), np.full_like(u, loc.n)
+    for k in range(len(loc.plan.levels)):
+        mid = lo + (hi - lo + 1) // 2
+        split = (levels < 0) & (u < mid) & (v >= mid)
+        levels[split], points[split], lines[split] = k, (u - lo)[split], (v - mid)[split]
+        left = v < mid
+        lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+    return levels, points, lines
+
+
+def check_locate(loc, u, v):
+    """``_locate``'s ids, points and lines match ``scalar_locate`` on every
+    pair (u[i], v[i]), and ``locate`` and the reversed orientation give the
+    same."""
+    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+    ids, points, lines = loc._locate(u, v)
+    assert ids.dtype == points.dtype == lines.dtype == np.int64
+    got = [(*loc.part_key(i), p, l) for i, p, l in zip(ids.tolist(), points.tolist(), lines.tolist())]
+    assert got == [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    for back, forth in zip(loc._locate(v, u), (ids, points, lines)):
+        assert (back == forth).all()
+    assert (loc.locate(u, v) == ids).all()
+
+
+def check_not_edges(loc):
+    """Loops, negative ids and ids >= n raise, naming the first such pair
+    as (min, max), also after edges of K_n."""
+    n = loc.n
+    for a, b in [(1, 1), (-1, 0), (0, -1), (0, n), (n, 0), (n, n + 1)]:
+        message = re.escape(f"({min(a, b)},{max(a, b)}) is not an edge of K_{n}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            loc.locate(np.r_[0, a, 1], np.r_[1, b, 1])
 
 
 @pytest.mark.parametrize("girth", [8, 12])
@@ -172,24 +214,44 @@ def scalar_locate(loc, u, v):
 def test_array_locate_matches_scalar_reference(n, girth):
     loc = CompleteCoverLocator(n, girth)
     u, v = np.triu_indices(n, 1)
+    check_locate(loc, u, v)
     ids = loc.locate(u, v)
-    assert ids.dtype == np.int64
-    keys = [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
-    assert [loc.part_key(pid) for pid in ids.tolist()] == keys
-    # ids sort as (level, shift), and either orientation locates the same part
+    # ids sort as (level, shift)
+    keys = [loc.part_key(pid) for pid in ids.tolist()]
     by_key = dict(zip(keys, ids.tolist()))
     assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
-    assert (loc.locate(v, u) == ids).all()
-    # loops, negative ids and ids >= n are no edges of K_n
-    for a, b in [(1, 1), (-1, 0), (0, -1), (0, n), (n, 0), (n, n + 1)]:
-        with pytest.raises(ValueError, match=rf"is not an edge of K_{n}"):
-            loc.locate(np.r_[u, a], np.r_[v, b])
+    check_not_edges(loc)
     assert loc.locate([], []).size == 0
     rc = RainbowColoring(host=Graph(n, []), retained=Graph(n, []), color=[0] * n, palette_size=n)
     assert pullback_partition(rc, loc, 6).parts == []
 
 
-@pytest.mark.parametrize("n, girth", [(1000, 8), (9001, 12)])
+@pytest.mark.parametrize("girth", [8, 12])
+def test_locate_matches_scalar_reference_on_every_small_host(girth):
+    for n in range(2, 71):
+        u, v = np.triu_indices(n, 1)
+        check_locate(CompleteCoverLocator(n, girth), u, v)
+
+
+NEAR_POWERS_OF_TWO = sorted({2**k + d for k in range(7, 13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("girth", [8, 12])
+@pytest.mark.parametrize("n", NEAR_POWERS_OF_TWO)
+def test_locate_matches_scalar_reference_near_powers_of_two(n, girth):
+    # Every vertex with its successor (ends that separate late) and a
+    # sample of all pairs; hosts of at most 70 vertices are swept whole above.
+    loc = CompleteCoverLocator(n, girth)
+    rng = np.random.default_rng(n)
+    u, v = rng.integers(0, n, size=(2, 1000))
+    u, v = np.r_[np.arange(n), u[u != v]], np.r_[(np.arange(n) + 1) % n, v[u != v]]
+    check_locate(loc, u, v)
+    check_not_edges(loc)
+
+
+@pytest.mark.parametrize(
+    "n, girth", [(1000, 8), (9001, 12), (12_800, 8), (12_800, 12), (100_003, 8), (100_003, 12)]
+)
 def test_array_locate_matches_scalar_reference_on_sampled_pairs(n, girth):
     # Hosts large enough that every point and line coordinate takes all of
     # F_q at the top levels, and a level with a prime above 5.
@@ -197,9 +259,35 @@ def test_array_locate_matches_scalar_reference_on_sampled_pairs(n, girth):
     assert loc.plan.levels[0].prime > 5
     rng = np.random.default_rng(n)
     u, v = rng.integers(0, n, size=(2, 4000))
-    u, v = u[u != v], v[u != v]
-    got = [loc.part_key(pid) for pid in loc.locate(u, v).tolist()]
-    assert got == [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    check_locate(loc, u[u != v], v[u != v])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("girth", [8, 12])
+def test_locate_matches_halving_on_every_host_up_to_600(girth):
+    for n in range(2, 601):
+        loc = CompleteCoverLocator(n, girth)
+        u, v = np.triu_indices(n, 1)
+        ids, points, lines = loc._locate(u, v)
+        levels, want_points, want_lines = halving_locate(loc, u, v)
+        assert (points == want_points).all() and (lines == want_lines).all(), n
+        offsets = np.array(loc._offsets)[levels]
+        primes = np.array([lv.prime for lv in loc.plan.levels])[levels]
+        for q in np.unique(primes).tolist():
+            at = primes == q
+            want_ids = offsets[at] + _shift_index(points[at], lines[at], q, loc.arity)
+            assert (ids[at] == want_ids).all(), n
+        assert all((a == b).all() for a, b in zip(loc._locate(v, u), (ids, points, lines))), n
+
+
+def test_locator_tables_stay_linear_in_n():
+    # n = 10**6 halves 20 times.  A table per (vertex, level) would keep
+    # 8 * 20 * n = 160 n bytes.
+    n = 10**6
+    peak, loc = traced_peak(lambda: CompleteCoverLocator(n, 8))
+    assert len(loc.plan.levels) == 20
+    kept = loc._code.nbytes + loc._start.nbytes + loc._bits.nbytes
+    assert kept < 40 * n and peak < 100 * n, (kept / n, peak / n)
 
 
 def test_exactness_detects_missing_and_duplicate():
