@@ -739,13 +739,14 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
 # the body in chunks of whole lines.  A chunk in the form the writer
 # produces, each line two runs of 1 to 18 ASCII digits around one space, is
 # parsed by ``np.fromstring`` (``_canonical_rows``); its checks establish
-# that form, in which that parse and numpy's C ``loadtxt`` give the same rows.  Any other chunk (comments,
-# blank lines, tabs, signs, non-ASCII, longer tokens) is parsed by ``loadtxt``
-# and scanned for a ``#`` after data: the fast path covers only what the
-# writer produces, and ``loadtxt`` stays the one parser of hand-written text.
-# The body is read as text, so CRLF and a lone CR are line ends before either
-# parser sees them.  A body that fails either way is read again line by line
-# only to name the first bad line.
+# that form, in which that parse and numpy's C ``loadtxt`` give the same
+# rows.  Any other chunk (comments, blank lines, tabs, signs, non-ASCII,
+# longer tokens) is parsed by ``loadtxt`` and scanned for a ``#`` after
+# data: the fast path covers only what the writer produces, and ``loadtxt``
+# stays the one parser of hand-written text.  The body is read as text, so
+# CRLF and a lone CR are line ends before either parser sees them.  A body
+# that fails either way is read again line by line only to name the first
+# bad line.
 
 _WRITE_BLOCK = 8192  # rows formatted per write call
 _COMMENT_CHUNK = 1 << 16  # characters per chunk of the body read

@@ -18,8 +18,8 @@ Three layers:
 it: ``locate`` maps arrays of edges to part ids, so ``cover_complete``
 locates every edge of K_n in one call, and the decomposition pipeline only
 the colour pairs of its retained edges, where K_n would be far too large to
-enumerate.  It places every edge in one pass, from a per-vertex code of the
-halving (see the class), and solves the shifts once per level.  Both name
+enumerate.  It places an edge by a per-vertex code of the halving (see the
+class), not by halving, and solves the shifts once per level.  Both name
 parts with the locator and, like every other producer of parts (the
 pullback, the forests, the random cover), group the edges by their int64
 class ids with ``graph.group_edges``.
@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -182,6 +182,7 @@ class Part:
 class EdgePartition:
     host: HostSpec
     parts: list[Part]
+    _ordered: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def is_exact(self) -> bool:
         """Union of parts equals the host edge set, each edge exactly once.
@@ -191,19 +192,18 @@ class EdgePartition:
         of the host (``HostSpec._non_edges``) and no key may repeat: as many
         distinct host edges as the host has are its edge set, so a complete
         or bipartite host is never enumerated."""
-        return self._exact()
-
-    def _exact(self, non_edges=None) -> bool:
-        """``is_exact``, reading ``non_edges`` (``_non_edges()``) if given."""
         if sum(len(p.edges) for p in self.parts) != self.host.edge_count:
             return False
-        keys, bad = self._non_edges() if non_edges is None else non_edges
+        keys, bad = self._non_edges()
         return not bad.any() and not (keys[1:] == keys[:-1]).any()
 
     def _non_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """``HostSpec._non_edges`` of all part edges: the one ordered pass
-        over them that exactness and the certificates share."""
-        return self.host._non_edges(_all_edges(self.parts))
+        """``HostSpec._non_edges`` of all part edges, or the one such pass
+        that ``verify_partition`` holds in ``_ordered`` for exactness and the
+        certificates to share."""
+        if self._ordered is None:
+            return self.host._non_edges(_all_edges(self.parts))
+        return self._ordered
 
 
 @dataclass
@@ -237,7 +237,7 @@ def verify_partition(
 
     Per-part claims stored on the parts are used unless overridden by the
     arguments; nothing claimed is trusted.  Exactness is checked first
-    (as ``EdgePartition.is_exact``), for an explicit host against its
+    (``EdgePartition.is_exact``), for an explicit host against its
     ``Graph``'s own sorted keys.  On a partition of K_n or K_{m,m} whose
     part edges are all host edges, a girth claim is then tried by the
     certificate that the host line and the part's edges determine (see
@@ -266,10 +266,13 @@ def verify_partition(
         claims = [(part.girth_target, part.forbidden_cycle) for part in p.parts]
     else:  # an explicit override ignores the part's own claim entirely
         claims = [override] * len(p.parts)
-    non_edges = p._non_edges() if _square_host(p) else None
-    exact = p._exact(non_edges)
-    max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
-    certified = _certified(p, [target for target, _ in claims], max_base_edges, non_edges)
+    p._ordered = p._non_edges() if _square_host(p) else None
+    try:
+        exact = p.is_exact()
+        max_base_edges = None if exact else sum(len(part.edges) for part in p.parts)
+        certified = _certified(p, [target for target, _ in claims], max_base_edges)
+    finally:
+        p._ordered = None
     acyclic = [False] * len(p.parts)
     cycles = [None] * len(p.parts)  # a forbidden cycle found in each part, or None
     lengths = sorted({forbid for target, forbid in claims if target is None and forbid is not None})
@@ -317,9 +320,7 @@ def _square_host(p: EdgePartition) -> bool:
     return bool(p.parts) and square
 
 
-def _certified(
-    p: EdgePartition, targets: list, max_base_edges: Optional[int] = None, non_edges=None
-) -> list[bool]:
+def _certified(p: EdgePartition, targets: list, max_base_edges: Optional[int] = None) -> list[bool]:
     """For each part of ``p``, whether a checked certificate shows girth >=
     its entry of ``targets`` (None: no girth claim).  No part passes unless
     the host is K_n or K_{m,m} and every part edge is one of its edges, and
@@ -330,12 +331,11 @@ def _certified(
     image; and (4) the base's girth, searched with its checked automorphisms
     once per prime, is at least the target.  Parts are taken a run at a
     time, runs of at most ``_RUN_EDGES`` edges (a larger part alone), so
-    the extra memory stays near one block's or one part's.  ``non_edges``
-    is ``p._non_edges()`` if the caller has it."""
+    the extra memory stays near one block's or one part's."""
     host = p.host
     certified = np.zeros(len(p.parts), bool)
     # _non_edges raises for a host too large for edge keys; with no parts it is not called.
-    if not _square_host(p) or (p._non_edges() if non_edges is None else non_edges)[1].any():
+    if not _square_host(p) or p._non_edges()[1].any():
         return certified.tolist()
     bases = {}  # (arity, prime) -> (sorted directed-edge keys, girth) of the zero-shift base
 
@@ -480,14 +480,17 @@ class CompleteCoverLocator:
     by every sibling pair of the level; a part id is the level's offset
     plus the shift's canonical index, so ids sort as (level, shift).
 
-    Two int64 tables, built once in O(n) memory, place an edge without
-    halving: ``_code[x]`` holds vertex x's left (0) or right (1) choice at
-    each of the L halving depths, the first depth in the top of L bits, and
-    ``_start[(1 << d) + prefix]`` the first vertex of the depth-d block with
-    that d-bit prefix (fewer than 4n entries).  The ends of an edge first
-    separate at the highest set bit of ``_code[u] ^ _code[v]``, and their
-    local point and line are their offsets from the starts of their blocks
-    one depth below.
+    Two int64 tables place an edge without halving: ``_code[x]`` holds
+    vertex x's left (0) or right (1) choice at each of the L halving depths,
+    the first depth in the top of L bits, and ``_start[(1 << d) + prefix]``
+    the first vertex of the depth-d block with that d-bit prefix (fewer than
+    4n entries).  The ends of an edge first separate at the highest set bit
+    of ``_code[u] ^ _code[v]``, and their local point and line are their
+    offsets from the starts of their blocks one depth below.  The tables
+    take O(n) memory, so they are built once the locator has been given n/2
+    edges in all; until then each call halves its own edges' blocks a level
+    at a time, in memory O(edges), so a few edges of a huge host (a manifest
+    may declare one) stay cheap.
     """
 
     def __init__(self, n: int, target_girth: int):
@@ -503,23 +506,29 @@ class CompleteCoverLocator:
             levels.append(CoverLevel(len(levels) + 1, half, q, parts=q ** (self.arity - 1)))
         self.plan = CoverPlan(n=n, target_girth=target_girth, levels=levels)
         self._offsets = list(itertools.accumulate((lv.parts for lv in levels), initial=0))
-        # The blocks of each depth in prefix order, empty ones included; at
-        # depth L every block holds at most one vertex, in vertex order.
-        self._start = np.zeros(2 << len(levels), np.int64)
-        lo, hi = np.zeros(1, np.int64), np.full(1, n, np.int64)
-        for depth in range(1, len(levels) + 1):
+        self._bits = 1 << np.arange(len(levels), dtype=np.int64)
+        self._code = self._start = None
+        self._located = 0  # edges given so far; the tables come at n/2
+
+    def _tables(self) -> None:
+        """Build ``_code`` and ``_start``: the blocks of each depth in prefix
+        order, empty ones included; at depth L every block holds at most one
+        vertex, in vertex order."""
+        self._start = np.zeros(2 << len(self.plan.levels), np.int64)
+        lo, hi = np.zeros(1, np.int64), np.full(1, self.n, np.int64)
+        for depth in range(1, len(self.plan.levels) + 1):
             mid = lo + (hi - lo + 1) // 2
             lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
             self._start[1 << depth : 2 << depth] = lo
         self._code = np.flatnonzero(hi > lo)
-        self._bits = 1 << np.arange(len(levels), dtype=np.int64)
 
     def locate(self, u, v) -> np.ndarray:
         """Part ids of the edges (u[i], v[i]) of K_n, as an int64 array.
 
-        Per block of edges: the levels and local coordinates from the
-        tables, the shifts by one array solve per level.  A loop or an id
-        outside 0..n-1 raises ``ValueError`` naming the first such pair.
+        Per block of edges: the levels and local coordinates (from the
+        tables once built), the shifts by one array solve per level.  A loop
+        or an id outside 0..n-1 raises ``ValueError`` naming the first such
+        pair.
         """
         u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
         ids = np.empty(len(u), np.int64)
@@ -535,12 +544,25 @@ class CompleteCoverLocator:
         if (bad := np.flatnonzero((u == v) | (u < 0) | (v >= self.n))).size:
             raise ValueError(f"({u[bad[0]]},{v[bad[0]]}) is not an edge of K_{self.n}")
         depths = len(self.plan.levels)
-        cu, cv = self._code[u], self._code[v]
-        split = np.searchsorted(self._bits, cu ^ cv, side="right") - 1  # the bit where u and v part
-        block = np.left_shift(1, depths - split)  # 1 << the depth below the split
-        points = u - self._start[block + (cu >> split)]
-        lines = v - self._start[block + (cv >> split)]
-        level = depths - 1 - split
+        self._located += len(u)
+        if self._code is None and 2 * self._located >= self.n:
+            self._tables()
+        if self._code is None:  # fewer than n/2 edges so far: halve their blocks
+            level, points, lines = (np.full_like(u, -1) for _ in range(3))
+            lo, hi = np.zeros_like(u), np.full_like(u, self.n)
+            for k in range(depths):
+                mid = lo + (hi - lo + 1) // 2
+                split = (level < 0) & (u < mid) & (v >= mid)
+                level[split], points[split], lines[split] = k, (u - lo)[split], (v - mid)[split]
+                left = v < mid
+                lo, hi = np.where(left, lo, mid), np.where(left, mid, hi)
+        else:
+            cu, cv = self._code[u], self._code[v]
+            split = np.searchsorted(self._bits, cu ^ cv, side="right") - 1  # the bit where u and v part
+            block = np.left_shift(1, depths - split)  # 1 << the depth below the split
+            points = u - self._start[block + (cu >> split)]
+            lines = v - self._start[block + (cv >> split)]
+            level = depths - 1 - split
         ids = np.empty(len(u), np.int64)
         for k, (info, offset) in enumerate(zip(self.plan.levels, self._offsets)):
             if (at := np.flatnonzero(level == k)).size:

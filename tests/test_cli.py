@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from girthcover import cli, graph, partition
@@ -449,6 +450,24 @@ def test_verify_huge_host_fails_exactness_without_enumerating_it(tmp_path):
     assert done.returncode == EXIT_FAIL, done.stdout + done.stderr
     assert "exactness: FAIL" in done.stdout
     assert "Traceback" not in done.stderr
+
+
+def test_verify_certifies_a_few_edges_of_a_huge_host(tmp_path):
+    # Locator tables for K_{3 * 10**9} would take over 100 GB.  Under a 2 GB
+    # address-space limit a part of 700 last-level edges, which maps into the
+    # 625-edge base of q = 5, is still certified.
+    n = 3 * 10**9
+    loc = partition.CompleteCoverLocator(n, 8)
+    x = np.arange(5000, dtype=np.int64) * 599_993 + 1
+    last = x[loc.locate(x, x + 1) >= loc._offsets[-2]][:700]
+    assert len(last) == 700 and loc.plan.levels[-1].prime == 5
+    part = partition.Part("a", np.stack([last, last + 1], axis=1), girth_target=8)
+    partition.write_manifest(partition.EdgePartition(partition.HostSpec.complete(n), [part]), tmp_path)
+    done = run_limited("verify", "--manifest", tmp_path / "manifest.txt")
+    assert done.returncode == EXIT_FAIL, done.stdout + done.stderr
+    assert "exactness: FAIL" in done.stdout
+    assert "certificates: 1/1 pass (1 by certificate, 0 acyclic, 0 by search)\n" in done.stdout
+    assert done.stderr == ""
 
 
 

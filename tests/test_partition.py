@@ -187,26 +187,33 @@ def halving_locate(loc, u, v):
 
 def check_locate(loc, u, v):
     """``_locate``'s ids, points and lines match ``scalar_locate`` on every
-    pair (u[i], v[i]), and ``locate`` and the reversed orientation give the
-    same."""
+    pair (u[i], v[i]), on ``loc`` and on a fresh locator that stays below
+    n/2 edges, so halves every call; ``locate`` and the reversed orientation
+    give the same."""
     u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
-    ids, points, lines = loc._locate(u, v)
-    assert ids.dtype == points.dtype == lines.dtype == np.int64
-    got = [(*loc.part_key(i), p, l) for i, p, l in zip(ids.tolist(), points.tolist(), lines.tolist())]
-    assert got == [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    want = [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    halving = CompleteCoverLocator(loc.n, loc.target_girth)
+    halving._located = -len(u) - loc.n
+    for locator in (loc, halving):
+        ids, points, lines = locator._locate(u, v)
+        assert ids.dtype == points.dtype == lines.dtype == np.int64
+        got = [(*loc.part_key(i), p, l) for i, p, l in zip(ids.tolist(), points.tolist(), lines.tolist())]
+        assert got == want
+    assert halving._code is None
     for back, forth in zip(loc._locate(v, u), (ids, points, lines)):
         assert (back == forth).all()
     assert (loc.locate(u, v) == ids).all()
 
 
-def check_not_edges(loc):
+def check_not_edges(loc, u, v):
     """Loops, negative ids and ids >= n raise, naming the first such pair
-    as (min, max), also after edges of K_n."""
+    as (min, max): placed after the edges (u, v), and between two edges."""
     n = loc.n
     for a, b in [(1, 1), (-1, 0), (0, -1), (0, n), (n, 0), (n, n + 1)]:
         message = re.escape(f"({min(a, b)},{max(a, b)}) is not an edge of K_{n}")
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            loc.locate(np.r_[0, a, 1], np.r_[1, b, 1])
+        for bad_u, bad_v in [(np.r_[u, a], np.r_[v, b]), (np.r_[0, a, 1], np.r_[1, b, 1])]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                loc.locate(bad_u, bad_v)
 
 
 @pytest.mark.parametrize("girth", [8, 12])
@@ -220,7 +227,7 @@ def test_array_locate_matches_scalar_reference(n, girth):
     keys = [loc.part_key(pid) for pid in ids.tolist()]
     by_key = dict(zip(keys, ids.tolist()))
     assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
-    check_not_edges(loc)
+    check_not_edges(loc, u, v)  # at n = 131 the bad pair is in the second block of 8,192
     assert loc.locate([], []).size == 0
     rc = RainbowColoring(host=Graph(n, []), retained=Graph(n, []), color=[0] * n, palette_size=n)
     assert pullback_partition(rc, loc, 6).parts == []
@@ -246,7 +253,7 @@ def test_locate_matches_scalar_reference_near_powers_of_two(n, girth):
     u, v = rng.integers(0, n, size=(2, 1000))
     u, v = np.r_[np.arange(n), u[u != v]], np.r_[(np.arange(n) + 1) % n, v[u != v]]
     check_locate(loc, u, v)
-    check_not_edges(loc)
+    check_not_edges(loc, u, v)
 
 
 @pytest.mark.parametrize(
@@ -257,6 +264,7 @@ def test_array_locate_matches_scalar_reference_on_sampled_pairs(n, girth):
     # F_q at the top levels, and a level with a prime above 5.
     loc = CompleteCoverLocator(n, girth)
     assert loc.plan.levels[0].prime > 5
+    loc._tables()  # 4,000 pairs are fewer than n/2 for the larger hosts
     rng = np.random.default_rng(n)
     u, v = rng.integers(0, n, size=(2, 4000))
     check_locate(loc, u[u != v], v[u != v])
@@ -284,10 +292,36 @@ def test_locator_tables_stay_linear_in_n():
     # n = 10**6 halves 20 times.  A table per (vertex, level) would keep
     # 8 * 20 * n = 160 n bytes.
     n = 10**6
-    peak, loc = traced_peak(lambda: CompleteCoverLocator(n, 8))
-    assert len(loc.plan.levels) == 20
+    loc = CompleteCoverLocator(n, 8)
+    assert len(loc.plan.levels) == 20 and loc._code is None
+    peak, _ = traced_peak(loc._tables)
     kept = loc._code.nbytes + loc._start.nbytes + loc._bits.nbytes
     assert kept < 40 * n and peak < 100 * n, (kept / n, peak / n)
+
+
+def test_locator_builds_its_tables_at_half_as_many_edges_as_vertices():
+    loc = CompleteCoverLocator(1000, 8)
+    u, v = np.arange(499), np.arange(1, 500)
+    ids = loc.locate(u, v)
+    assert loc._code is None
+    assert (loc.locate(u[:1], v[:1]) == ids[:1]).all() and loc._code is not None
+    assert (loc.locate(u, v) == ids).all()
+
+
+def test_a_few_edges_of_a_huge_host_are_located_in_memory_of_their_size():
+    # Tables for K_{3 * 10**9} would take over 100 GB: 2,000 edges, half of
+    # them vertex and successor, are located by halving instead.
+    n = 3 * 10**9
+    loc = CompleteCoverLocator(n, 8)
+    assert len(loc.plan.levels) == 32
+    rng = np.random.default_rng(5)
+    u, v = rng.integers(0, n, size=(2, 1000))
+    x = rng.integers(0, n - 1, size=1000)
+    u, v = np.r_[u[u != v], x], np.r_[v[u != v], x + 1]
+    peak, ids = traced_peak(lambda: loc.locate(u, v))
+    assert loc._code is None and peak < 1000 * len(u), peak / len(u)
+    check_locate(loc, u, v)
+    assert loc._code is None
 
 
 def test_exactness_detects_missing_and_duplicate():
