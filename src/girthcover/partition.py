@@ -514,13 +514,13 @@ class CompleteCoverLocator:
         """Build ``_code`` and ``_start``: the blocks of each depth in prefix
         order, empty ones included; at depth L every block holds at most one
         vertex, in vertex order."""
-        self._start = np.zeros(2 << len(self.plan.levels), np.int64)
+        start = np.zeros(2 << len(self.plan.levels), np.int64)
         lo, hi = np.zeros(1, np.int64), np.full(1, self.n, np.int64)
         for depth in range(1, len(self.plan.levels) + 1):
             mid = lo + (hi - lo + 1) // 2
             lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
-            self._start[1 << depth : 2 << depth] = lo
-        self._code = np.flatnonzero(hi > lo)
+            start[1 << depth : 2 << depth] = lo
+        self._start, self._code = start, np.flatnonzero(hi > lo)
 
     def locate(self, u, v) -> np.ndarray:
         """Part ids of the edges (u[i], v[i]) of K_n, as an int64 array.

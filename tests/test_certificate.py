@@ -203,10 +203,12 @@ def test_exactness_and_certificates_share_one_ordered_pass(monkeypatch):
     # still refuses what it refused: an edge within a side of K_{m,m}, in
     # place of a host edge or added to them, leaves the partition neither
     # exact nor certified; a dropped edge leaves it certified, not exact.
-    passes = []
-    non_edges = HostSpec._non_edges
+    # Exactness is still decided by one is_exact call, which tracers wrap.
+    passes, exact_calls = [], []
+    non_edges, is_exact = HostSpec._non_edges, EdgePartition.is_exact
     counted = lambda host, pairs: passes.append(len(pairs)) or non_edges(host, pairs)  # noqa: E731
     monkeypatch.setattr(HostSpec, "_non_edges", counted)
+    monkeypatch.setattr(EdgePartition, "is_exact", lambda p: exact_calls.append(p) or is_exact(p))
     edges = cover_bipartite(125, 8).parts[0].edges
     for change, exact, certified in [
         (lambda e: e, True, True),
@@ -217,8 +219,10 @@ def test_exactness_and_certificates_share_one_ordered_pass(monkeypatch):
         ep = cover_bipartite(125, 8)
         ep.parts[0].edges = change(edges)
         passes.clear()
+        exact_calls.clear()
         report = verify_partition(ep)
         assert passes == [sum(len(p.edges) for p in ep.parts)]
+        assert exact_calls == [ep] and ep._ordered is None
         assert report.exact == ep.is_exact() == exact
         assert {c.decided_by for c in report.checks} == ({"certificate"} if certified else {"search"})
         assert partition._certified(ep, [8] * len(ep.parts))[0] == certified
