@@ -11,23 +11,22 @@ an automorphism carries a shortest cycle through any vertex onto a shortest
 cycle through that vertex's orbit representative; and so does rooting at a
 set of vertices that meets every cycle.
 
-The loop is written once, in ``_bfs_scan``.  numba, when installed,
-compiles it and runs it on numpy buffers.  Without numba it runs as plain
-Python on lists (the CSR arrays converted with ``tolist``), because indexing
-a list is several times faster than indexing a numpy array one scalar at a
-time.
+The loop runs as plain Python on lists (the CSR arrays converted with
+``tolist``), because indexing a list is several times faster than indexing
+a numpy array one scalar at a time.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
+def _girth_scan(indptr, indices, n, cap, roots):
+    """min(girth, cap) over BFS from ``roots``, run as Python on lists.
 
-def _bfs_scan(indptr, indices, cap, roots, dist, parent, stamp, queue):
-    # cap is exclusive: returns min(girth, cap); cap means "no cycle < cap".
-    # roots must be distinct vertices; each one stamps the vertices it reaches,
-    # so stamp must start with no vertex id in it.  dist, parent and queue
-    # are scratch space of length n.
+    cap is exclusive: cap means "no cycle < cap".  roots must be distinct
+    vertices; each one stamps the vertices it reaches.
+    """
+    indptr, indices, roots = indptr.tolist(), indices.tolist(), roots.tolist()
+    dist, parent, stamp, queue = [0] * n, [0] * n, [-1] * n, [0] * n
     best = cap
     for r in roots:
         if best <= 3:
@@ -63,30 +62,4 @@ def _bfs_scan(indptr, indices, cap, roots, dist, parent, stamp, queue):
     return best
 
 
-def _girth_scan(indptr, indices, n, cap, roots):
-    """min(girth, cap) over BFS from ``roots``, run as Python on lists."""
-    return _bfs_scan(
-        indptr.tolist(), indices.tolist(), cap, roots.tolist(), [0] * n, [0] * n, [-1] * n, [0] * n
-    )
-
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-except ImportError:  # pragma: no cover
-    girth_scan = _girth_scan
-else:  # pragma: no cover - numba is an optional extra
-    _bfs_scan_compiled = njit(cache=True)(_bfs_scan)
-
-    @njit(cache=True)
-    def girth_scan(indptr, indices, n, cap, roots):
-        """min(girth, cap) over BFS from ``roots``, compiled on numpy buffers."""
-        return _bfs_scan_compiled(
-            indptr,
-            indices,
-            cap,
-            roots,
-            np.empty(n, np.int32),
-            np.empty(n, np.int32),
-            np.full(n, -1, np.int32),
-            np.empty(n, np.int32),
-        )
+girth_scan = _girth_scan

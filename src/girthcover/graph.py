@@ -13,15 +13,17 @@ roots at a set that meets every cycle: every cycle lies in the 2-core, and
 in a bipartite component of the 2-core every cycle alternates between the
 two colour classes, so the smaller class of each bipartite core component
 together with all of every other core component will do (a forest gets no
-roots).  A graph that carries a certificate (generator permutations, as the
-algebraic constructions attach) has every generator checked to be an
-automorphism on each girth query, and then roots at one vertex per orbit
-of the group they generate: an automorphism carries a shortest cycle
-through any vertex onto a shortest cycle through that vertex's orbit
-representative, so the minimum over these roots is still the exact girth.
-A graph with sides needs only the orbits that meet one side, the side with
-fewer of them, since every cycle meets both.  Certificates are never
-inherited by derived graphs.
+roots).  Components and colour classes both come from one ``_components``
+call on the core's bipartite double cover.  A graph that carries a
+certificate (generator permutations, as the algebraic constructions attach)
+has every generator checked to be an automorphism on each girth query (the
+sorted images of its arcs must be its sorted arcs), and then roots at one
+vertex per orbit of the group they generate: an automorphism carries a
+shortest cycle through any vertex onto a shortest cycle through that
+vertex's orbit representative, so the minimum over these roots is still the
+exact girth.  A graph with sides needs only the orbits that meet one side,
+the side with fewer of them, since every cycle meets both.  Certificates
+are never inherited by derived graphs.
 
 Edge lists are text.  The first line that is neither blank nor a comment is
 the header, ``n m`` or ``n m bipartite a b``; every later one is an edge
@@ -52,7 +54,6 @@ from ._kernels import girth_scan
 
 INFINITE = math.inf
 
-_CHECK_BLOCK = 512  # rows per block of the automorphism check
 _RUN_EDGES = 8192  # edges per run of parts (``_runs``) and per block of the array locate
 _ROW_BLOCK = 16384  # adjacency entries (two per edge) per row block of Graph._row_blocks
 
@@ -267,7 +268,8 @@ class Graph:
             return self._cycle_hitting_roots()
         if callable(self._automorphisms):  # built on the first girth query
             self._automorphisms = tuple(self._automorphisms())
-        checked = [self._checked_automorphism(perm) for perm in self._automorphisms]
+        keys = self._keys()
+        checked = [self._checked_automorphism(perm, keys) for perm in self._automorphisms]
         # The smallest vertex of each orbit: the orbits are the components of
         # the graph that joins every vertex to its image under each generator.
         everyone = np.arange(self.n)
@@ -286,9 +288,22 @@ class Graph:
 
     def _cycle_hitting_roots(self):
         """Sorted vertices meeting every cycle, per component of the 2-core:
-        its smaller colour class if it is bipartite, else all of it."""
+        its smaller colour class if it is bipartite, else all of it.
+
+        The colour classes come from ``_components`` on the bipartite double
+        cover of the core: vertices 2v and 2v+1 for each core vertex v, and
+        for each core edge uw the edges 2u-(2w+1) and (2u+1)-2w.  Let c be
+        the smallest vertex of v's core component C, and let ``even`` and
+        ``odd`` be the labels of 2v and 2v+1.  If C has an odd cycle, the
+        cover of C is connected and even == odd == 2c.  If C is bipartite,
+        its cover has two components: 2x for x on c's side with 2y+1 for y
+        on the other, whose smallest vertex is 2c, and the swap, whose
+        smallest vertex is 2c+1 (every 2y there has y > c).  So C is
+        bipartite iff even != odd, v is on c's side iff even < odd, and
+        c = even // 2.  The smaller side is taken, c's side when the two are
+        the same size."""
         deg = np.diff(self._csr[0])
-        peel = np.flatnonzero(deg < 2).tolist()
+        peel = np.flatnonzero(deg == 1).tolist()  # isolated vertices peel nothing
         in_core = (deg >= 2).tolist()
         deg = deg.tolist()
         indptr, indices = (a.tolist() for a in self._csr)
@@ -300,31 +315,21 @@ class Graph:
                     if deg[w] < 2:
                         in_core[w] = False
                         peel.append(w)
-        colour = [-1] * self.n
-        roots = []
-        for s in np.flatnonzero(in_core).tolist():
-            if colour[s] >= 0:
-                continue
-            colour[s] = 0
-            component = [s]
-            bipartite = True
-            for u in component:  # BFS: the loop also visits what it appends
-                cu = colour[u]
-                for w in indices[indptr[u] : indptr[u + 1]]:
-                    if not in_core[w]:
-                        continue
-                    if colour[w] < 0:
-                        colour[w] = 1 - cu
-                        component.append(w)
-                    elif colour[w] == cu:
-                        bipartite = False
-            if bipartite:
-                zeros = [v for v in component if colour[v] == 0]
-                ones = [v for v in component if colour[v] == 1]
-                component = ones if len(ones) < len(zeros) else zeros
-            roots.extend(component)
-        roots.sort()
-        return np.array(roots, dtype=np.int32)
+        n = self.n
+        in_core = np.array(in_core, bool)
+        indptr, indices = self._csr
+        tails = np.repeat(np.arange(n), np.diff(indptr))
+        core_edge = (tails < indices) & in_core[tails] & in_core[indices]
+        u, w = 2 * tails[core_edge], 2 * indices[core_edge].astype(np.int64)  # 2u, 2w per core edge
+        label = _components(2 * n, [(u, w + 1), (u + 1, w)])[0]
+        core = np.flatnonzero(in_core)
+        even, odd = label[2 * core], label[2 * core + 1]
+        component, first = even // 2, even < odd
+        # A bipartite component's first side less its other side: positive
+        # when the other side is the smaller.
+        excess = np.bincount(component, np.where(first, 1, -1), n)
+        keep = (even == odd) | (first != (excess[component] > 0))
+        return core[keep].astype(np.int32)
 
     def _keys(self) -> np.ndarray:
         """The directed-edge keys u*n + w, two per edge.  They come out
@@ -332,8 +337,9 @@ class Graph:
         indptr, indices = self._csr
         return np.repeat(np.arange(self.n, dtype=np.int64) * self.n, np.diff(indptr)) + indices
 
-    def _checked_automorphism(self, perm):
-        """``perm`` as an int64 array, or ``ValueError`` unless it is an automorphism."""
+    def _checked_automorphism(self, perm, keys):
+        """``perm`` as an int64 array, or ``ValueError`` unless it is an
+        automorphism; ``keys`` are ``self._keys()``."""
         n = self.n
         not_permutation = f"automorphism generator is not a permutation of 0..{n - 1}"
         perm = np.asarray(perm)
@@ -343,16 +349,13 @@ class Graph:
         if (np.bincount(perm, minlength=n) != 1).any():
             raise ValueError(not_permutation)
         indptr, indices = self._csr
-        # A bijection on vertices that maps every edge to an edge maps E onto
-        # E.  Rows are checked in blocks so that the extra memory stays small
-        # next to the graph's own.
-        keys = self._keys()
-        for lo in range(0, n, _CHECK_BLOCK):
-            hi = min(lo + _CHECK_BLOCK, n)
-            tail_images = np.repeat(perm[lo:hi], np.diff(indptr[lo : hi + 1]))
-            images = tail_images * n + perm[indices[indptr[lo] : indptr[hi]]]
-            if (keys.take(np.searchsorted(keys, images), mode="clip") != images).any():
-                raise ValueError("automorphism generator maps an edge to a non-edge")
+        # A bijection on vertices maps the 2m distinct arcs to 2m distinct
+        # arcs, so it maps E onto E iff the sorted images are the sorted keys.
+        images = np.repeat(perm * n, np.diff(indptr))
+        images += perm[indices]
+        images.sort()
+        if not np.array_equal(images, keys):
+            raise ValueError("automorphism generator maps an edge to a non-edge")
         return perm
 
     def has_cycle_of_length(self, length: int) -> bool:

@@ -208,6 +208,81 @@ def all_roots_girth(g: Graph, cap=None):
     return girth_scan(indptr, indices, g.n, cap, np.arange(g.n))
 
 
+def reference_cycle_hitting_roots(g: Graph) -> np.ndarray:
+    """Sorted vertices meeting every cycle: the 2-core by peeling, then a
+    BFS 2-colouring of each core component from its smallest vertex, which
+    keeps the smaller colour class of a bipartite component (the smallest
+    vertex's class on a tie) and all of any other.  The oracle for
+    ``Graph._cycle_hitting_roots``, which reads the classes off components."""
+    deg = np.diff(g._csr[0])
+    peel = np.flatnonzero(deg < 2).tolist()
+    in_core = (deg >= 2).tolist()
+    deg = deg.tolist()
+    indptr, indices = (a.tolist() for a in g._csr)
+    while peel:
+        v = peel.pop()
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if in_core[w]:
+                deg[w] -= 1
+                if deg[w] < 2:
+                    in_core[w] = False
+                    peel.append(w)
+    colour = [-1] * g.n
+    roots = []
+    for s in np.flatnonzero(in_core).tolist():
+        if colour[s] >= 0:
+            continue
+        colour[s] = 0
+        component = [s]
+        bipartite = True
+        for u in component:  # BFS: the loop also visits what it appends
+            cu = colour[u]
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                if not in_core[w]:
+                    continue
+                if colour[w] < 0:
+                    colour[w] = 1 - cu
+                    component.append(w)
+                elif colour[w] == cu:
+                    bipartite = False
+        if bipartite:
+            zeros = [v for v in component if colour[v] == 0]
+            ones = [v for v in component if colour[v] == 1]
+            component = ones if len(ones) < len(zeros) else zeros
+        roots.extend(component)
+    roots.sort()
+    return np.array(roots, dtype=np.int32)
+
+
+def random_pieces_graph(seed: int) -> Graph:
+    """A seeded disjoint union of random pieces, vertex ids shuffled: cycles
+    (odd and even), trees, sparse random graphs, complete bipartite graphs
+    (equal sides among them), isolated vertices, some with a pendant path."""
+    rng = random.Random(seed)
+    edges, n = [], 0
+    for _ in range(rng.randrange(1, 6)):
+        kind = rng.choice(("cycle", "tree", "sparse", "bipartite", "isolated"))
+        size = rng.randrange(3, 12)
+        if kind == "cycle":
+            edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+        elif kind == "tree":
+            edges += [(n + i, n + rng.randrange(i)) for i in range(1, size)]
+        elif kind == "sparse":
+            edges += [(n + i, n + j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.3]
+        elif kind == "bipartite":
+            a = rng.randrange(1, size)
+            edges += [(n + i, n + j) for i in range(a) for j in range(a, size)]
+        if kind != "isolated" and rng.random() < 0.5:  # a pendant path
+            length = rng.randrange(1, 5)
+            path = [n + rng.randrange(size)] + list(range(n + size, n + size + length))
+            edges += list(zip(path, path[1:]))
+            size += length
+        n += size
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
 def read_edge_list_lines(path) -> Graph:
     """Line-by-line edge-list reader with the format's original semantics.
 

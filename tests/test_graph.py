@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -33,7 +34,9 @@ from conftest import (
     path_graph,
     petersen_graph,
     random_graph,
+    random_pieces_graph,
     read_edge_list_lines,
+    reference_cycle_hitting_roots,
     traced_peak,
 )
 
@@ -164,15 +167,48 @@ def test_cycle_hitting_roots():
     assert core_with_paths.girth() == 4
 
 
-def test_python_backend_without_numba():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        pytest.skip("numba is installed, so the compiled entry runs")
-    import numpy as np
+def cycle_hitting_cases():
+    """Explicit and seeded random graphs for the cycle-hitting roots."""
+    yield cycle_graph(8)  # a bipartite core with two sides of equal size
+    yield Graph(6, [(u, v) for u in (0, 1, 2) for v in (3, 4, 5)])  # K_{3,3}
+    yield Graph(5, [(u, v) for u in (3, 4) for v in (0, 1, 2)])  # smallest vertex on the larger side
+    yield petersen_graph()
+    yield path_graph(7)
+    yield Graph(4, [])
+    yield Graph(0, [])
+    for seed in range(300):
+        yield random_pieces_graph(seed)
+    for seed in range(40):
+        yield random_graph(30, 0.06, 500 + seed)
 
+
+def check_cycle_hitting_roots(g):
+    got = g._cycle_hitting_roots()
+    assert got.dtype == np.int32
+    assert np.array_equal(got, reference_cycle_hitting_roots(g)), g._pairs().tolist()
+
+
+def test_cycle_hitting_roots_match_reference():
+    for g in cycle_hitting_cases():
+        check_cycle_hitting_roots(g)
+        h = nx.empty_graph(g.n)
+        h.add_edges_from(g.edges())
+        want = nx.girth(h)
+        assert g.girth() == want
+        assert all_roots_girth(g) == (g.n + 1 if want == math.inf else want)
+
+
+def test_cycle_hitting_roots_match_reference_on_cover_parts():
+    from girthcover.randomcover import cover_for_cycle
+
+    # 250 is the smallest n with a built-in seed for k = 3 (2 * 5^3 vertices).
+    parts = cover_for_cycle(250, 3, 3.0, 1).to_partition().parts
+    assert len(parts) > 100
+    for part in parts:
+        check_cycle_hitting_roots(Graph(250, part.edges))
+
+
+def test_python_backend_without_numba():
     from girthcover import _kernels
 
     assert _kernels.girth_scan is _kernels._girth_scan
@@ -183,10 +219,6 @@ def test_python_backend_without_numba():
     for roots, cap, want in ((g._girth_roots(), g.n + 1, 5), (every, 5, 5), (every, 4, 4)):
         got = _kernels.girth_scan(indptr, indices, g.n, cap, roots)
         assert type(got) is int and got == want
-    # The loop the compiled entry runs gives the same answer on its numpy buffers.
-    buffers = [np.empty(g.n, np.int32) for _ in range(4)]
-    buffers[2].fill(-1)  # stamp
-    assert _kernels._bfs_scan(indptr, indices, g.n + 1, g._girth_roots(), *buffers) == 5
 
 
 # -- fixed-length cycle detection ------------------------------------------
@@ -568,6 +600,38 @@ def test_bad_certificate_rejected(perm):
         g.girth_exceeds(7)
 
 
+# Two vertices of a built graph to swap: the last two lines of the q = 7
+# quadrangle, and the last two points of the q = 5 hexagon (every edge at
+# those has both ends past row 3,000, so only late CSR rows hold it).
+SWAPPED = [("build_quadrangle", 7, 684, 685), ("build_hexagon", 5, 3123, 3124)]
+
+# The graph certified by its valid generators and one of them composed with
+# the swap of the two vertices: a bijection that is not an automorphism.
+SWAPPED_SCRIPT = (
+    "import numpy as np\n"
+    "from girthcover import algebraic\n"
+    "from girthcover.graph import Graph\n"
+    "def swapped_generator_graph(build, q, a, b):\n"
+    "    plg = getattr(algebraic, build)(q)\n"
+    "    valid = algebraic._automorphisms(plg.q, plg.arity, plg.shift)\n"
+    "    swap = np.arange(plg.graph.n)\n"
+    "    swap[[a, b]] = b, a\n"
+    "    g = plg.graph\n"
+    "    return Graph(g.n, g._pairs(), side=g.side, automorphisms=lambda: valid + [valid[0][swap]])\n"
+)
+
+
+@pytest.mark.parametrize("case", SWAPPED)
+def test_swapped_generator_rejected(case):
+    scope = {}
+    exec(SWAPPED_SCRIPT, scope)
+    g = scope["swapped_generator_graph"](*case)
+    with pytest.raises(ValueError, match="maps an edge to a non-edge"):
+        g.girth()
+    with pytest.raises(ValueError, match="maps an edge to a non-edge"):
+        g.girth_exceeds(7)
+
+
 # Self-checks that raise AssertionError: shift solvers whose result fails
 # the oracle.
 SELF_CHECKS_SCRIPT = (
@@ -593,6 +657,15 @@ def test_bad_certificate_rejected_under_optimize():
         "        except ValueError:\n"
         "            continue\n"
         "        raise SystemExit(f'accepted {perm}')\n"
+    ) + SWAPPED_SCRIPT + (
+        f"for case in {SWAPPED!r}:\n"
+        "    g = swapped_generator_graph(*case)\n"
+        "    for query in (g.girth, lambda: g.girth_exceeds(7)):\n"
+        "        try:\n"
+        "            query()\n"
+        "        except ValueError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'accepted the swapped generator of {case}')\n"
     ) + SELF_CHECKS_SCRIPT
     src = os.path.dirname(os.path.dirname(girthcover.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -614,14 +687,8 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
-def _catches_import_error(handler: ast.ExceptHandler) -> bool:
-    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-    return any(isinstance(t, ast.Name) and t.id == "ImportError" for t in caught)
-
-
 def test_library_imports_only_declared_dependencies():
-    # numpy is the one declared dependency; numba is the optional [fast]
-    # extra and may only be tried inside a try/except ImportError
+    # numpy is the one declared dependency
     package = os.path.dirname(girthcover.__file__)
     allowed = set(sys.stdlib_module_names) | {"numpy", "girthcover"}
     found = []
@@ -630,10 +697,6 @@ def test_library_imports_only_declared_dependencies():
             continue
         with open(os.path.join(package, name)) as fh:
             tree = ast.parse(fh.read(), filename=name)
-        guarded = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Try) and any(map(_catches_import_error, node.handlers)):
-                guarded |= {id(n) for stmt in node.body for n in ast.walk(stmt)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -642,7 +705,7 @@ def test_library_imports_only_declared_dependencies():
             else:
                 continue
             for top in (m.split(".")[0] for m in modules):
-                if top not in allowed and not (top == "numba" and id(node) in guarded):
+                if top not in allowed:
                     found.append(f"{name}:{node.lineno}: {top}")
     assert not found, f"undeclared imports in the library: {found}"
 
