@@ -703,8 +703,8 @@ def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyO
     return core, shell, DegeneracyOrder(tuple(full_order), tuple(rdeg.tolist()))
 
 
-def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
-    """Partition E(g) into at most d edge-disjoint forests.
+def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[np.ndarray]:
+    """Partition E(g) into at most d forests, each a sorted (k, 2) int64 edge array.
 
     d is the maximum right-degree of ``order`` with respect to g.  The
     forest index of an edge (u, v) with u earlier in the order is its rank
@@ -727,7 +727,7 @@ def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[Graph]:
     by_tail = np.lexsort((pos[head], tail))  # each tail's right-edges, by head position
     rank = np.empty(len(pairs), np.int64)
     rank[by_tail] = np.arange(len(pairs)) - (np.cumsum(rdeg) - rdeg)[tail[by_tail]]
-    return [Graph(g.n, edges, side=g.side) for _, edges in group_edges(pairs, rank)]
+    return [edges for _, edges in group_edges(pairs, rank)]
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,9 @@ class Part:
     """One class of an edge partition, with its structural claim.
 
     ``edges`` is an (m, 2) int64 array, converted on construction from any
-    edge input that ``Graph`` accepts.  Exactly one of ``girth_target``
+    edge input that ``Graph`` accepts.  At most one of ``girth_target``
     (girth >= value) or ``forbidden_cycle`` (no cycle of exactly that
-    length) is the certificate to check.
+    length) is the certificate to check; setting both raises ``ValueError``.
     """
 
     name: str
@@ -172,10 +172,9 @@ class Part:
     forbidden_cycle: Optional[int] = None
 
     def __post_init__(self):
+        if self.girth_target is not None and self.forbidden_cycle is not None:
+            raise ValueError(f"part {self.name} claims both a girth and a forbidden cycle")
         self.edges = edge_array(self.edges)
-
-    def graph(self, n: int) -> Graph:
-        return Graph(n, self.edges)
 
 
 @dataclass
@@ -235,14 +234,14 @@ def verify_partition(
 ) -> VerificationReport:
     """Re-derive every certificate from the edge lists alone.
 
-    Per-part claims stored on the parts are used unless overridden by the
-    arguments; nothing claimed is trusted.  Exactness is checked first
-    (``EdgePartition.is_exact``), for an explicit host against its
-    ``Graph``'s own sorted keys.  On a partition of K_n or K_{m,m} whose
-    part edges are all host edges, a girth claim is then tried by the
-    certificate that the host line and the part's edges determine (see
-    ``_certified``).  Both checks read one ordered pass over the part edges
-    (``EdgePartition._non_edges``).
+    Per-part claims stored on the parts are used unless overridden by one
+    argument (both raise ``ValueError``); nothing claimed is trusted.
+    Exactness is checked first (``EdgePartition.is_exact``), for an explicit
+    host against its ``Graph``'s own sorted keys.  On a partition of K_n or
+    K_{m,m} whose part edges are all host edges, a girth claim is then tried
+    by the certificate that the host line and the part's edges determine
+    (see ``_certified``).  Both checks read one ordered pass over the part
+    edges (``EdgePartition._non_edges``).
     Exactness does not matter to a part's girth, but a partition that is not
     exact may be far smaller than its host, so it gets no base with more
     edges than all its parts have.
@@ -254,14 +253,17 @@ def verify_partition(
     A forest has no cycle, so it passes any girth or no C_L claim, decided
     by ``"acyclic"``.  Any other part is searched: for a C_L together with
     the parts of the same claim, a failing one carrying the cycle found as
-    its ``witness``, and for a girth claim by its own ``Graph``'s girth
-    search.  A part with no claim fails, decided by ``"unclaimed"``; its
-    edges are still checked.  A part whose edges ``Graph`` rejects raises
-    its ``ValueError``.  Cycle claims are checked first, so of several such
-    parts the error names the first one with a cycle claim, if there is one.
+    its ``witness``, and for a girth claim by the girth search of a
+    ``Graph`` on the part's own vertices, not the host's.  A part with no
+    claim fails, decided by ``"unclaimed"``; its edges are still checked.
+    A part whose edges ``Graph`` rejects raises its ``ValueError``.  Cycle
+    claims are checked first, so of several such parts the error names the
+    first one with a cycle claim, if there is one.
     """
     n = p.host.n
     override = (girth_target, forbidden_cycle)
+    if None not in override:
+        raise ValueError("override either the girth target or the forbidden cycle, not both")
     if override == (None, None):
         claims = [(part.girth_target, part.forbidden_cycle) for part in p.parts]
     else:  # an explicit override ignores the part's own claim entirely
@@ -275,10 +277,9 @@ def verify_partition(
         p._ordered = None
     acyclic = [False] * len(p.parts)
     cycles = [None] * len(p.parts)  # a forbidden cycle found in each part, or None
-    lengths = sorted({forbid for target, forbid in claims if target is None and forbid is not None})
-    groups = [(length, [i for i, claim in enumerate(claims) if claim == (None, length)]) for length in lengths]
-    groups.append((None, [i for i, (target, forbid) in enumerate(claims)
-                          if not certified[i] and (target is not None or forbid is None)]))
+    lengths = sorted({forbid for _, forbid in claims if forbid is not None})  # a part claims at most one
+    groups = [(length, [i for i, (_, forbid) in enumerate(claims) if forbid == length]) for length in lengths]
+    groups.append((None, [i for i, (_, forbid) in enumerate(claims) if forbid is None and not certified[i]]))
     for length, at in groups:
         for i, forest, cycle in zip(at, *_parts_check(n, [p.parts[i].edges for i in at], length)):
             acyclic[i], cycles[i] = forest, cycle
@@ -288,7 +289,10 @@ def verify_partition(
         if by_certificate:
             checks.append(PartCheck(part.name, f"girth>={target}", True, "certificate"))
         elif target is not None:
-            ok = acyclic[i] or part.graph(n).girth_exceeds(target - 1)
+            ok = acyclic[i]
+            if not ok:  # girth ignores labels, so search the part on its own vertices
+                ids, local = np.unique(part.edges, return_inverse=True)
+                ok = Graph(len(ids), local.reshape(-1, 2)).girth_exceeds(target - 1)
             checks.append(PartCheck(part.name, f"girth>={target}", ok, decided))
         elif forbid is not None:
             checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, decided, cycles[i]))

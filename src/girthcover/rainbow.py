@@ -32,6 +32,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    _key_fits,
     _parts_check,
     _stable_argsort,
     degeneracy_order,
@@ -155,12 +156,15 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
     One-shot uniform coloring with conflict pruning; full retry with fresh
     randomness, up to ``_MAX_RETRIES`` tries, whenever some vertex drops
     below the retention floor.
-    Deterministic given (rng_seed, retry index).
+    Deterministic given (rng_seed, retry index).  A palette whose keys
+    vertex * palette + colour would not fit in int64 raises ``ValueError``.
     """
     delta = g.max_degree()
     if delta < 2:
         raise ValueError("rainbow coloring needs max degree >= 2")
     palette = cfg.color_multiplier * delta
+    if not _key_fits(g.n, palette):  # the pruning sorts the keys tail * palette + colour
+        raise ValueError(f"palette of {palette} colours on {g.n} vertices is too large for int64 keys")
     degree = np.diff(g._csr[0])
     worst_v, worst_ratio = -1, 1.0
     for retry in range(_MAX_RETRIES):
@@ -263,8 +267,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         delta_before = current.max_degree()
         core, shell, order = degeneracy_peel(current, threshold)
         forests = forest_decompose(shell, order)
-        for i, f in enumerate(forests):
-            parts.append(Part(f"r{rnd}_forest{i}", f._pairs(), forbidden_cycle=target))
+        parts += [Part(f"r{rnd}_forest{i}", f, forbidden_cycle=target) for i, f in enumerate(forests)]
         planned += len(forests)
         if core.m == 0:
             # everything peeled into forests; no rainbow round happened
@@ -305,8 +308,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     if current.m > 0:
         order = degeneracy_order(current)
         forests = forest_decompose(current, order)
-        for i, f in enumerate(forests):
-            parts.append(Part(f"final_forest{i}", f._pairs(), forbidden_cycle=target))
+        parts += [Part(f"final_forest{i}", f, forbidden_cycle=target) for i, f in enumerate(forests)]
         planned += len(forests)
     parts = [p for p in parts if len(p.edges)]
     for part, cycle in zip(parts, _parts_check(g.n, [part.edges for part in parts], target)[1]):

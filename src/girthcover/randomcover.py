@@ -46,14 +46,6 @@ class SeedGraph:
             raise ValueError(f"seed girth {g} below required {min_girth}")
         return SeedGraph(graph=graph, girth=g)
 
-    def padded_to(self, n: int) -> "SeedGraph":
-        """Same edges on n vertices (isolated padding); girth unchanged."""
-        if n < self.graph.n:
-            raise ValueError(f"cannot pad {self.graph.n}-vertex seed down to {n}")
-        if n == self.graph.n:
-            return self
-        return SeedGraph(graph=Graph(n, self.graph._pairs()), girth=self.girth)
-
 
 def required_copies(n: int, seed_edges: int, safety_constant: float) -> int:
     """Copies needed so each pair's expected coverage is >= C * ln(n).
@@ -110,9 +102,10 @@ def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int)
     Permutations are seeded Fisher-Yates; copy i draws from the stream
     (rng_seed, i), so copies are reproducible and order-independent, and
     none is kept.  Sampling stops once every pair is covered: a later copy
-    would own no edge.
+    would own no edge.  A seed with more vertices than n raises ``ValueError``.
     """
-    seed = seed.padded_to(n)
+    if seed.graph.n > n:
+        raise ValueError(f"seed has {seed.graph.n} vertices, more than n={n}")
     u, v = seed.graph._pairs().T
     t = required_copies(n, len(u), safety_constant)
     owner = np.full(n * (n - 1) // 2, -1, np.int64)

@@ -346,7 +346,7 @@ def forest_decompose_buckets(g: Graph, order) -> list[Graph]:
 def first_cover_wins_dict(n: int, seed_graph: Graph, copy_count: int, rng_seed: int):
     """(copies, assignment, uncovered) of the permuted-copy cover, one edge
     at a time: ``assignment`` maps each covered K_n edge to the first copy
-    that covers it.  The oracle for ``cover_random`` on the padded seed."""
+    that covers it.  The oracle for ``cover_random``."""
     assignment = {}
     copies = []
     for i in range(copy_count):

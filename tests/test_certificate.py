@@ -29,7 +29,7 @@ from conftest import searched_as
 
 
 def search_verdicts(p: EdgePartition, target: int) -> list:
-    return [part.graph(p.host.n).girth_exceeds(target - 1) for part in p.parts]
+    return [Graph(p.host.n, part.edges).girth_exceeds(target - 1) for part in p.parts]
 
 
 def decided(report) -> set:

@@ -180,6 +180,21 @@ def test_decompose_cli_roundtrip(tmp_path):
     assert run(["verify", "--manifest", manifest]) == EXIT_PASS
 
 
+@pytest.mark.parametrize("multiplier", ["10000000000000000000", "3000000000000000000", "1000000000000000000"])
+def test_decompose_refuses_palette_too_large_for_keys(tmp_path, capsys, multiplier):
+    # K_4 on 0..3 plus the path 3-4-5-2: 6 vertices of max degree 4, so a
+    # palette of 4 * multiplier colours gives keys past 2**63
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)]
+    write_edge_list(graph.Graph(6, edges), tmp_path / "g.edges")
+    argv = ["decompose", "--input", str(tmp_path / "g.edges"), "--cycle", "6", "--out"]
+    assert run(argv + [str(tmp_path / "big"), "--multiplier", multiplier]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: palette of {4 * int(multiplier)} colours on 6 vertices is too large for int64 keys\n"
+    assert not (tmp_path / "big").exists()
+    assert run(argv + [str(tmp_path / "ok"), "--multiplier", "100000000000000000"]) == EXIT_PASS
+    assert run(["verify", "--manifest", str(tmp_path / "ok" / "manifest.txt")]) == EXIT_PASS
+
+
 def test_decompose_reports_the_retries_of_each_round(tmp_path, capsys):
     write_edge_list(random_regular(100, 16, seed=3), tmp_path / "g.edges")
     argv = ["decompose", "--input", str(tmp_path / "g.edges"), "--cycle", "6",
@@ -219,6 +234,15 @@ def test_random_cover_with_forest_seed_verifies(tmp_path):
         "random-cover", "--n", "10", "--k", "2", "--seed-graph", str(seed), "--C", "20", "--out", out,
     ]) == EXIT_PASS
     assert run(["verify", "--manifest", os.path.join(out, "manifest.txt")]) == EXIT_PASS
+
+
+def test_random_cover_refuses_seed_larger_than_n(tmp_path, capsys):
+    seed = tmp_path / "p.edges"
+    seed.write_text("4 3\n0 1\n1 2\n2 3\n")
+    out = tmp_path / "rc"
+    assert run(["random-cover", "--n", "3", "--k", "2", "--seed-graph", str(seed), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed has 4 vertices, more than n=3\n"
+    assert not out.exists()
 
 
 def test_random_cover_stops_at_full_cover(tmp_path, capsys):

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import re
 
 import pytest
 
+import networkx as nx
 import numpy as np
 
 from girthcover.algebraic import _shift_index, index_to_tuple, solve_shift_h, solve_shift_q
@@ -24,7 +26,7 @@ from girthcover.partition import (
     write_manifest,
 )
 from girthcover.rainbow import RainbowColoring, pullback_partition
-from conftest import random_graph, traced_peak
+from conftest import random_graph, searched_as, traced_peak
 
 
 def test_partition_bipartite_exact_q5():
@@ -39,9 +41,9 @@ def test_partition_bipartite_exact_q5():
 def test_partition_bipartite_parts_have_girth_8():
     ep = partition_bipartite_exact(5, 3)
     for part in ep.parts[:5]:
-        assert part.graph(ep.host.n).girth() == 8
+        assert Graph(ep.host.n, part.edges).girth() == 8
     for part in ep.parts:
-        assert part.graph(ep.host.n).girth_exceeds(7)
+        assert Graph(ep.host.n, part.edges).girth_exceeds(7)
 
 
 def test_partition_bipartite_rejects_bad_arity():
@@ -86,7 +88,7 @@ def test_cover_bipartite_m100():
     assert len(ep.parts) == 25
     assert ep.is_exact()
     for part in ep.parts:
-        assert part.graph(200).girth_exceeds(7)
+        assert Graph(200, part.edges).girth_exceeds(7)
 
 
 def test_prime_for_side():
@@ -106,14 +108,14 @@ def test_cover_complete_n64_girth12():
     ep, plan = cover_complete(64, 12)
     assert ep.is_exact()
     for part in ep.parts:
-        assert part.graph(64).girth_exceeds(11)
+        assert Graph(64, part.edges).girth_exceeds(11)
 
 
 def test_cover_complete_n250_girth8():
     ep, plan = cover_complete(250, 8)
     assert ep.is_exact()
     for part in ep.parts:
-        assert part.graph(250).girth_exceeds(7)
+        assert Graph(250, part.edges).girth_exceeds(7)
     assert plan.total_parts == sum(lv.parts for lv in plan.levels)
 
 
@@ -439,6 +441,46 @@ def test_verify_partition_reports_bad_girth():
     rep = verify_partition(EdgePartition(host, parts))
     assert rep.exact
     assert not rep.passed  # K_4 has girth 3
+
+
+def test_searched_girth_costs_the_part_not_the_host():
+    # A triangle claiming girth 4 in K_{2 * 10**7}: the search runs on the
+    # triangle's own three vertices, so the host's size costs no memory.
+    def checks(n):
+        part = Part("t", [(0, 1), (1, 2), (0, 2)], girth_target=4)
+        report = verify_partition(EdgePartition(HostSpec.complete(n), [part]))
+        return [(c.claim, c.passed, c.decided_by) for c in report.checks]
+
+    peak, huge = traced_peak(lambda: checks(20_000_000))
+    assert peak < 1 << 20, peak
+    assert huge == checks(1000) == [("girth>=4", False, "search")]
+
+
+def test_searched_girth_of_parts_spread_over_a_large_host_matches_networkx():
+    rng = random.Random(23)
+    n = 10**6
+    parts = []
+    for i in range(150):
+        pool = rng.sample(range(n), rng.randrange(3, 13))
+        edges = {tuple(sorted(rng.sample(pool, 2))) for _ in range(rng.randrange(2, 2 * len(pool)))}
+        parts.append(Part(f"p{i}", sorted(edges), girth_target=rng.randrange(3, 9)))
+    report = verify_partition(EdgePartition(HostSpec.complete(n), parts))
+    for part, check in zip(parts, report.checks):
+        assert check.decided_by == searched_as(part.edges), part.name
+        assert check.passed == (nx.girth(nx.Graph(part.edges.tolist())) >= part.girth_target), part.name
+    searched = [c.passed for c in report.checks if c.decided_by == "search"]
+    assert True in searched and False in searched
+
+
+def test_a_part_makes_at_most_one_claim():
+    c6 = [(i, (i + 1) % 6) for i in range(6)]
+    with pytest.raises(ValueError, match="part c6 claims both a girth and a forbidden cycle"):
+        Part("c6", c6, girth_target=3, forbidden_cycle=6)
+    p = EdgePartition(HostSpec.complete(6), [Part("c6", c6, forbidden_cycle=6)])
+    with pytest.raises(ValueError, match="not both"):
+        verify_partition(p, girth_target=3, forbidden_cycle=6)
+    assert [(c.claim, c.passed) for c in verify_partition(p, girth_target=3).checks] == [("girth>=3", True)]
+    assert [(c.claim, c.passed) for c in verify_partition(p).checks] == [("no C_6", False)]
 
 
 def test_manifest_roundtrip(tmp_path):

@@ -40,6 +40,19 @@ def test_rainbow_single_edge_rejected():
         rainbow_color(path_graph(2), DecompositionConfig())
 
 
+def test_rainbow_refuses_palette_too_large_for_keys():
+    # K_4 on 0..3 plus the path 3-4-5-2: n = 6, max degree 4, so the keys
+    # vertex * palette + colour fit in int64 iff 6 * 4 * multiplier <= 2**63
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (2, 5)])
+    largest = 2**63 // 24
+    for multiplier in (largest + 1, 10**18, 10**19):
+        with pytest.raises(ValueError, match="too large for int64 keys"):
+            rainbow_color(g, DecompositionConfig(color_multiplier=multiplier))
+    for multiplier in (largest, 10**17):
+        cfg = DecompositionConfig(color_multiplier=multiplier)
+        check_rainbow_coloring(rainbow_color(g, cfg), cfg)
+
+
 def test_rainbow_star():
     # only constraint is injectivity at the center; full retention expected
     # with a 200*d palette
@@ -133,7 +146,7 @@ def test_pullback_hom_certificate():
     by_name = {p.name: p for p in palette_ep.parts}
     for part in pulled.parts:
         h_i = Graph(g.n, part.edges)
-        g_i = by_name[part.name.removeprefix("pull_")].graph(rc.palette_size)
+        g_i = Graph(rc.palette_size, by_name[part.name.removeprefix("pull_")].edges)
         assert is_locally_injective_hom(h_i, g_i, rc.color)
         assert h_i.girth() >= g_i.girth()
         assert not h_i.has_cycle_of_length(6)

@@ -58,11 +58,11 @@ def test_seed_certification():
         SeedGraph.certify(petersen_graph(), min_girth=6)
 
 
-def test_seed_padding():
-    s = SeedGraph.certify(petersen_graph()).padded_to(15)
-    assert s.graph.n == 15 and s.graph.m == 15 and s.girth == 5
-    with pytest.raises(ValueError):
-        s.padded_to(5)
+def test_cover_refuses_seed_larger_than_n():
+    s = SeedGraph.certify(petersen_graph())
+    with pytest.raises(ValueError, match="seed has 10 vertices, more than n=5"):
+        cover_random(5, s, 2.0, rng_seed=0)
+    assert cover_random(10, s, 2.0, rng_seed=0).n == 10  # a seed on exactly n vertices is fine
 
 
 def test_cover_with_complete_seed_uses_first_copy():
@@ -112,7 +112,7 @@ def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_
     seed = SeedGraph.certify(seed_graph)
     outcome = cover_random(n, seed, C, rng_seed)
     copies, assignment, uncovered = first_cover_wins_dict(
-        n, seed.padded_to(n).graph, outcome.copy_count, rng_seed
+        n, seed.graph, outcome.copy_count, rng_seed
     )
     used = outcome.copies_used
     assert [_copy_permutation(n, rng_seed, i) for i in range(used)] == copies[:used]
@@ -139,7 +139,7 @@ def test_coverage_calibration():
     # list: they must leave exactly its uncovered pairs, and sampling stops
     # at full cover, so the copies before the last one leave some pair
     n = 20
-    seed = SeedGraph.certify(petersen_graph()).padded_to(n)
+    seed = SeedGraph.certify(petersen_graph())
     outcome = cover_random(n, seed, 3.0, rng_seed=5)
     covered = []
     for i in range(outcome.copies_used):
