@@ -13,7 +13,6 @@ from .graph import (
     DegeneracyOrder,
     Graph,
     cycle_graph,
-    degeneracy_order,
     degeneracy_peel,
     forest_decompose,
     read_edge_list,

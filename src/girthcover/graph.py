@@ -460,11 +460,14 @@ def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[lis
 
 def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
     """``_parts_check`` of one run of parts.  The (part, vertex) pairs are
-    keyed part*n + vertex and numbered 0..N-1 in key order, by one argsort
-    and a running count of new keys, and one ``Graph`` of the parts'
-    disjoint union is built, whose checks catch loops and repeats within a
-    part; ids are range-checked first, because an id >= n would name a
-    vertex of the next part.  A run whose keys would not fit in int64 is
+    keyed part*n + vertex and numbered 0..N-1 in key order, by one
+    ``np.unique``, and one ``Graph`` of the parts' disjoint union is built,
+    whose checks catch loops and repeats within a part; ids are
+    range-checked first, because an id >= n would name a vertex of the next
+    part.  When the union is refused, each part is built on its own to name
+    the first faulty one, on its largest id + 1 vertices (on n if an id is
+    out of range, which raises before it allocates), so no valid part
+    allocates a host-sized CSR.  A run whose keys would not fit in int64 is
     taken a part at a time.  Each part is a block of the union: its
     vertices are non-isolated, its edges are counted from the CSR, and its
     components from the union's ``_components``.  A part that is not a
@@ -477,25 +480,17 @@ def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
         if n < 0 or ((keys < 0) | (keys >= n)).any():
             raise ValueError(f"vertex id out of range for n={n}")
         keys += np.repeat(np.arange(len(run), dtype=np.int64) * n, [len(part) for part in run])[:, None]
-        order = np.argsort(keys, axis=None)  # equal keys get one number, so any order will do
-        keys = keys.ravel()[order]
-        new = np.empty(len(keys), bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        ids = keys[new]
+        ids, local = np.unique(keys, return_inverse=True)
         del keys  # before the union is built
-        rank = np.cumsum(new)
-        rank -= 1
-        local = np.empty_like(rank)
-        local[order] = rank
-        del order, rank
-        union = Graph(len(ids), local.reshape(-1, 2))
+        local = local.reshape(-1, 2)  # the inverse is flat on numpy 1.x, keys-shaped on 2.x
+        union = Graph(len(ids), local)
     except ValueError:
-        for part in run:
-            Graph(n, part)  # raises the first faulty part's own error
+        for part in run:  # raises the first faulty part's own error
+            top = int(part.max(initial=-1)) + 1  # a part in range is built on the ids it uses
+            Graph(top if part.min(initial=0) >= 0 and top <= n else n, part)
         raise
     blocks = np.searchsorted(ids, np.arange(len(run) + 1) * n)
-    label = _components(len(ids), [local.reshape(-1, 2).T])[0]
+    label = _components(len(ids), [local.T])[0]
     roots = np.concatenate([[0], np.cumsum(label == np.arange(len(ids)))])
     edges = np.diff(union._csr[0][blocks]) // 2
     acyclic = (edges == np.diff(blocks) - np.diff(roots[blocks])).tolist()
@@ -635,72 +630,48 @@ class DegeneracyOrder:
         return max(self.right_degree, default=0)
 
 
-def degeneracy_order(g: Graph) -> DegeneracyOrder:
-    """Greedy minimum-degree peel, ties broken by smallest vertex id."""
-    deg = np.diff(g._csr[0]).tolist()
-    indptr, indices = (a.tolist() for a in g._csr)
-    removed = [False] * g.n
-    heap = [(d, v) for v, d in enumerate(deg)]
-    heapq.heapify(heap)
-    order = []
-    rdeg = [0] * g.n
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        rdeg[v] = deg[v]
-        for w in indices[indptr[v] : indptr[v + 1]]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return DegeneracyOrder(tuple(order), tuple(rdeg))
-
-
-def degeneracy_peel(g: Graph, threshold: int) -> tuple[Graph, Graph, DegeneracyOrder]:
-    """Repeatedly delete vertices of current degree < threshold.
+def degeneracy_peel(g: Graph, threshold: float) -> tuple[Graph, Graph, DegeneracyOrder]:
+    """Repeatedly delete a vertex of least current degree, ties to the
+    smallest id, while that degree is below ``threshold``.
 
     Returns (core, shell, order): ``core`` is the subgraph left over (empty
     or of minimum degree >= threshold), ``shell`` is the graph on V(g) whose
-    edges are E(g) \\ E(core), and ``order`` witnesses that the shell has
-    degeneracy < threshold (every vertex has right_degree < threshold in the
-    shell).  Peeling removes the smallest-id eligible vertex first.
+    edges are E(g) \\ E(core), and ``order`` is the peel and then the core
+    in id order, a peeled vertex's right-degree its degree when removed (a
+    core vertex has none in the shell).  Least degree first makes
+    ``order.degeneracy`` the shell's degeneracy; a threshold above the max
+    degree, such as ``math.inf``, peels every vertex into a degeneracy
+    order of g.  The heap keys degree * n + v order as (degree, v) and fit
+    in int64, as ``Graph`` checks n*n.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
+    n = g.n
     deg = np.diff(g._csr[0])
-    heap = np.flatnonzero(deg < threshold).tolist()  # sorted, so already a heap
+    heap = np.sort((deg * n + np.arange(n))[deg < threshold]).tolist()  # sorted, so already a heap
     deg = deg.tolist()
     indptr, indices = (a.tolist() for a in g._csr)
-    removed = [False] * g.n
-    in_heap = set(heap)
+    removed = [False] * n
+    rdeg = [0] * n
     peel = []
     while heap:
-        v = heapq.heappop(heap)
-        in_heap.discard(v)
-        if removed[v]:
+        d, v = divmod(heapq.heappop(heap), n)
+        if d != deg[v]:  # a stale key: v was pushed again at a lower degree, or removed
             continue
         removed[v] = True
+        rdeg[v] = d
         peel.append(v)
         for w in indices[indptr[v] : indptr[v + 1]]:
             if not removed[w]:
                 deg[w] -= 1
-                if deg[w] < threshold and w not in in_heap:
-                    heapq.heappush(heap, w)
-                    in_heap.add(w)
+                if deg[w] < threshold:
+                    heapq.heappush(heap, deg[w] * n + w)
     removed = np.array(removed, dtype=bool)
-    full_order = peel + np.flatnonzero(~removed).tolist()
     pairs = g._pairs()
     in_shell = removed[pairs].any(axis=1)
-    core = Graph(g.n, pairs[~in_shell], side=g.side)
-    shell = Graph(g.n, pairs[in_shell], side=g.side)
-    pos = np.empty(g.n, np.int64)
-    pos[full_order] = np.arange(g.n)
-    tails, heads = pairs[in_shell].T
-    earlier = np.where(pos[tails] < pos[heads], tails, heads)
-    rdeg = np.bincount(earlier, minlength=g.n)
-    return core, shell, DegeneracyOrder(tuple(full_order), tuple(rdeg.tolist()))
+    core = Graph(n, pairs[~in_shell], side=g.side)
+    shell = Graph(n, pairs[in_shell], side=g.side)
+    return core, shell, DegeneracyOrder(tuple(peel + np.flatnonzero(~removed).tolist()), tuple(rdeg))
 
 
 def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[np.ndarray]:

@@ -2,9 +2,9 @@
 
 The pipeline per round:
 
-1. peel vertices of degree below a threshold (~= log^2 of the initial max
-   degree); the peeled shell is low-degeneracy and splits into few forests,
-   trivially free of any cycle;
+1. peel a vertex of least degree while that degree is below a threshold
+   (~= log^2 of the initial max degree); the peeled shell splits into as
+   many forests as its degeneracy, trivially free of any cycle;
 2. on the remaining core, find a proper rainbow coloring of a spanning
    subgraph that keeps at least a tenth of every vertex's degree;
 3. partition the retained subgraph by pulling back the recursive-halving
@@ -15,7 +15,8 @@ The pipeline per round:
    into its palette part, so a palette part of girth > 2k yields a
    C_{2k}-free class;
 4. remove the retained edges (max degree drops by a constant factor) and
-   repeat until the remainder is low-degree, then finish with forests.
+   repeat until the remainder is low-degree; its round's peel then takes
+   every vertex, and its forests finish the decomposition.
 
 Every class of the output is certified C_{2k}-free from its edges, never
 by trusting the construction: shown to be a forest, or searched exactly.
@@ -35,7 +36,6 @@ from .graph import (
     _key_fits,
     _parts_check,
     _stable_argsort,
-    degeneracy_order,
     degeneracy_peel,
     forest_decompose,
     group_edges,
@@ -242,6 +242,12 @@ class DecompositionResult:
 def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> DecompositionResult:
     """Partition E(g) into C_{2k}-free classes, k per ``cfg.target_cycle``.
 
+    Round k peels the remaining graph (``degeneracy_peel``) and splits the
+    shell into forests ``r{k}_forest{i}``, as many as its degeneracy; a
+    nonempty core is rainbow-coloured and its retained edges pulled back
+    into classes ``r{k}_pull_...``.  The round whose peel takes every
+    vertex, once the max degree is below the threshold, is the last.
+
     Every output class is re-certified before the result is returned, a
     run of classes at a time (``graph._parts_check``).  Each class is first
     checked for acyclicity: with e edges, v non-isolated vertices and c
@@ -262,16 +268,14 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     locators: dict[int, CompleteCoverLocator] = {}
     current = g
     rnd = 0
-    while current.m > 0 and current.max_degree() >= threshold:
+    while current.m > 0:
         rnd += 1
         delta_before = current.max_degree()
         core, shell, order = degeneracy_peel(current, threshold)
         forests = forest_decompose(shell, order)
         parts += [Part(f"r{rnd}_forest{i}", f, forbidden_cycle=target) for i, f in enumerate(forests)]
         planned += len(forests)
-        if core.m == 0:
-            # everything peeled into forests; no rainbow round happened
-            current = core
+        if core.m == 0:  # everything peeled into forests; no rainbow round happened
             break
         sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + (rnd - 1) * _MAX_RETRIES)
         try:
@@ -305,11 +309,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
                 retries=rc.retries,
             )
         )
-    if current.m > 0:
-        order = degeneracy_order(current)
-        forests = forest_decompose(current, order)
-        parts += [Part(f"final_forest{i}", f, forbidden_cycle=target) for i, f in enumerate(forests)]
-        planned += len(forests)
     parts = [p for p in parts if len(p.edges)]
     for part, cycle in zip(parts, _parts_check(g.n, [part.edges for part in parts], target)[1]):
         if cycle is not None:

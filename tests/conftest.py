@@ -1,3 +1,4 @@
+import heapq
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from girthcover._kernels import girth_scan
-from girthcover.graph import Graph, _hom_failures, _parts_check
+from girthcover.graph import DegeneracyOrder, Graph, _hom_failures, _parts_check
 from girthcover.rainbow import DecompositionConfig, RainbowColoring
 
 
@@ -195,6 +196,16 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def skewed_graph(n: int, draws: int, seed: int) -> Graph:
+    """Edges uv with v uniform and u uniform or, with probability 1/2,
+    int(r**3 * n) for a uniform r in [0, 1); loops and repeats dropped."""
+    rng = np.random.default_rng(seed)
+    u, v = rng.integers(0, n, (2, draws))
+    r, coin = rng.random((2, draws))
+    u = np.where(coin < 0.5, (r**3 * n).astype(np.int64), u)
+    return Graph(n, np.unique(np.sort(np.stack([u, v], axis=1)[u != v], axis=1), axis=0))
+
+
 def all_roots_girth(g: Graph, cap=None):
     """min(girth, cap) by the kernel's BFS from every vertex (cap n + 1 by default).
 
@@ -322,6 +333,31 @@ def read_edge_list_lines(path) -> Graph:
     if m != len(edges):
         raise ValueError(f"{path}: header claims {m} edges, file has {len(edges)}")
     return Graph(n, edges, side=side)
+
+
+def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
+    """Greedy minimum-degree peel of every vertex, ties broken by smallest
+    vertex id, on a heap of (degree, vertex) tuples: the oracle for
+    ``degeneracy_peel(g, math.inf)``."""
+    deg = np.diff(g._csr[0]).tolist()
+    indptr, indices = (a.tolist() for a in g._csr)
+    removed = [False] * g.n
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    order = []
+    rdeg = [0] * g.n
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        rdeg[v] = deg[v]
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return DegeneracyOrder(tuple(order), tuple(rdeg))
 
 
 def forest_decompose_buckets(g: Graph, order) -> list[Graph]:

@@ -20,7 +20,7 @@ from girthcover import graph
 from girthcover.algebraic import build_hexagon, build_quadrangle
 from girthcover.graph import _RUN_EDGES, _components, _parts_check
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
-from conftest import is_forest, parts_cycles, searched_as
+from conftest import is_forest, parts_cycles, searched_as, traced_peak
 
 
 def as_array(edges) -> np.ndarray:
@@ -162,6 +162,19 @@ def test_faulty_parts_raise_before_any_verdict():
         _parts_check(4, [as_array([(0, 1)]), as_array([(0, 5)])])
     with pytest.raises(ValueError, match="duplicate edge"):
         _parts_check(4, [np.array([(0, 1), (1, 0)])])
+
+
+def test_faulty_part_is_named_without_host_sized_graphs():
+    # The valid parts before the faulty one are built on their own ids, not
+    # on the host's 50,000,000 vertices (a 400 MB CSR row index each).
+    paths = [Part(f"p{i}", [(6 * i + j, 6 * i + j + 1) for j in range(5)], girth_target=8) for i in range(3)]
+    p = EdgePartition(HostSpec.complete(50_000_000), paths + [Part("loop", [(9, 9)], girth_target=8)])
+
+    def refused():
+        with pytest.raises(ValueError, match="loop at vertex 9"):
+            verify_partition(p)
+
+    assert traced_peak(refused)[0] < 1 << 20
 
 
 # -- verify_partition ------------------------------------------------------------

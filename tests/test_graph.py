@@ -17,7 +17,6 @@ import girthcover.graph as graph_module
 from girthcover.graph import (
     Graph,
     cycle_graph,
-    degeneracy_order,
     degeneracy_peel,
     forest_decompose,
     read_edge_list,
@@ -37,6 +36,8 @@ from conftest import (
     random_pieces_graph,
     read_edge_list_lines,
     reference_cycle_hitting_roots,
+    reference_degeneracy_order,
+    skewed_graph,
     traced_peak,
 )
 
@@ -508,16 +509,43 @@ def test_peel_partitions_edges():
             assert max(order.right_degree, default=0) < max(threshold, 1)
 
 
+def test_full_peel_is_the_degeneracy_order():
+    graphs = [Graph(0, []), Graph(3, []), path_graph(5), complete_graph(6), petersen_graph()]
+    graphs += [random_graph(n, p, seed) for seed in range(6) for n, p in ((30, 0.1), (60, 0.3))]
+    for g in graphs:
+        core, shell, order = degeneracy_peel(g, math.inf)
+        assert order == reference_degeneracy_order(g)
+        assert core.m == 0 and shell.m == g.m
+
+
+@pytest.mark.parametrize("threshold", range(1, 7))
+def test_peel_core_and_shell_degeneracy_match_networkx(threshold):
+    # Least degree first: the core is the threshold-core, and the largest
+    # removal degree is the shell's degeneracy, the largest core number there.
+    # The skewed graphs have degeneracy 4, so at threshold 6 their whole
+    # vertex set is peeled, where an order that ignores degree does worse.
+    graphs = [random_graph(50, 0.15, 900 + seed) for seed in range(4)]
+    for g in graphs + [skewed_graph(500, 1500, seed) for seed in range(2)]:
+        nxg = nx.Graph(list(g.edges()))
+        nxg.add_nodes_from(range(g.n))
+        core, _, order = degeneracy_peel(g, threshold)
+        number = nx.core_number(nxg)
+        assert set(np.flatnonzero(np.diff(core._csr[0])).tolist()) == set(nx.k_core(nxg, threshold))
+        shell = [v for v in range(g.n) if number[v] < threshold]
+        assert set(order.order[: len(shell)]) == set(shell)
+        assert order.degeneracy == max((number[v] for v in shell), default=0)
+
+
 def test_forest_decompose_tree():
     t = path_graph(6)
-    forests = forest_decompose(t, degeneracy_order(t))
+    forests = forest_decompose(t, degeneracy_peel(t, math.inf)[2])
     assert len(forests) == 1
     assert sorted(Graph(t.n, forests[0]).edges()) == sorted(t.edges())
 
 
 def test_forest_decompose_k4():
     k4 = complete_graph(4)
-    forests = forest_decompose(k4, degeneracy_order(k4))
+    forests = forest_decompose(k4, degeneracy_peel(k4, math.inf)[2])
     assert len(forests) == 3
     union = sorted(e for f in forests for e in Graph(k4.n, f).edges())
     assert union == sorted(k4.edges())
@@ -527,7 +555,7 @@ def test_forest_decompose_k4():
 
 def test_forest_decompose_empty():
     g = Graph(4, [])
-    assert forest_decompose(g, degeneracy_order(g)) == []
+    assert forest_decompose(g, degeneracy_peel(g, math.inf)[2]) == []
 
 
 def test_forest_decompose_invalid_order():
@@ -547,7 +575,7 @@ def test_forest_decompose_matches_bucket_oracle(peel):
         if peel:  # the shell of a peel, as the decomposition pipeline splits it
             _, host, order = degeneracy_peel(g, 6)
         else:
-            host, order = g, degeneracy_order(g)
+            host, order = g, degeneracy_peel(g, math.inf)[2]
         forests = forest_decompose(host, order)
         expected = forest_decompose_buckets(host, order)
         assert all(f.dtype == np.int64 and f.ndim == 2 and f.shape[1] == 2 for f in forests)
@@ -557,7 +585,7 @@ def test_forest_decompose_matches_bucket_oracle(peel):
 def test_forest_decompose_random():
     for seed in range(10):
         g = random_graph(15, 0.3, 77 + seed)
-        order = degeneracy_order(g)
+        order = degeneracy_peel(g, math.inf)[2]
         forests = forest_decompose(g, order)
         assert len(forests) <= order.degeneracy
         union = sorted(e for f in forests for e in Graph(g.n, f).edges())
@@ -723,7 +751,7 @@ def test_derived_graphs_drop_certificate(tmp_path):
         assert d.girth() == 8 == all_roots_girth(d)
     # the rotation is no automorphism of a forest; the forests are plain
     # edge arrays, which carry no certificate
-    forests = forest_decompose(g, degeneracy_order(g))
+    forests = forest_decompose(g, degeneracy_peel(g, math.inf)[2])
     assert len(forests) == 2
     for f in forests:
         assert type(f) is np.ndarray

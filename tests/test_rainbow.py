@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from girthcover import rainbow
@@ -16,7 +17,14 @@ from girthcover.rainbow import (
     pullback_partition,
     rainbow_color,
 )
-from conftest import check_rainbow_coloring, complete_graph, is_locally_injective_hom, path_graph, random_regular
+from conftest import (
+    check_rainbow_coloring,
+    complete_graph,
+    is_locally_injective_hom,
+    path_graph,
+    random_regular,
+    skewed_graph,
+)
 
 
 def test_default_threshold():
@@ -184,6 +192,19 @@ def test_decompose_forest_input():
     assert res.rounds == []
 
 
+def test_decompose_splits_a_peeled_shell_into_its_degeneracy_of_forests():
+    # Every vertex is below the threshold, so round 1's peel takes them all;
+    # least degree first, it yields exactly degeneracy-many forests.
+    g = skewed_graph(2000, 12000, 1)
+    degeneracy = max(nx.core_number(nx.Graph(list(g.edges()))).values())
+    assert (g.max_degree(), default_threshold(g.max_degree()), degeneracy) == (452, 38, 8)
+    res = decompose(g, DecompositionConfig())
+    assert res.rounds == []
+    assert res.total_parts == len(res.partition.parts) == degeneracy
+    assert [p.name for p in res.partition.parts] == [f"r1_forest{i}" for i in range(degeneracy)]
+    assert res.partition.is_exact()
+
+
 def test_decompose_k10():
     res = decompose(complete_graph(10), DecompositionConfig(rng_seed=1))
     assert res.partition.is_exact()
@@ -231,7 +252,7 @@ def test_decompose_round_log_consistent():
     g = random_regular(300, 16, seed=12)
     res = decompose(g, DecompositionConfig(rng_seed=12))
     planned = sum(r.forest_parts + r.palette_parts_planned for r in res.rounds)
-    # final forests may add more beyond the per-round numbers
+    # the last round's forests, from a peel that takes every vertex, are in no round log
     assert res.total_parts >= planned
     assert res.threshold == default_threshold(16)
 
@@ -240,12 +261,14 @@ def test_decompose_round_log_consistent():
 # decompositions must not change.  Recorded before the graph core moved to
 # CSR arrays, and again when the pullback classes took their part-id order
 # in place of a sort by the string of their (level, shift) key: the same
-# (name, edges, claim) triples and round logs, in a new order.  The round
+# (name, edges, claim) triples and round logs, in a new order; and when the
+# leftover forests, once named ``final_forest{i}``, became the last round's
+# ``r{k}_forest{i}``: with that name mapped back, the old hashes.  The round
 # logs are hashed as they were recorded, without the later ``retries``
 # field, which is checked on its own.
 DECOMPOSE_SHA256 = {
-    (300, 24, 1): "aa413b66cfc1521624412729928e516e1631206788f22716485e90181f31fc16",
-    (600, 40, 2): "41db86fc17d524ff937e080f699bb6452fd0ee142b093ddc7ed7a2cb3aa57409",
+    (300, 24, 1): "dc822cd0b5d15b92dbbbbb699d92038b0bac9fcab8da8e77da586c16b605e97b",
+    (600, 40, 2): "0b7c960b6c74a51d0a83f82b81c550859f91ae66669d52d3907e96334c6b63b0",
 }
 DECOMPOSE_RETRIES = {(300, 24, 1): [0], (600, 40, 2): [0]}
 
