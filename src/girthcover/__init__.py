@@ -10,7 +10,6 @@ closed-form degree Ramsey bound calculators.
 
 from .graph import (
     INFINITE,
-    DegeneracyOrder,
     Graph,
     cycle_graph,
     degeneracy_peel,

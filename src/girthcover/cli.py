@@ -154,13 +154,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bounds(args) -> int:
     exp = bounds.lower_bound_exponent(args.k)
+    # every refusal comes before the first line of output
+    ub = None if args.ck is None else bounds.upper_bound(args.k, args.s, args.ck)
     print(f"k={args.k}: 2k-cycle degree Ramsey lower bound exponent = {exp} "
           f"(order (s/log s)^{exp})")
     tight = bounds.tight_exponent(args.k)
     if tight is not None:
         print(f"  tight order known for k={args.k}: Theta(s^{tight})")
-    if args.ck is not None:
-        ub = bounds.upper_bound(args.k, args.s, args.ck)
+    if ub is not None:
         print(f"  upper bound at s={args.s}, c_k={args.ck}: {ub}")
     else:
         print("  upper bound: supply --ck (the even-cycle Turan constant) to evaluate")

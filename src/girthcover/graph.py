@@ -45,7 +45,6 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -614,35 +613,17 @@ def _hom_failures(keys: np.ndarray, n: int, u, v, fu, fv, group) -> np.ndarray:
 # Degeneracy and forests
 
 
-@dataclass(frozen=True)
-class DegeneracyOrder:
-    """A vertex elimination order with per-vertex forward degrees.
+def degeneracy_peel(g: Graph, threshold: float) -> list[int]:
+    """The vertices a peel of g removes, in removal order: repeatedly a
+    vertex of least current degree, ties to the smallest id, while that
+    degree is below ``threshold``.
 
-    ``right_degree[v]`` is the number of neighbors of v that appear after v
-    in ``order`` (with respect to the graph the order was computed for).
-    """
-
-    order: tuple[int, ...]
-    right_degree: tuple[int, ...]
-
-    @property
-    def degeneracy(self) -> int:
-        return max(self.right_degree, default=0)
-
-
-def degeneracy_peel(g: Graph, threshold: float) -> tuple[Graph, Graph, DegeneracyOrder]:
-    """Repeatedly delete a vertex of least current degree, ties to the
-    smallest id, while that degree is below ``threshold``.
-
-    Returns (core, shell, order): ``core`` is the subgraph left over (empty
-    or of minimum degree >= threshold), ``shell`` is the graph on V(g) whose
-    edges are E(g) \\ E(core), and ``order`` is the peel and then the core
-    in id order, a peeled vertex's right-degree its degree when removed (a
-    core vertex has none in the shell).  Least degree first makes
-    ``order.degeneracy`` the shell's degeneracy; a threshold above the max
-    degree, such as ``math.inf``, peels every vertex into a degeneracy
-    order of g.  The heap keys degree * n + v order as (degree, v) and fit
-    in int64, as ``Graph`` checks n*n.
+    The vertices left are the threshold-core, empty or of minimum degree >=
+    threshold.  Least degree first makes the largest degree at removal the
+    degeneracy of the shell, the edges with a peeled end; a threshold above
+    the max degree, such as ``math.inf``, peels every vertex into a
+    degeneracy order of g.  The heap keys degree * n + v order as (degree,
+    v) and fit in int64, as ``Graph`` checks n*n.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
@@ -652,53 +633,48 @@ def degeneracy_peel(g: Graph, threshold: float) -> tuple[Graph, Graph, Degenerac
     deg = deg.tolist()
     indptr, indices = (a.tolist() for a in g._csr)
     removed = [False] * n
-    rdeg = [0] * n
     peel = []
     while heap:
         d, v = divmod(heapq.heappop(heap), n)
         if d != deg[v]:  # a stale key: v was pushed again at a lower degree, or removed
             continue
         removed[v] = True
-        rdeg[v] = d
         peel.append(v)
         for w in indices[indptr[v] : indptr[v + 1]]:
             if not removed[w]:
                 deg[w] -= 1
                 if deg[w] < threshold:
                     heapq.heappush(heap, deg[w] * n + w)
-    removed = np.array(removed, dtype=bool)
-    pairs = g._pairs()
-    in_shell = removed[pairs].any(axis=1)
-    core = Graph(n, pairs[~in_shell], side=g.side)
-    shell = Graph(n, pairs[in_shell], side=g.side)
-    return core, shell, DegeneracyOrder(tuple(peel + np.flatnonzero(~removed).tolist()), tuple(rdeg))
+    return peel
 
 
-def forest_decompose(g: Graph, order: DegeneracyOrder) -> list[np.ndarray]:
-    """Partition E(g) into at most d forests, each a sorted (k, 2) int64 edge array.
+def forest_decompose(g: Graph, threshold: float) -> tuple[Graph, list[np.ndarray]]:
+    """(core, forests) of a peel of g below ``threshold`` (``degeneracy_peel``).
 
-    d is the maximum right-degree of ``order`` with respect to g.  The
-    forest index of an edge (u, v) with u earlier in the order is its rank
-    among u's right-edges (by neighbor position).  Each class is acyclic:
-    the earliest-ordered vertex of any would-be cycle would need two
+    ``core`` is the graph on V(g) of the edges with no peeled end, and
+    ``forests`` partition the other edges, the shell, into as many forests as
+    its degeneracy, each a sorted (k, 2) int64 edge array.  With the vertices
+    in peel order, then the unpeeled in id order, a shell edge (u, v) with u
+    earlier goes to the forest of its rank among u's right-edges (by neighbor
+    position); u has as many as its degree at removal.  Each class is
+    acyclic: the earliest-ordered vertex of any would-be cycle would need two
     right-edges of the same rank.
     """
-    if sorted(order.order) != list(range(g.n)):
-        raise ValueError("order is not a permutation of the vertex set")
-    pos = np.empty(g.n, np.int64)
-    pos[np.array(order.order, np.int64)] = np.arange(g.n)
+    n = g.n
+    pos = n + np.arange(n)  # an unpeeled vertex comes after every peeled one
+    peel = np.array(degeneracy_peel(g, threshold), np.int64)
+    pos[peel] = np.arange(len(peel))
     pairs = g._pairs()
-    later = pos[pairs[:, 0]] > pos[pairs[:, 1]]
-    tail, head = np.where(later[:, None], pairs[:, ::-1], pairs).T  # earlier end first
-    rdeg = np.bincount(tail, minlength=g.n)
-    if wrong := np.flatnonzero(rdeg != np.asarray(order.right_degree)).tolist():
-        v = wrong[0]
-        raise ValueError(f"order is not valid for this graph: vertex {v} has {rdeg[v]} "
-                         f"right-edges, order claims {order.right_degree[v]}")
+    in_shell = (pos[pairs] < n).any(axis=1)
+    core = Graph(n, pairs[~in_shell], side=g.side)
+    shell = pairs[in_shell]
+    later = pos[shell[:, 0]] > pos[shell[:, 1]]
+    tail, head = np.where(later[:, None], shell[:, ::-1], shell).T  # earlier end first
+    rdeg = np.bincount(tail, minlength=n)
     by_tail = np.lexsort((pos[head], tail))  # each tail's right-edges, by head position
-    rank = np.empty(len(pairs), np.int64)
-    rank[by_tail] = np.arange(len(pairs)) - (np.cumsum(rdeg) - rdeg)[tail[by_tail]]
-    return [edges for _, edges in group_edges(pairs, rank)]
+    rank = np.empty(len(shell), np.int64)
+    rank[by_tail] = np.arange(len(shell)) - (np.cumsum(rdeg) - rdeg)[tail[by_tail]]
+    return core, [edges for _, edges in group_edges(shell, rank)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The pipeline per round:
 
 1. peel a vertex of least degree while that degree is below a threshold
-   (~= log^2 of the initial max degree); the peeled shell splits into as
-   many forests as its degeneracy, trivially free of any cycle;
+   (~= log^2 of the initial max degree) and split the shell, the edges with
+   a peeled end, into as many forests as its degeneracy (``forest_decompose``);
 2. on the remaining core, find a proper rainbow coloring of a spanning
    subgraph that keeps at least a tenth of every vertex's degree;
 3. partition the retained subgraph by pulling back the recursive-halving
@@ -36,7 +36,6 @@ from .graph import (
     _key_fits,
     _parts_check,
     _stable_argsort,
-    degeneracy_peel,
     forest_decompose,
     group_edges,
 )
@@ -223,11 +222,12 @@ class RoundLog:
     max_degree_before: int
     core_vertices: int
     forest_parts: int
-    palette_size: int
-    palette_parts_planned: int
-    palette_parts_nonempty: int
-    max_degree_after: int
-    retries: int  # failed rainbow-coloring tries before the one kept
+    # 0 from here on in the last round, whose peel takes every vertex
+    palette_size: int = 0
+    palette_parts_planned: int = 0
+    palette_parts_nonempty: int = 0
+    max_degree_after: int = 0
+    retries: int = 0  # failed rainbow-coloring tries before the one kept
 
 
 @dataclass
@@ -242,11 +242,11 @@ class DecompositionResult:
 def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> DecompositionResult:
     """Partition E(g) into C_{2k}-free classes, k per ``cfg.target_cycle``.
 
-    Round k peels the remaining graph (``degeneracy_peel``) and splits the
-    shell into forests ``r{k}_forest{i}``, as many as its degeneracy; a
+    Round k peels the remaining graph and splits the shell into forests
+    ``r{k}_forest{i}``, as many as its degeneracy (``forest_decompose``); a
     nonempty core is rainbow-coloured and its retained edges pulled back
-    into classes ``r{k}_pull_...``.  The round whose peel takes every
-    vertex, once the max degree is below the threshold, is the last.
+    into classes ``r{k}_pull_...``.  The last round, whose peel takes every
+    vertex once the max degree is below the threshold, logs forests only.
 
     Every output class is re-certified before the result is returned, a
     run of classes at a time (``graph._parts_check``).  Each class is first
@@ -264,18 +264,16 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     threshold = default_threshold(delta0)
     parts: list[Part] = []
     rounds: list[RoundLog] = []
-    planned = 0
     locators: dict[int, CompleteCoverLocator] = {}
     current = g
     rnd = 0
     while current.m > 0:
         rnd += 1
         delta_before = current.max_degree()
-        core, shell, order = degeneracy_peel(current, threshold)
-        forests = forest_decompose(shell, order)
+        core, forests = forest_decompose(current, threshold)
         parts += [Part(f"r{rnd}_forest{i}", f, forbidden_cycle=target) for i, f in enumerate(forests)]
-        planned += len(forests)
-        if core.m == 0:  # everything peeled into forests; no rainbow round happened
+        if core.m == 0:  # the peel took every vertex: the last round, with no rainbow colouring
+            rounds.append(RoundLog(rnd, delta_before, core_vertices=0, forest_parts=len(forests)))
             break
         sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + (rnd - 1) * _MAX_RETRIES)
         try:
@@ -290,7 +288,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         for part in pulled.parts:
             part.name = f"r{rnd}_{part.name}"
             parts.append(part)
-        planned += locator.plan.total_parts
         core_pairs = core._pairs()
         key = [g.n, 1]  # pairs @ key: the edge keys u*n + v, sorted as the pairs are
         remaining = np.ones(len(core_pairs), bool)
@@ -319,6 +316,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         partition=partition,
         rounds=rounds,
         threshold=threshold,
-        total_parts=planned,
+        total_parts=sum(log.forest_parts + log.palette_parts_planned for log in rounds),
         config=cfg,
     )

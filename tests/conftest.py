@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from girthcover._kernels import girth_scan
-from girthcover.graph import DegeneracyOrder, Graph, _hom_failures, _parts_check
+from girthcover.graph import Graph, _hom_failures, _parts_check
 from girthcover.rainbow import DecompositionConfig, RainbowColoring
 
 
@@ -335,7 +335,7 @@ def read_edge_list_lines(path) -> Graph:
     return Graph(n, edges, side=side)
 
 
-def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
+def reference_degeneracy_order(g: Graph) -> list[int]:
     """Greedy minimum-degree peel of every vertex, ties broken by smallest
     vertex id, on a heap of (degree, vertex) tuples: the oracle for
     ``degeneracy_peel(g, math.inf)``."""
@@ -345,33 +345,36 @@ def reference_degeneracy_order(g: Graph) -> DegeneracyOrder:
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
     order = []
-    rdeg = [0] * g.n
     while heap:
         d, v = heapq.heappop(heap)
         if removed[v] or d != deg[v]:
             continue
         removed[v] = True
         order.append(v)
-        rdeg[v] = deg[v]
         for w in indices[indptr[v] : indptr[v + 1]]:
             if not removed[w]:
                 deg[w] -= 1
                 heapq.heappush(heap, (deg[w], w))
-    return DegeneracyOrder(tuple(order), tuple(rdeg))
+    return order
 
 
-def forest_decompose_buckets(g: Graph, order) -> list[Graph]:
-    """Forests of ``g`` by right-edge rank, filled into per-rank bucket lists.
+def forest_decompose_buckets(g: Graph, peel: list[int]) -> list[Graph]:
+    """Forests of the edges of ``g`` with an end in ``peel``, by right-edge
+    rank in the order of ``peel`` and then the other vertices in id order,
+    filled into per-rank bucket lists.
 
-    The scalar form of ``forest_decompose``: the oracle for its array form.
+    The scalar form of ``forest_decompose``: the oracle for its forests.
     """
-    pos = {v: i for i, v in enumerate(order.order)}
+    order = peel + sorted(set(range(g.n)) - set(peel))
+    pos = {v: i for i, v in enumerate(order)}
+    peeled = set(peel)
     right_edges = [[] for _ in range(g.n)]
     for u, v in g.edges():
-        if pos[u] < pos[v]:
-            right_edges[u].append(v)
-        else:
-            right_edges[v].append(u)
+        if u in peeled or v in peeled:
+            if pos[u] < pos[v]:
+                right_edges[u].append(v)
+            else:
+                right_edges[v].append(u)
     buckets = [[] for _ in range(max(map(len, right_edges), default=0))]
     for u in range(g.n):
         for rank, w in enumerate(sorted(right_edges[u], key=lambda x: pos[x])):

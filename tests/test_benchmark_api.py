@@ -1,10 +1,14 @@
 """The benchmark's golden checks, run in tier-1: its graph hash through
-``Graph.edges()``, and the recorded ``decompose-c6`` part counts of every
-input, so that a change to either fails here rather than only in a
-benchmark run."""
+``Graph.edges()``, the recorded ``decompose-c6`` part counts of every
+input, and one traced pass of every workload, so that a change to any of
+them fails here rather than only in a benchmark run."""
 
 import hashlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +17,19 @@ import pytest
 import girthcover
 from girthcover.graph import Graph
 
-PASSES = Path(__file__).resolve().parents[1] / "perfbench" / "passes.py"
+ROOT = Path(__file__).resolve().parents[1]
+PASSES = ROOT / "perfbench" / "passes.py"
 
 
-spec = importlib.util.spec_from_file_location("perfbench_passes", PASSES)
-passes = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(passes)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+passes = load("perfbench_passes", PASSES)
+tracer = load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 GOLDEN = passes.load_golden()
 
 
@@ -44,3 +55,16 @@ def test_decompose_c6_golden_counts(tmp_path, key):
     counts = {"planned": result.total_parts, "nonempty": len(result.partition.parts)}
     assert counts == GOLDEN["decompose-c6"]["by_input"][key]
     assert len(back.parts) == counts["nonempty"] and report.passed
+
+
+@pytest.mark.parametrize("workload", sorted(passes.WORKLOADS))
+def test_traced_pass(tmp_path, workload):
+    # The tracer's counters read library results (round logs, retained
+    # subgraphs), so a change to what they read fails here.
+    argv = [sys.executable, str(PASSES), "--workload", workload, "--seed", "0",
+            "--tmp", str(tmp_path), "--mode", "traced"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert proc.returncode == 0 and out["ok"], out["error"] or out["checks"]
+    assert [layer for layer, *_ in tracer.TARGETS if f"{layer}.calls" not in out["layers"]] == []

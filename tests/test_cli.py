@@ -201,7 +201,8 @@ def test_decompose_reports_the_retries_of_each_round(tmp_path, capsys):
             "--retention", "0.4", "--multiplier", "4", "--out", str(tmp_path / "dec")]
     assert run(argv) == EXIT_PASS
     report = json.loads(capsys.readouterr().out.split("manifest:")[0])
-    assert report["rounds"] == 1 and report["retries"] == [3]
+    # round 2's peel takes every vertex, so it colours nothing and retries none
+    assert report["rounds"] == 2 and report["retries"] == [3, 0]
 
 
 def test_decompose_c10_cli_roundtrip(tmp_path):
@@ -263,6 +264,19 @@ def test_bounds_cli(capsys):
     assert "Theta(s^3/2)" in text
     assert run(["bounds", "--k", "2", "--s", "4", "--ck", "1.0"]) == EXIT_PASS
     assert "15" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1"],
+    ["--k", "3", "--s", "0", "--ck", "1"],
+    ["--k", "3", "--s", "100", "--ck", "0"],
+    ["--k", "3", "--s", "100", "--ck", "nan"],
+    ["--k", "3", "--s", "100000", "--ck", "1e-300"],
+])
+def test_bounds_prints_nothing_before_a_refusal(capsys, argv):
+    assert run(["bounds"] + argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("shift", ["", "1,x", "1,2,3"])

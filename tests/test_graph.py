@@ -475,121 +475,113 @@ def _pullback_triple(g: Graph, rng, fn: int):
 # -- degeneracy peel and forests --------------------------------------------
 
 
+def check_peel_split(g: Graph, core: Graph, forests: list) -> None:
+    """core and the forests hold each edge of g once, and each forest is one."""
+    edges = list(core.edges()) + [tuple(e) for f in forests for e in f.tolist()]
+    assert sorted(edges) == sorted(g.edges())
+    for f in forests:
+        assert nx.is_forest(nx.Graph(f.tolist()))
+
+
 def test_peel_tree_fully():
     t = path_graph(8)
-    core, shell, order = degeneracy_peel(t, 2)
-    assert core.m == 0
-    assert sorted(shell.edges()) == sorted(t.edges())
-    assert max(order.right_degree) <= 1
+    core, forests = forest_decompose(t, 2)
+    assert core.m == 0 and len(forests) == 1
+    check_peel_split(t, core, forests)
 
 
 def test_peel_k5_untouched():
     k5 = complete_graph(5)
-    core, shell, order = degeneracy_peel(k5, 4)
+    assert degeneracy_peel(k5, 4) == []
+    core, forests = forest_decompose(k5, 4)
     assert sorted(core.edges()) == sorted(k5.edges())
-    assert shell.m == 0
+    assert forests == []
 
 
 def test_peel_c4_with_pendant():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
-    core, shell, order = degeneracy_peel(g, 2)
+    core, forests = forest_decompose(g, 2)
     assert sorted(core.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert sorted(shell.edges()) == [(3, 4)]
+    assert [f.tolist() for f in forests] == [[[3, 4]]]
 
 
 def test_peel_partitions_edges():
     for seed in range(10):
         g = random_graph(20, 0.2, seed)
-        for threshold in (1, 2, 3):
-            core, shell, order = degeneracy_peel(g, threshold)
-            all_edges = sorted(list(core.edges()) + list(shell.edges()))
-            assert all_edges == sorted(g.edges())
+        for threshold in (0, 1, 2, 3, math.inf):
+            core, forests = forest_decompose(g, threshold)
+            check_peel_split(g, core, forests)
             for v in range(core.n):
                 assert core.degree(v) == 0 or core.degree(v) >= threshold
-            assert max(order.right_degree, default=0) < max(threshold, 1)
+            assert len(forests) < max(threshold, 1)
 
 
 def test_full_peel_is_the_degeneracy_order():
     graphs = [Graph(0, []), Graph(3, []), path_graph(5), complete_graph(6), petersen_graph()]
     graphs += [random_graph(n, p, seed) for seed in range(6) for n, p in ((30, 0.1), (60, 0.3))]
     for g in graphs:
-        core, shell, order = degeneracy_peel(g, math.inf)
-        assert order == reference_degeneracy_order(g)
-        assert core.m == 0 and shell.m == g.m
+        assert degeneracy_peel(g, math.inf) == reference_degeneracy_order(g)
+        core, forests = forest_decompose(g, math.inf)
+        assert core.m == 0 and sum(map(len, forests)) == g.m
 
 
 @pytest.mark.parametrize("threshold", range(1, 7))
 def test_peel_core_and_shell_degeneracy_match_networkx(threshold):
-    # Least degree first: the core is the threshold-core, and the largest
-    # removal degree is the shell's degeneracy, the largest core number there.
-    # The skewed graphs have degeneracy 4, so at threshold 6 their whole
-    # vertex set is peeled, where an order that ignores degree does worse.
+    # Least degree first: the core is the threshold-core, and the forests
+    # number the shell's degeneracy, the largest core number there.  The
+    # skewed graphs have degeneracy 4, so at threshold 6 their whole vertex
+    # set is peeled, where an order that ignores degree does worse.
     graphs = [random_graph(50, 0.15, 900 + seed) for seed in range(4)]
     for g in graphs + [skewed_graph(500, 1500, seed) for seed in range(2)]:
         nxg = nx.Graph(list(g.edges()))
         nxg.add_nodes_from(range(g.n))
-        core, _, order = degeneracy_peel(g, threshold)
         number = nx.core_number(nxg)
+        peel = degeneracy_peel(g, threshold)
+        assert sorted(peel) == [v for v in range(g.n) if number[v] < threshold]
+        core, forests = forest_decompose(g, threshold)
         assert set(np.flatnonzero(np.diff(core._csr[0])).tolist()) == set(nx.k_core(nxg, threshold))
-        shell = [v for v in range(g.n) if number[v] < threshold]
-        assert set(order.order[: len(shell)]) == set(shell)
-        assert order.degeneracy == max((number[v] for v in shell), default=0)
+        assert len(forests) == max((number[v] for v in peel), default=0)
+        check_peel_split(g, core, forests)
 
 
 def test_forest_decompose_tree():
     t = path_graph(6)
-    forests = forest_decompose(t, degeneracy_peel(t, math.inf)[2])
+    forests = forest_decompose(t, math.inf)[1]
     assert len(forests) == 1
     assert sorted(Graph(t.n, forests[0]).edges()) == sorted(t.edges())
 
 
 def test_forest_decompose_k4():
     k4 = complete_graph(4)
-    forests = forest_decompose(k4, degeneracy_peel(k4, math.inf)[2])
+    core, forests = forest_decompose(k4, math.inf)
     assert len(forests) == 3
-    union = sorted(e for f in forests for e in Graph(k4.n, f).edges())
-    assert union == sorted(k4.edges())
-    for f in forests:
-        assert Graph(k4.n, f).girth() == math.inf
+    check_peel_split(k4, core, forests)
 
 
 def test_forest_decompose_empty():
-    g = Graph(4, [])
-    assert forest_decompose(g, degeneracy_peel(g, math.inf)[2]) == []
-
-
-def test_forest_decompose_invalid_order():
-    from girthcover.graph import DegeneracyOrder
-
-    k4 = complete_graph(4)
-    with pytest.raises(ValueError):
-        forest_decompose(k4, DegeneracyOrder((0, 1, 2), (0, 0, 0)))
-    with pytest.raises(ValueError, match="vertex 1 has 2 right-edges, order claims 0"):
-        forest_decompose(k4, DegeneracyOrder((0, 1, 2, 3), (3, 0, 0, 0)))
+    core, forests = forest_decompose(Graph(4, []), math.inf)
+    assert core.n == 4 and core.m == 0 and forests == []
 
 
 @pytest.mark.parametrize("peel", [False, True])
 def test_forest_decompose_matches_bucket_oracle(peel):
+    threshold = 6 if peel else math.inf  # 6 leaves a core, as the pipeline's rounds do
     for seed in range(8):
         g = random_graph(40, 0.25, 300 + seed)
-        if peel:  # the shell of a peel, as the decomposition pipeline splits it
-            _, host, order = degeneracy_peel(g, 6)
-        else:
-            host, order = g, degeneracy_peel(g, math.inf)[2]
-        forests = forest_decompose(host, order)
-        expected = forest_decompose_buckets(host, order)
+        core, forests = forest_decompose(g, threshold)
+        expected = forest_decompose_buckets(g, degeneracy_peel(g, threshold))
         assert all(f.dtype == np.int64 and f.ndim == 2 and f.shape[1] == 2 for f in forests)
         assert [f.tolist() for f in forests] == [f._pairs().tolist() for f in expected]
+        check_peel_split(g, core, forests)
 
 
 def test_forest_decompose_random():
     for seed in range(10):
         g = random_graph(15, 0.3, 77 + seed)
-        order = degeneracy_peel(g, math.inf)[2]
-        forests = forest_decompose(g, order)
-        assert len(forests) <= order.degeneracy
-        union = sorted(e for f in forests for e in Graph(g.n, f).edges())
-        assert union == sorted(g.edges())
+        core, forests = forest_decompose(g, math.inf)
+        nxg = nx.Graph(list(g.edges()))
+        assert len(forests) == max(nx.core_number(nxg).values(), default=0)
+        check_peel_split(g, core, forests)
         for f in forests:
             assert Graph(g.n, f).girth() == math.inf
 
@@ -751,7 +743,7 @@ def test_derived_graphs_drop_certificate(tmp_path):
         assert d.girth() == 8 == all_roots_girth(d)
     # the rotation is no automorphism of a forest; the forests are plain
     # edge arrays, which carry no certificate
-    forests = forest_decompose(g, degeneracy_peel(g, math.inf)[2])
+    forests = forest_decompose(g, math.inf)[1]
     assert len(forests) == 2
     for f in forests:
         assert type(f) is np.ndarray

@@ -230,7 +230,7 @@ def test_decompose_names_the_class_and_its_cycle(monkeypatch):
     # C_6 on 0..5 and a star of degree 8: every vertex peels into the shell,
     # and a forest split that keeps the shell whole leaves the C_6 in one class.
     g = Graph(15, [(i, (i + 1) % 6) for i in range(6)] + [(6, v) for v in range(7, 15)])
-    monkeypatch.setattr(rainbow, "forest_decompose", lambda shell, order: [shell._pairs()])
+    monkeypatch.setattr(rainbow, "forest_decompose", lambda g, threshold: (Graph(g.n, []), [g._pairs()]))
     with pytest.raises(AssertionError) as info:
         decompose(g, DecompositionConfig(target_cycle=6))
     assert str(info.value) == "class r1_forest0 contains a C_6: cycle 0 1 2 3 4 5"

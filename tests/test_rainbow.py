@@ -11,6 +11,7 @@ from girthcover.partition import CompleteCoverLocator, cover_complete
 from girthcover.rainbow import (
     DecompositionConfig,
     RainbowRetentionError,
+    RoundLog,
     _try_rainbow,
     decompose,
     default_threshold,
@@ -189,7 +190,8 @@ def test_decompose_forest_input():
     res = decompose(t, DecompositionConfig())
     assert res.partition.is_exact()
     assert len(res.partition.parts) == 1
-    assert res.rounds == []
+    assert res.rounds == [RoundLog(1, 2, core_vertices=0, forest_parts=1)]
+    assert res.total_parts == 1
 
 
 def test_decompose_splits_a_peeled_shell_into_its_degeneracy_of_forests():
@@ -199,7 +201,7 @@ def test_decompose_splits_a_peeled_shell_into_its_degeneracy_of_forests():
     degeneracy = max(nx.core_number(nx.Graph(list(g.edges()))).values())
     assert (g.max_degree(), default_threshold(g.max_degree()), degeneracy) == (452, 38, 8)
     res = decompose(g, DecompositionConfig())
-    assert res.rounds == []
+    assert res.rounds == [RoundLog(1, 452, core_vertices=0, forest_parts=degeneracy)]
     assert res.total_parts == len(res.partition.parts) == degeneracy
     assert [p.name for p in res.partition.parts] == [f"r1_forest{i}" for i in range(degeneracy)]
     assert res.partition.is_exact()
@@ -242,7 +244,7 @@ def test_round_logs_record_the_retries(monkeypatch):
     assert rc.retries == 3
     check_rainbow_coloring(rc, cfg)
     res = decompose(g, cfg)
-    assert [log.retries for log in res.rounds] == [3]
+    assert [log.retries for log in res.rounds] == [3, 0]  # the last round colours nothing
     monkeypatch.setattr(rainbow, "_MAX_RETRIES", 3)
     with pytest.raises(RainbowRetentionError):
         rainbow_color(g, cfg)
@@ -252,8 +254,10 @@ def test_decompose_round_log_consistent():
     g = random_regular(300, 16, seed=12)
     res = decompose(g, DecompositionConfig(rng_seed=12))
     planned = sum(r.forest_parts + r.palette_parts_planned for r in res.rounds)
-    # the last round's forests, from a peel that takes every vertex, are in no round log
-    assert res.total_parts >= planned
+    # the last round, whose peel takes every vertex, is logged with its forests
+    assert res.total_parts == planned
+    last = res.rounds[-1]
+    assert last.core_vertices == last.palette_size == last.max_degree_after == 0 < last.forest_parts
     assert res.threshold == default_threshold(16)
 
 
@@ -263,14 +267,16 @@ def test_decompose_round_log_consistent():
 # in place of a sort by the string of their (level, shift) key: the same
 # (name, edges, claim) triples and round logs, in a new order; and when the
 # leftover forests, once named ``final_forest{i}``, became the last round's
-# ``r{k}_forest{i}``: with that name mapped back, the old hashes.  The round
-# logs are hashed as they were recorded, without the later ``retries``
-# field, which is checked on its own.
+# ``r{k}_forest{i}``: with that name mapped back, the old hashes; and when
+# the last round, whose peel takes every vertex, gained its round log: with
+# that log line left out, the old hashes.  The round logs are hashed as they
+# were recorded, without the later ``retries`` field, which is checked on
+# its own.
 DECOMPOSE_SHA256 = {
-    (300, 24, 1): "dc822cd0b5d15b92dbbbbb699d92038b0bac9fcab8da8e77da586c16b605e97b",
-    (600, 40, 2): "0b7c960b6c74a51d0a83f82b81c550859f91ae66669d52d3907e96334c6b63b0",
+    (300, 24, 1): "2abb5b8de2eb751eeaf6279de31b702a8cf56233d24b7e8bebcb0dec8f2cbad8",
+    (600, 40, 2): "edbd8497d618ea7e025e54f628af86e5a9c8adf7c5b28edaaaa6bdd752fce252",
 }
-DECOMPOSE_RETRIES = {(300, 24, 1): [0], (600, 40, 2): [0]}
+DECOMPOSE_RETRIES = {(300, 24, 1): [0, 0], (600, 40, 2): [0, 0]}
 
 
 @pytest.mark.parametrize("key", sorted(DECOMPOSE_SHA256))
