@@ -163,12 +163,14 @@ def _incident_lines(q: int, arity: int, shift: tuple[int, ...], stop: int, start
     l1 = np.arange(q, dtype=np.int64)
     l2 = _mod(s2 + l1 * p1, q)
     l3 = _mod(2 * s3 - 2 * l1 * s2, q)
+    # The index by Horner's rule: l1..l5 are each reduced once, here.
+    idx = (l1 * q + l2) * q + l3
     if arity == 3:
-        return _index((l1, l2, l3), q)
+        return idx
     s4, s5 = s45
     l4 = _mod(3 * s4 - 3 * l1 * s3, q)
-    l5 = pow(2, -1, q) * (3 * s5 + 3 * l3 * s2 - 3 * l2 * s3 + l4 * p1)
-    return _index((l1, l2, l3, l4, l5), q)
+    l5 = _mod(pow(2, -1, q) * (3 * s5 + 3 * l3 * s2 - 3 * l2 * s3 + l4 * p1), q)
+    return (idx * q + l4) * q + l5
 
 
 def _shift_index(points: np.ndarray, lines: np.ndarray, q: int, arity: int) -> np.ndarray:

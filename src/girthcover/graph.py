@@ -126,7 +126,7 @@ class Graph:
     search uses it to root at one vertex per orbit.
     """
 
-    __slots__ = ("n", "side", "_csr", "_automorphisms")
+    __slots__ = ("n", "side", "_csr", "_indptr", "_automorphisms")
 
     def __init__(
         self,
@@ -150,7 +150,8 @@ class Graph:
             i = np.flatnonzero(mask)
             return tuple(sorted((int(u[i[0]]), int(w[i[0]])))) if i.size else None
 
-        if bad := first((u < 0) | (w < 0) | (u >= n) | (w >= n)):
+        if m and (pairs.min() < 0 or pairs.max() >= n):
+            bad = first((u < 0) | (w < 0) | (u >= n) | (w >= n))
             raise ValueError(f"edge {bad} out of range for n={n}")
         if bad := first(u == w):
             raise ValueError(f"loop at vertex {bad[0]}")
@@ -171,7 +172,7 @@ class Graph:
             raise ValueError(f"duplicate edge {first(repeat)}")
         if side is not None:
             side = np.asarray(side)
-            if side.shape != (n,) or not np.isin(side, (0, 1)).all():
+            if side.shape != (n,) or not ((side == 0) | (side == 1)).all():
                 raise ValueError(f"side must be 0 or 1 for each of the {n} vertices")
             ones = side.astype(bool)
             if bad := first(ones[u] == ones[w]):
@@ -179,9 +180,21 @@ class Graph:
         np.remainder(keys, n, out=indices, casting="unsafe")
         del keys  # before the side tuple is made
         self.n = n
-        self.side = None if side is None else tuple(side.astype(np.int64).tolist())
+        # From int8, the entries are Python ints 0 and 1 whatever the input
+        # (a bool array's tolist() gives False and True).
+        self.side = None if side is None else tuple(side.astype(np.int8).tolist())
         self._csr = (indptr, indices)
+        self._indptr = memoryview(indptr)  # Python ints for degree()
         self._automorphisms = automorphisms
+
+    # A memoryview does not pickle: the state leaves it out, and it is made
+    # again from indptr.
+    def __getstate__(self):
+        return self.n, self.side, self._csr, self._automorphisms
+
+    def __setstate__(self, state):
+        self.n, self.side, self._csr, self._automorphisms = state
+        self._indptr = memoryview(self._csr[0])
 
     # -- basic queries -------------------------------------------------
 
@@ -190,10 +203,10 @@ class Graph:
         return len(self._csr[1]) // 2
 
     def degree(self, v: int) -> int:
+        # Checked first: the memoryview would read indptr[-1] for v = -1.
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-        indptr = self._csr[0]
-        return indptr.item(v + 1) - indptr.item(v)
+        return self._indptr[v + 1] - self._indptr[v]
 
     def max_degree(self) -> int:
         return int(np.diff(self._csr[0]).max(initial=0))
@@ -746,7 +759,7 @@ def _write_rows(fh, rows: np.ndarray, seps: Sequence[bytes]) -> None:
 
 
 def write_edge_list(g: Graph, path) -> None:
-    if g.side is not None and list(g.side) != sorted(g.side):
+    if g.side is not None and 1 in g.side[: g.side.count(0)]:
         raise ValueError("the header can only record sides of the form [0]*a + [1]*b")
     with open(path, "wb") as fh:
         if g.side is not None:
@@ -778,10 +791,12 @@ def read_edge_list(path) -> Graph:
             raise malformed from None
         side = None
         if sides:
+            if min(sides) < 0:
+                raise malformed
             a, b = sides
             if a + b != n:
                 raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")
-            side = [0] * a + [1] * b
+            side = np.repeat(np.int8([0, 1]), sides)
         pairs, count = _read_rows(fh, path, n, side, m)
     if count != m:
         raise ValueError(f"{path}, line {header_line}: header claims {m} edges, file has {count}")

@@ -122,12 +122,13 @@ def test_hexagon_zero_edge():
 
 
 def test_hexagon_every_edge_satisfies_equations():
-    shift = (1, 0, 2, 4)
+    # Every coordinate of the shift is nonzero, so each of s2..s5 enters
+    # the line index that _incident_lines composes.
+    shift = (1, 3, 2, 4)
     plg = build_hexagon(5, shift)
-    rng = random.Random(0)
-    edges = list(plg.graph.edges())
-    for u, v in rng.sample(edges, 500):
-        p, l = index_to_tuple(u, 5, 5), index_to_tuple(v - plg.n_side, 5, 5)
+    edges = edge_label_set(plg)
+    assert len(edges) == 5**6
+    for p, l in edges:
         assert is_edge_h(p, l, shift, 5)
 
 

@@ -308,6 +308,19 @@ def test_bipartition_enforced():
         Graph(3, [(0, 1)], side=[0, 5, 7])
 
 
+@pytest.mark.parametrize(
+    "side",
+    [[0, 0, 1, 1], (0, 0, 1, 1), np.array([False, False, True, True]), np.int8([0, 0, 1, 1]), np.int64([0, 0, 1, 1])],
+    ids=["list", "tuple", "bool", "int8", "int64"],
+)
+def test_side_is_a_tuple_of_python_ints(side):
+    # (False, True) and numpy scalars compare equal to (0, 1), so the type
+    # is checked too.
+    g = Graph(4, [(0, 2), (1, 3)], side=side)
+    assert g.side == (0, 0, 1, 1)
+    assert all(type(s) is int for s in g.side)
+
+
 @pytest.mark.parametrize("as_array", [False, True])
 @pytest.mark.parametrize(
     "n, edges, side, message",
@@ -364,6 +377,21 @@ def test_constructor_memory_stays_near_its_input():
     peak, g = traced_peak(lambda: Graph(n, edges))
     assert peak <= 2.5 * edges.nbytes
     assert g.m == len(edges)
+
+
+def test_graph_pickles_and_copies():
+    # degree() reads a memoryview of indptr, which pickle cannot take; the
+    # copies must still answer every query, the certified girth included.
+    import copy
+    import pickle
+
+    from girthcover.algebraic import build_quadrangle
+
+    g = build_quadrangle(5, (1, 2)).graph
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g), copy.copy(g)):
+        assert (h.n, h.side, list(h.edges())) == (g.n, g.side, list(g.edges()))
+        assert [h.degree(v) for v in range(h.n)] == [5] * h.n
+        assert h.girth() == 8 and len(h._girth_roots()) == 1
 
 
 def test_graph_matches_networkx_on_random_graphs():
@@ -666,6 +694,24 @@ SELF_CHECKS_SCRIPT = (
 )
 
 
+# An edge-list header whose bipartition sizes are negative but sum to n.
+NEGATIVE_SIDES_SCRIPT = (
+    "import os, tempfile\n"
+    "from girthcover.graph import read_edge_list\n"
+    "with tempfile.TemporaryDirectory() as tmp:\n"
+    "    path = os.path.join(tmp, 'bad.edges')\n"
+    "    with open(path, 'w') as fh:\n"
+    "        fh.write('4 1 bipartite -1 5\\n0 1\\n')\n"
+    "    try:\n"
+    "        read_edge_list(path)\n"
+    "    except ValueError as exc:\n"
+    "        if 'line 1: malformed header' not in str(exc):\n"
+    "            raise SystemExit(f'negative sides refused as {exc}')\n"
+    "    else:\n"
+    "        raise SystemExit('accepted negative sides')\n"
+)
+
+
 def test_bad_certificate_rejected_under_optimize():
     script = (
         "from girthcover.graph import Graph, cycle_graph\n"
@@ -686,7 +732,7 @@ def test_bad_certificate_rejected_under_optimize():
         "        except ValueError:\n"
         "            continue\n"
         "        raise SystemExit(f'accepted the swapped generator of {case}')\n"
-    ) + SELF_CHECKS_SCRIPT
+    ) + SELF_CHECKS_SCRIPT + NEGATIVE_SIDES_SCRIPT
     src = os.path.dirname(os.path.dirname(girthcover.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -810,10 +856,14 @@ def test_edge_order_across_row_blocks(tmp_path, monkeypatch, block):
 def test_write_edge_list_rejects_sides_the_header_cannot_record(tmp_path):
     # The header records sides as [0]*a + [1]*b; this graph would read back
     # with other sides and fail the bipartition check.
-    g = Graph(4, [(0, 1), (2, 3), (0, 3)], side=[0, 1, 0, 1])
-    with pytest.raises(ValueError, match=r"\[0\]\*a \+ \[1\]\*b"):
-        write_edge_list(g, tmp_path / "g.edges")
-    assert not (tmp_path / "g.edges").exists()
+    for side in ([0, 1, 0, 1], [1, 1, 0, 0]):
+        g = Graph(4, [(0, 3), (1, 2)] if side[0] == side[1] else [(0, 1), (2, 3), (0, 3)], side=side)
+        with pytest.raises(ValueError, match=r"\[0\]\*a \+ \[1\]\*b"):
+            write_edge_list(g, tmp_path / "g.edges")
+        assert not (tmp_path / "g.edges").exists()
+    for side in ([0, 0, 0, 0], [1, 1, 1, 1]):  # one side empty
+        write_edge_list(Graph(4, [], side=side), tmp_path / "g.edges")
+        assert read_edge_list(tmp_path / "g.edges").side == tuple(sorted(side))
 
 
 def test_format_rows_matches_percent_formatting():
@@ -848,6 +898,9 @@ def test_edge_list_rejects_bad_header(tmp_path):
         ("3 2\n0 1\n", 1, "header claims 2 edges"),
         ("3 x\n", 1, "malformed header 3 x"),
         ("# c\n3 1 bipartite 1 x\n0 1\n", 2, "malformed header 3 1 bipartite 1 x"),
+        # Negative sizes that sum to n are refused on the header's line.
+        ("4 1 bipartite -1 5\n0 1\n", 1, "malformed header 4 1 bipartite -1 5"),
+        ("4 1 bipartite 5 -1\n0 1\n", 1, "malformed header 4 1 bipartite 5 -1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"bad\.edges, line {line}: {message}"):
