@@ -28,11 +28,11 @@ Sign conventions are kept exactly as written; re-normalizing the equations
 would silently change the graph.  One vectorised generator,
 ``_incident_lines``, solves the system for the line through each point with
 each first coordinate l1 (q neighbors per point), for a range of points
-at once; the builders (a block of points at a time) and the bipartite
-partitions both use it, and nothing tests all pairs.  ``_shift_index``
-solves it for the shift of many point/line pairs at once, for the
-complete-graph locator.  ``is_edge_q/h`` and ``solve_shift_q/h`` check and
-solve it for a single pair, as oracles.
+at once; the builders use it a block of points at a time, and nothing
+tests all pairs.  ``_shift_index`` solves it for the shift of many
+point/line pairs at once, for the complete-graph locator and the covers'
+shift grids.  ``is_edge_q/h`` and ``solve_shift_q/h`` check and solve it
+for a single pair, as oracles.
 
 Each built graph carries an automorphism certificate for its girth search:
 coordinate maps that preserve the zero-shift incidence equations,

@@ -789,10 +789,10 @@ def read_edge_list(path) -> Graph:
             n, m, *sides = map(int, header[:2] + header[3:])
         except ValueError:
             raise malformed from None
+        if min(n, m, *sides) < 0:
+            raise malformed
         side = None
         if sides:
-            if min(sides) < 0:
-                raise malformed
             a, b = sides
             if a + b != n:
                 raise ValueError(f"{path}: bipartition sizes {a}+{b} != n={n}")

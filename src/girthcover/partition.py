@@ -14,21 +14,19 @@ Three layers:
   keeps the total part count at O(n^{2/3}) (resp. O(n^{4/5})) instead of
   gaining a log factor.
 
-``CompleteCoverLocator`` exposes the same partition without materializing
-it: ``locate`` maps arrays of edges to part ids, so ``cover_complete``
-locates every edge of K_n in one call, and the decomposition pipeline only
-the colour pairs of its retained edges, where K_n would be far too large to
-enumerate.  It places an edge by a per-vertex code of the halving (see the
-class), not by halving, and solves the shifts once per level.  Both name
-parts with the locator and, like every other producer of parts (the
-pullback, the forests, the random cover), group the edges by their int64
-class ids with ``graph.group_edges``.
+Both gather their parts from one local pattern per block size
+(``_shift_parts``), solved once per prime on one grid (``_shift_grid``): no
+edge is located or sorted one by one.
+
+``CompleteCoverLocator`` maps arrays of edges to part ids by a per-vertex code
+of the halving (see the class): for the decomposition pipeline's colour pairs,
+where K_n is too large to enumerate, and for the certificates of
+``verify_partition``, which so check the parts by a second route.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +36,6 @@ import numpy as np
 from .algebraic import (
     _check_q,
     _coords,
-    _incident_lines,
     _index,
     _shift_index,
     _shift_points,
@@ -58,12 +55,12 @@ from .graph import (
     _runs,
     _write_rows,
     edge_array,
-    group_edges,
     read_edge_list,
     write_edge_list,
 )
 
 _GIRTH_ARITY = {8: 3, 12: 5}
+_GRID_CELLS = 1 << 16  # (point, line) cells per block of a grid's shift ids
 
 
 def _arity_for(target_girth: int) -> int:
@@ -133,10 +130,11 @@ class HostSpec:
 
 
 def _ordered(pairs: np.ndarray) -> np.ndarray:
-    """The (m, 2) array ``pairs`` with each row (u, v) as (min, max): what
-    ``np.sort(pairs, axis=1)`` gives, without a sort per row."""
-    u, v = pairs.T
-    return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+    """The (m, 2) array ``pairs`` with each row (u, v) made (min, max) in
+    place: ``np.sort(pairs, axis=1)`` with no sort and no whole-array copy."""
+    turn = np.flatnonzero(pairs[:, 0] > pairs[:, 1])
+    pairs[turn] = pairs[turn, ::-1]
+    return pairs
 
 
 def _edge_keys(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,20 +430,56 @@ def cover_bipartite(m: int, target_girth: int) -> EdgePartition:
     Embeds the host as the first m points and first m lines (canonical
     tuple order) of the smallest sufficient prime construction; restriction
     never decreases girth.  Parts are named ``s<shift>`` and come in
-    lexicographic shift order, with edges in point-major order.
+    lexicographic shift order, empty ones too, edges in lexicographic order.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     arity = _arity_for(target_girth)
     q = prime_for_side(m, arity)
-    parts = []
-    for shift in itertools.product(range(q), repeat=arity - 1):
-        rows = _incident_lines(q, arity, shift, m)
-        points, k = np.nonzero(rows < m)  # row by row: point-major order
-        edges = np.stack([points, m + rows[points, k]], axis=1)
-        name = "s" + "_".join(map(str, shift))
-        parts.append(Part(name=name, edges=edges, girth_target=target_girth))
+    edges, bounds = _shift_parts(_shift_grid(q, arity, m), q ** (arity - 1), *np.int64([[0], [m], [2 * m]]))
+    names = ("s" + "_".join(map(str, index_to_tuple(s, q, arity - 1))) for s in range(q ** (arity - 1)))
+    parts = [Part(name, edges[i:j], target_girth) for name, i, j in zip(names, bounds, bounds[1:])]
     return EdgePartition(host=HostSpec.bipartite(m, m), parts=parts)
+
+
+def _shift_grid(q: int, arity: int, size: int) -> np.ndarray:
+    """The shift index of each local (point, line) pair of a size x size block
+    pair, in the least unsigned dtype; an a x b pair's grid is its corner."""
+    # Below 2^31 cells q^arity < 2^21, so the int32 intermediates of _shift_index fit.
+    coords = np.arange(size, dtype=np.int32 if size * size < 1 << 31 else np.int64)
+    grid = np.empty((size, size), np.min_scalar_type(q ** (arity - 1) - 1))
+    step = max(1, _GRID_CELLS // size)
+    for p in range(0, size, step):
+        grid[p : p + step] = _shift_index(coords[p : p + step, None], coords, q, arity)
+    return grid
+
+
+def _shift_parts(grid: np.ndarray, shifts: int, lo, mid, hi) -> tuple[np.ndarray, list]:
+    """(edges, bounds): an int64 array whose rows bounds[s]:bounds[s + 1] hold
+    the edges of shift index s in the block pairs [lo, mid) x [mid, hi), pair
+    by pair and each lexicographic; each size's corner of ``grid`` sorted once."""
+    _, first, kind = np.unique(hi - lo, return_index=True, return_inverse=True)
+    points, lines, counts = [], [], []
+    for a, b in zip((mid - lo)[first].tolist(), (hi - mid)[first].tolist()):
+        ids = grid[:a, :b].ravel()
+        order = np.argsort(ids, kind="stable").astype(np.int32 if a * b < 1 << 31 else np.int64)
+        points.append(order // b)
+        lines.append(order - points[-1] * b)
+        counts.append(np.bincount(ids, minlength=shifts))
+    counts = np.array(counts)
+    used = np.flatnonzero(counts.any(axis=0))
+    # Segment (s, j), in (shift, pair) order: the cells of shift s in pair j's grid.
+    lengths = counts[kind][:, used].T.ravel()
+    points, lines = np.concatenate(points), np.concatenate(lines)
+    if len(lo) > 1:
+        ends = np.cumsum(lengths)
+        starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)[kind][:, used].T.ravel()
+        cells = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+        points, lines = points[cells], lines[cells]
+    edges = np.repeat(np.tile(np.stack([lo, mid], axis=1), (len(used), 1)), lengths, axis=0)
+    edges[:, 0] += points
+    edges[:, 1] += lines
+    return edges, [0, *np.cumsum(np.bincount(kind) @ counts).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +543,7 @@ class CompleteCoverLocator:
             q = prime_for_side(half, self.arity)
             levels.append(CoverLevel(len(levels) + 1, half, q, parts=q ** (self.arity - 1)))
         self.plan = CoverPlan(n=n, target_girth=target_girth, levels=levels)
-        self._offsets = list(itertools.accumulate((lv.parts for lv in levels), initial=0))
+        self._offsets = [0, *np.cumsum([lv.parts for lv in levels]).tolist()]
         self._bits = 1 << np.arange(len(levels), dtype=np.int64)
         self._code = self._start = None
         self._located = 0  # edges given so far; the tables come at n/2
@@ -590,14 +624,20 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 
     Desk-scale only (enumerates all n(n-1)/2 edges); the decomposition
     pipeline locates only the edges it needs.  Parts come in (level, shift)
-    order, each with its edges in lexicographic order.
+    order, empty ones left out, each with its edges in lexicographic order.
     """
     loc = CompleteCoverLocator(n, target_girth)
-    pairs = np.stack(np.triu_indices(n, 1), axis=1)
-    parts = [
-        Part(name=loc.part_name(pid), edges=edges, girth_target=target_girth)
-        for pid, edges in group_edges(pairs, loc.locate(pairs[:, 0], pairs[:, 1]))
-    ]
+    parts, q = [], None
+    lo, hi = np.zeros(1, np.int64), np.full(1, n, np.int64)
+    for info, offset in zip(loc.plan.levels, loc._offsets):
+        if info.prime != q:  # the first level of a prime has its largest blocks
+            q, grid = info.prime, _shift_grid(info.prime, loc.arity, info.block_size)
+        mid = lo + (hi - lo + 1) // 2
+        pair = hi > mid
+        edges, bounds = _shift_parts(grid, info.parts, lo[pair], mid[pair], hi[pair])
+        for s in np.flatnonzero(np.diff(bounds)).tolist():
+            parts.append(Part(loc.part_name(offset + s), edges[bounds[s] : bounds[s + 1]], target_girth))
+        lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
     return EdgePartition(host=HostSpec.complete(n), parts=parts), loc.plan
 
 

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import random
 import tracemalloc
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from girthcover._kernels import girth_scan
-from girthcover.graph import Graph, _hom_failures, _parts_check
+from girthcover.algebraic import _incident_lines
+from girthcover.graph import Graph, _hom_failures, _parts_check, group_edges
+from girthcover.partition import CompleteCoverLocator, EdgePartition, HostSpec, Part, prime_for_side
 from girthcover.rainbow import DecompositionConfig, RainbowColoring
 
 
@@ -126,6 +129,35 @@ def reference_group_edges(pairs, ids):
     for row, i in zip(pairs.tolist(), ids.tolist()):
         groups.setdefault(i, []).append(row)
     return sorted(groups.items())
+
+
+def reference_cover_complete(n: int, target_girth: int):
+    """(partition, plan) of the recursive-halving cover of K_n, every edge of
+    K_n placed by ``CompleteCoverLocator.locate`` and the edges grouped by
+    part id with ``graph.group_edges``: the oracle for ``cover_complete``,
+    which locates no edge."""
+    loc = CompleteCoverLocator(n, target_girth)
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    parts = [
+        Part(loc.part_name(pid), edges, target_girth)
+        for pid, edges in group_edges(pairs, loc.locate(pairs[:, 0], pairs[:, 1]))
+    ]
+    return EdgePartition(HostSpec.complete(n), parts), loc.plan
+
+
+def reference_cover_bipartite(m: int, target_girth: int) -> EdgePartition:
+    """``cover_bipartite`` by the incidences of each shifted copy in turn:
+    the lines of its first m points, those below m kept in point-major
+    order.  The oracle for the shared-grid build."""
+    arity = {8: 3, 12: 5}[target_girth]
+    q = prime_for_side(m, arity)
+    parts = []
+    for shift in itertools.product(range(q), repeat=arity - 1):
+        rows = _incident_lines(q, arity, shift, m)
+        points, k = np.nonzero(rows < m)
+        edges = np.stack([points, m + rows[points, k]], axis=1)
+        parts.append(Part("s" + "_".join(map(str, shift)), edges, target_girth))
+    return EdgePartition(HostSpec.bipartite(m, m), parts)
 
 
 def disjoint_union(graphs) -> Graph:

@@ -901,6 +901,9 @@ def test_edge_list_rejects_bad_header(tmp_path):
         # Negative sizes that sum to n are refused on the header's line.
         ("4 1 bipartite -1 5\n0 1\n", 1, "malformed header 4 1 bipartite -1 5"),
         ("4 1 bipartite 5 -1\n0 1\n", 1, "malformed header 4 1 bipartite 5 -1"),
+        # So are a negative vertex or edge count.
+        ("# c\n-1 0\n", 2, "malformed header -1 0"),
+        ("3 -1\n", 1, "malformed header 3 -1"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=rf"bad\.edges, line {line}: {message}"):
@@ -1140,6 +1143,9 @@ cases = [
     ("3 2\\n0 1\\n2 1\\n", "line 3: edge (2,1) not in u < v form"),
     ("3 2\\n0 1\\n1 2 #\\n", "line 3: malformed edge line '1 2 #'"),
     ("3 1\\n0 1\\n1 2\\n", "line 1: header claims 1 edges, file has 2"),
+    ("-1 0\\n", "line 1: malformed header -1 0"),
+    ("3 -1\\n", "line 1: malformed header 3 -1"),
+    ("4 1 bipartite -1 5\\n0 1\\n", "line 1: malformed header 4 1 bipartite -1 5"),
 ]
 for chunk in (4, graph._COMMENT_CHUNK):
     graph._COMMENT_CHUNK = chunk

@@ -26,7 +26,7 @@ from girthcover.partition import (
     write_manifest,
 )
 from girthcover.rainbow import RainbowColoring, pullback_partition
-from conftest import random_graph, searched_as, traced_peak
+from conftest import random_graph, reference_cover_bipartite, reference_cover_complete, searched_as, traced_peak
 
 
 def test_partition_bipartite_exact_q5():
@@ -128,17 +128,73 @@ def test_cover_complete_rate_band():
 
 
 def test_locator_matches_materialized_partition():
-    n = 60
-    loc = CompleteCoverLocator(n, 8)
-    ep, plan = cover_complete(n, 8)
-    membership = {}
-    for part in ep.parts:
-        for e in map(tuple, part.edges.tolist()):
-            membership[e] = part.name
-    u, v = np.triu_indices(n, 1)
-    for a, b, pid in zip(u.tolist(), v.tolist(), loc.locate(u, v).tolist()):
-        level, shift = loc.part_key(pid)
-        assert membership[(a, b)] == f"L{level}_s" + "_".join(map(str, shift))
+    # cover_complete places no edge with the locator, so each checks the other.
+    for girth in (8, 12):
+        for n in (2, 3, 17, 60, 131, 257):
+            loc = CompleteCoverLocator(n, girth)
+            ep, plan = cover_complete(n, girth)
+            assert plan == loc.plan and ep.is_exact(), (n, girth)
+            ids = {loc.part_name(pid): pid for pid in range(plan.total_parts)}
+            want = np.repeat([ids[part.name] for part in ep.parts], [len(part.edges) for part in ep.parts])
+            u, v = np.concatenate([part.edges for part in ep.parts]).T
+            assert (loc.locate(u, v) == want).all(), (n, girth)
+
+
+def assert_same_cover(got, want):
+    """The (partition, plan) pairs have equal plans and the same parts in
+    the same order: names, claims, and int64 edge arrays row for row."""
+    (ep, plan), (ref, ref_plan) = got, want
+    assert plan == ref_plan
+    assert [part.name for part in ep.parts] == [part.name for part in ref.parts]
+    for part, ref_part in zip(ep.parts, ref.parts):
+        assert part.edges.dtype == np.int64 and part.girth_target == ref_part.girth_target
+        assert np.array_equal(part.edges, ref_part.edges), part.name
+
+
+COVER_HOSTS = {
+    "every-n-to-300": range(2, 301),
+    "powers-of-2-and-neighbours-to-1025": sorted({2**k + d for k in range(1, 11) for d in (-1, 0, 1)} - {1}),
+    "500-and-1000": (500, 1000),
+}
+
+
+@pytest.mark.parametrize("girth", [8, 12])
+@pytest.mark.parametrize("hosts", list(COVER_HOSTS))
+def test_cover_complete_matches_locate_and_group_reference(hosts, girth):
+    for n in COVER_HOSTS[hosts]:
+        assert_same_cover(cover_complete(n, girth), reference_cover_complete(n, girth))
+
+
+@pytest.mark.parametrize("girth, sides", [(8, (1, 2, 7, 30, 124, 126, 200)), (12, (1, 2, 5, 40, 90))])
+def test_cover_bipartite_matches_incidence_reference(girth, sides):
+    for m in sides:
+        ep, ref = cover_bipartite(m, girth), reference_cover_bipartite(m, girth)
+        assert [part.name for part in ep.parts] == [part.name for part in ref.parts]
+        for part, ref_part in zip(ep.parts, ref.parts):
+            assert part.edges.dtype == np.int64 and np.array_equal(part.edges, ref_part.edges), (m, part.name)
+
+
+def test_cover_complete_places_no_edge_with_the_locator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cover_complete located or enumerated K_n")
+
+    monkeypatch.setattr(CompleteCoverLocator, "locate", refuse)
+    monkeypatch.setattr(CompleteCoverLocator, "_locate", refuse)
+    monkeypatch.setattr(np, "triu_indices", refuse)
+    for n, girth in ((100, 8), (60, 12)):
+        ep, _ = cover_complete(n, girth)
+        assert ep.is_exact()
+
+
+@pytest.mark.parametrize("n, girth, parent", [(1000, 8, 64.1), (300, 12, 67.4)])
+def test_cover_complete_peak_memory_per_edge(n, girth, parent):
+    # ``parent`` is the traced peak, in bytes per edge of K_n, of the build
+    # that located every edge and grouped them by part id (a triu pair
+    # array, the ids, the packed sort): 64.07 at (1000, 8) and 67.38 at
+    # (300, 12).  The shared-pattern build peaks near 16.9 and 37.1, of
+    # which the parts themselves hold 16.
+    peak, (ep, _) = traced_peak(lambda: cover_complete(n, girth))
+    assert ep.is_exact() and peak / (n * (n - 1) // 2) <= parent, peak / (n * (n - 1) // 2)
 
 
 def test_locator_rejects_non_edges():

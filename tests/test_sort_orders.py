@@ -129,10 +129,17 @@ def test_part_rows_matches_two_stable_sorts(seed):
     parts = random_parts(rng, n, int(rng.integers(0, 12)))
     counts = [len(p) for p in parts]
     pairs = np.concatenate([np.empty((0, 2), np.int64)] + parts)
-    for rows in (pairs, _ordered(pairs)):  # raw rows, and each as (min, max) as the writer takes them
+    for rows in (pairs, _ordered(pairs.copy())):  # raw rows, and each as (min, max) as the writer takes them
         keys = _edge_keys(rows, n)[0]
         for got, want in zip(_part_rows(keys, counts), reference_part_rows(keys, counts)):
             assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ordered_turns_rows_in_place_like_a_row_sort(seed):
+    pairs = np.random.default_rng(seed).integers(-3, 40, size=(int(200 * seed), 2))
+    want = np.sort(pairs, axis=1)
+    assert _ordered(pairs) is pairs and np.array_equal(pairs, want)
 
 
 @pytest.mark.parametrize(
