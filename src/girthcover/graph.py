@@ -373,17 +373,17 @@ class Graph:
     def has_cycle_of_length(self, length: int) -> bool:
         """Exact: does the graph contain a cycle of length exactly ``length``?
 
-        Supported for 3 <= length <= 16.  The graph is searched as the one
-        part of a run (``_parts_check``): a forest is not searched, any
-        other graph by the DFS of ``_block_cycles`` on its non-isolated
-        vertices.
+        Supported for 3 <= length <= 16.  The graph is checked as the one
+        part of a run (``_parts_check``) that claims no C_length: a forest
+        is not searched, any other graph by the DFS of ``_block_cycle`` on
+        its non-isolated vertices.
         """
         _check_cycle_length(length)
         if self.m < length:
             return False
         if self.side is not None and length % 2 == 1:
             return False
-        return _parts_check(self.n, [self._pairs()], length)[1][0] is not None
+        return not _parts_check(self.n, [self._pairs()], [(None, length)])[1][0]
 
 
 def cycle_graph(n: int) -> Graph:
@@ -419,7 +419,7 @@ def _components(n: int, pairs) -> tuple[np.ndarray, int]:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-length cycles
+# Claims on parts
 #
 # The parts of a partition (``_parts_check``) are first checked for any
 # cycle: a run of parts is one graph, their disjoint union, and a part with
@@ -427,10 +427,11 @@ def _components(n: int, pairs) -> tuple[np.ndarray, int]:
 # e = v - c.  The count c' that ``_components`` gives is never below c, even
 # before its loop settles, so e = v - c' implies c' = c: such a part is a
 # forest, has no cycle of any length, and is not searched.  Every other
-# part goes to the one DFS, ``_block_cycles``, on the run's union CSR: its
-# vertices fall into blocks of consecutive ids with no edge between blocks,
-# and each block is searched on its own, in the block's local ids.  A single
-# graph (``Graph.has_cycle_of_length``) is a run of one part.
+# claimed part is searched on its block of the union's CSR, its non-isolated
+# vertices in id order: a no C_L claim by the DFS of ``_block_cycle``, a
+# girth claim by ``girth_scan`` from the union's cycle-hitting roots in the
+# block (no component crosses blocks, so they are the part's own roots).  A
+# single graph (``Graph.has_cycle_of_length``) is a run of one part.
 
 
 def _check_cycle_length(length: int) -> None:
@@ -452,25 +453,26 @@ def _runs(items: list, counts: list):
         yield run
 
 
-def _parts_check(n: int, parts: list, length: Optional[int] = None) -> tuple[list, list]:
-    """For the (m, 2) int64 edge arrays ``parts``, each the edges of a graph
-    on 0..n-1: whether each is a forest, and, for a ``length``, a cycle of
-    exactly that length in each, as its vertex ids in order from the
-    smallest, or None if it has none; a forest is not searched.  A part
-    that ``Graph(n, part)`` rejects raises its error (the first such
-    part's).  Parts are taken a run at a time (``_runs``), so the extra
-    memory stays near one run's."""
-    if length is not None:
-        _check_cycle_length(length)
-    acyclic, found = [], []
-    for run in _runs(parts, [len(part) for part in parts]):
-        run_acyclic, run_found = _run_check(n, run, length)
-        acyclic += run_acyclic
-        found += run_found
-    return acyclic, found
+def _parts_check(n: int, parts: list, claims: list) -> tuple[list, list, list]:
+    """For the (m, 2) int64 edge arrays ``parts`` of graphs on 0..n-1 and
+    ``claims[i]``, part i's (girth target, forbidden cycle length), either
+    or both None: whether each part is a forest, whether it holds its claim
+    (a forest holds any; a part with no claim fails), and the forbidden
+    cycle found in it, its ids in order from the smallest, or None.  The
+    first part that ``Graph(n, part)`` rejects raises its error, as does a
+    claimed length outside 3..16.  Parts are taken a run at a time
+    (``_runs``), so the extra memory stays near one run's."""
+    for _, length in claims:
+        if length is not None:
+            _check_cycle_length(length)
+    result = ([], [], [])
+    for run in _runs(range(len(parts)), [len(part) for part in parts]):
+        for total, got in zip(result, _run_check(n, [parts[i] for i in run], [claims[i] for i in run])):
+            total += got
+    return result
 
 
-def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
+def _run_check(n: int, run: list, claims: list) -> tuple[list, list, list]:
     """``_parts_check`` of one run of parts.  The (part, vertex) pairs are
     keyed part*n + vertex and numbered 0..N-1 in key order, by one
     ``np.unique``, and one ``Graph`` of the parts' disjoint union is built,
@@ -482,11 +484,11 @@ def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
     allocates a host-sized CSR.  A run whose keys would not fit in int64 is
     taken a part at a time.  Each part is a block of the union: its
     vertices are non-isolated, its edges are counted from the CSR, and its
-    components from the union's ``_components``.  A part that is not a
-    forest is searched on its own block of the union's CSR."""
+    components from the union's ``_components``.  The union's cycle-hitting
+    roots are found once, for the first girth claim searched."""
     if len(run) > 1 and not _key_fits(len(run), n):
-        checks = [_run_check(n, [part], length) for part in run]
-        return [c[0][0] for c in checks], [c[1][0] for c in checks]
+        checks = [_run_check(n, [part], [claim]) for part, claim in zip(run, claims)]
+        return tuple([check[k][0] for check in checks] for k in range(3))
     keys = np.concatenate([np.empty((0, 2), np.int64)] + run)
     try:
         if n < 0 or ((keys < 0) | (keys >= n)).any():
@@ -501,43 +503,47 @@ def _run_check(n: int, run: list, length: Optional[int]) -> tuple[list, list]:
             top = int(part.max(initial=-1)) + 1  # a part in range is built on the ids it uses
             Graph(top if part.min(initial=0) >= 0 and top <= n else n, part)
         raise
-    blocks = np.searchsorted(ids, np.arange(len(run) + 1) * n)
+    blocks = np.append(np.searchsorted(ids, np.arange(len(run)) * n), len(ids))  # len(run) * n may not fit
     label = _components(len(ids), [local.T])[0]
     roots = np.concatenate([[0], np.cumsum(label == np.arange(len(ids)))])
-    edges = np.diff(union._csr[0][blocks]) // 2
+    indptr, indices = union._csr
+    edges = np.diff(indptr[blocks]) // 2
     acyclic = (edges == np.diff(blocks) - np.diff(roots[blocks])).tolist()
-    found = [None] * len(run)
-    if length is not None:
-        blocks = blocks.tolist()
-        search = [i for i, forest in enumerate(acyclic) if not forest]
-        spans = [(blocks[i], blocks[i + 1]) for i in search]
-        for i, cycle in zip(search, _block_cycles(*union._csr, spans, length)):
-            if cycle is not None:
-                found[i] = tuple((ids[blocks[i] + np.array(cycle)] - i * n).tolist())
-    return acyclic, found
+    holds = [claim != (None, None) for claim in claims]
+    cycles = [None] * len(run)
+    blocks, hitting = blocks.tolist(), None
+    for i, (target, length) in enumerate(claims):
+        if acyclic[i] or not holds[i]:
+            continue
+        a, b = blocks[i], blocks[i + 1]
+        lo, hi = indptr[[a, b]].tolist()
+        block = indptr[a : b + 1] - lo, indices[lo:hi] - a
+        if length is not None and (cycle := _block_cycle(*block, length)):
+            cycles[i] = tuple((ids[a + np.array(cycle)] - i * n).tolist())
+            holds[i] = False
+        if target is not None:
+            if hitting is None:
+                hitting = union._cycle_hitting_roots()
+            at = hitting[np.searchsorted(hitting, a) : np.searchsorted(hitting, b)] - a
+            holds[i] &= girth_scan(*block, b - a, target, at) >= target
+    return acyclic, holds, cycles
 
 
-def _block_cycles(indptr: np.ndarray, indices: np.ndarray, spans: list, length: int) -> list:
-    """For each block (a, b) of ``spans``, vertices a..b-1 of a CSR with no
-    edge between blocks: a cycle of exactly ``length`` in the block, as its
-    vertices in order, numbered from a, or None.
+def _block_cycle(indptr: np.ndarray, indices: np.ndarray, length: int) -> Optional[list]:
+    """A cycle of exactly ``length`` in the graph of the CSR, as its vertices
+    in order from the smallest, or None.
 
     DFS path enumeration anchored at the smallest cycle vertex, from every
-    vertex of degree >= 2, pruned by BFS distance back to the anchor.  Each
-    block is copied to Python lists on its own, in its local ids."""
-    found = []
-    for a, b in spans:
-        lo, hi = indptr[[a, b]].tolist()
-        cycle = None
-        if hi - lo >= 2 * length:
-            block_indptr = (indptr[a : b + 1] - lo).tolist()
-            block_indices = (indices[lo:hi] - a).tolist()
-            for s in range(b - a):
-                if block_indptr[s + 1] - block_indptr[s] >= 2:
-                    if cycle := _cycle_through(s, length, block_indptr, block_indices):
-                        break
-        found.append(cycle)
-    return found
+    vertex of degree >= 2, pruned by BFS distance back to the anchor, on the
+    CSR copied to Python lists."""
+    if len(indices) < 2 * length:
+        return None
+    indptr, indices = indptr.tolist(), indices.tolist()
+    for s in range(len(indptr) - 1):
+        if indptr[s + 1] - indptr[s] >= 2:
+            if cycle := _cycle_through(s, length, indptr, indices):
+                return cycle
+    return None
 
 
 def _cycle_through(s: int, length: int, indptr: list, indices: list) -> Optional[list]:

@@ -244,19 +244,18 @@ def verify_partition(
     exact may be far smaller than its host, so it gets no base with more
     edges than all its parts have.
 
-    Every part that no certificate decides is first checked for acyclicity,
-    a run of parts at a time (``graph._parts_check``): a part with e edges,
-    v non-isolated vertices and c components is a forest iff e = v - c, and
-    the component count c' used is never below c, so e = v - c' proves it.
-    A forest has no cycle, so it passes any girth or no C_L claim, decided
-    by ``"acyclic"``.  Any other part is searched: for a C_L together with
-    the parts of the same claim, a failing one carrying the cycle found as
-    its ``witness``, and for a girth claim by the girth search of a
-    ``Graph`` on the part's own vertices, not the host's.  A part with no
-    claim fails, decided by ``"unclaimed"``; its edges are still checked.
-    A part whose edges ``Graph`` rejects raises its ``ValueError``.  Cycle
-    claims are checked first, so of several such parts the error names the
-    first one with a cycle claim, if there is one.
+    The parts that no certificate decides go, in part order, to one
+    ``graph._parts_check`` call, a run of parts at a time as one graph of
+    their disjoint union: a part with e edges, v non-isolated vertices and c
+    components is a forest iff e = v - c, and the component count c' used
+    is never below c, so e = v - c' proves it.  A forest has no cycle, so it
+    passes any girth or no C_L claim, decided by ``"acyclic"``.  Any other
+    claimed part is searched on its own block of that union, not on the
+    host: a C_L by the DFS, a failing part carrying the cycle found as its
+    ``witness``, and a girth claim by the girth search from the block's
+    cycle-hitting roots.  A part with no claim fails, decided by
+    ``"unclaimed"``; its edges are still checked.  The first part in part
+    order whose edges ``Graph`` rejects raises its ``ValueError``.
     """
     n = p.host.n
     override = (girth_target, forbidden_cycle)
@@ -273,29 +272,17 @@ def verify_partition(
         certified = _certified(p, [target for target, _ in claims], max_base_edges)
     finally:
         p._ordered = None
-    acyclic = [False] * len(p.parts)
-    cycles = [None] * len(p.parts)  # a forbidden cycle found in each part, or None
-    lengths = sorted({forbid for _, forbid in claims if forbid is not None})  # a part claims at most one
-    groups = [(length, [i for i, (_, forbid) in enumerate(claims) if forbid == length]) for length in lengths]
-    groups.append((None, [i for i, (_, forbid) in enumerate(claims) if forbid is None and not certified[i]]))
-    for length, at in groups:
-        for i, forest, cycle in zip(at, *_parts_check(n, [p.parts[i].edges for i in at], length)):
-            acyclic[i], cycles[i] = forest, cycle
+    todo = [i for i, done in enumerate(certified) if not done]
+    searched = iter(zip(*_parts_check(n, [p.parts[i].edges for i in todo], [claims[i] for i in todo])))
     checks = []
-    for i, (part, (target, forbid), by_certificate) in enumerate(zip(p.parts, claims, certified)):
-        decided = "acyclic" if acyclic[i] else "search"
+    for part, (target, forbid), by_certificate in zip(p.parts, claims, certified):
+        claim = f"girth>={target}" if target is not None else f"no C_{forbid}" if forbid is not None else "no claim"
         if by_certificate:
-            checks.append(PartCheck(part.name, f"girth>={target}", True, "certificate"))
-        elif target is not None:
-            ok = acyclic[i]
-            if not ok:  # girth ignores labels, so search the part on its own vertices
-                ids, local = np.unique(part.edges, return_inverse=True)
-                ok = Graph(len(ids), local.reshape(-1, 2)).girth_exceeds(target - 1)
-            checks.append(PartCheck(part.name, f"girth>={target}", ok, decided))
-        elif forbid is not None:
-            checks.append(PartCheck(part.name, f"no C_{forbid}", cycles[i] is None, decided, cycles[i]))
-        else:
-            checks.append(PartCheck(part.name, "no claim", False, "unclaimed"))
+            checks.append(PartCheck(part.name, claim, True, "certificate"))
+            continue
+        acyclic, holds, cycle = next(searched)
+        decided = "unclaimed" if (target, forbid) == (None, None) else "acyclic" if acyclic else "search"
+        checks.append(PartCheck(part.name, claim, holds, decided, cycle))
     return VerificationReport(host=p.host, exact=exact, checks=checks)
 
 
@@ -437,9 +424,14 @@ def cover_bipartite(m: int, target_girth: int) -> EdgePartition:
     arity = _arity_for(target_girth)
     q = prime_for_side(m, arity)
     edges, bounds = _shift_parts(_shift_grid(q, arity, m), q ** (arity - 1), *np.int64([[0], [m], [2 * m]]))
-    names = ("s" + "_".join(map(str, index_to_tuple(s, q, arity - 1))) for s in range(q ** (arity - 1)))
+    names = (_shift_name(s, q, arity) for s in range(q ** (arity - 1)))
     parts = [Part(name, edges[i:j], target_girth) for name, i, j in zip(names, bounds, bounds[1:])]
     return EdgePartition(host=HostSpec.bipartite(m, m), parts=parts)
+
+
+def _shift_name(shift: int, q: int, arity: int) -> str:
+    """``s<shift tuple>``, the name of shift index ``shift`` over F_q."""
+    return "s" + "_".join(map(str, index_to_tuple(shift, q, arity - 1)))
 
 
 def _shift_grid(q: int, arity: int, size: int) -> np.ndarray:
@@ -607,16 +599,11 @@ class CompleteCoverLocator:
                 ids[at] = offset + _shift_index(points[at], lines[at], info.prime, self.arity)
         return ids, points, lines
 
-    def part_key(self, part_id: int) -> tuple[int, tuple[int, ...]]:
-        """(level, shift tuple) of a part id."""
-        k = bisect.bisect_right(self._offsets, part_id) - 1
-        info = self.plan.levels[k]
-        return info.level, index_to_tuple(part_id - self._offsets[k], info.prime, self.arity - 1)
-
     def part_name(self, part_id: int) -> str:
         """``L<level>_s<shift>``, the name of a part of the cover."""
-        level, shift = self.part_key(part_id)
-        return f"L{level}_s" + "_".join(map(str, shift))
+        k = bisect.bisect_right(self._offsets, part_id) - 1
+        info = self.plan.levels[k]
+        return f"L{info.level}_" + _shift_name(part_id - self._offsets[k], info.prime, self.arity)
 
 
 def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]:
@@ -629,14 +616,15 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
     loc = CompleteCoverLocator(n, target_girth)
     parts, q = [], None
     lo, hi = np.zeros(1, np.int64), np.full(1, n, np.int64)
-    for info, offset in zip(loc.plan.levels, loc._offsets):
+    for info in loc.plan.levels:
         if info.prime != q:  # the first level of a prime has its largest blocks
             q, grid = info.prime, _shift_grid(info.prime, loc.arity, info.block_size)
         mid = lo + (hi - lo + 1) // 2
         pair = hi > mid
         edges, bounds = _shift_parts(grid, info.parts, lo[pair], mid[pair], hi[pair])
         for s in np.flatnonzero(np.diff(bounds)).tolist():
-            parts.append(Part(loc.part_name(offset + s), edges[bounds[s] : bounds[s + 1]], target_girth))
+            name = f"L{info.level}_" + _shift_name(s, q, loc.arity)
+            parts.append(Part(name, edges[bounds[s] : bounds[s + 1]], target_girth))
         lo, hi = np.stack([lo, mid], axis=1).ravel(), np.stack([mid, hi], axis=1).ravel()
     return EdgePartition(host=HostSpec.complete(n), parts=parts), loc.plan
 

@@ -307,7 +307,8 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
             )
         )
     parts = [p for p in parts if len(p.edges)]
-    for part, cycle in zip(parts, _parts_check(g.n, [part.edges for part in parts], target)[1]):
+    cycles = _parts_check(g.n, [part.edges for part in parts], [(None, target)] * len(parts))[2]
+    for part, cycle in zip(parts, cycles):
         if cycle is not None:
             ids = " ".join(map(str, cycle))
             raise AssertionError(f"class {part.name} contains a C_{target}: cycle {ids}")

@@ -48,7 +48,7 @@ def parts_cycles(n: int, parts: list, length: int) -> list:
     """For each edge array of ``parts``: a cycle of exactly ``length`` in the
     graph on 0..n-1 with those edges, its vertex ids in order from the
     smallest, or None; what ``decompose``'s self-check reads."""
-    return _parts_check(n, parts, length)[1]
+    return _parts_check(n, parts, [(None, length)] * len(parts))[2]
 
 
 def check_rainbow_coloring(rc: RainbowColoring, cfg: DecompositionConfig) -> None:

@@ -1,9 +1,10 @@
 """The acyclicity check that decides forest parts before any search:
 ``graph._components`` against networkx's components, its round counts on
 inputs that are slow for label propagation, ``graph._parts_check`` and the
-``decided_by`` of ``verify_partition`` against ``networkx.is_forest``, and
-the orbit roots of certified graphs against the propagation loop they
-replaced."""
+``decided_by`` of ``verify_partition`` against ``networkx.is_forest``, the
+girth and no C_L verdicts of runs that mix claims against
+``networkx.girth`` and the per-part cycle search, and the orbit roots of
+certified graphs against the propagation loop they replaced."""
 
 import math
 import os
@@ -20,7 +21,7 @@ from girthcover import graph
 from girthcover.algebraic import build_hexagon, build_quadrangle
 from girthcover.graph import _RUN_EDGES, _components, _parts_check
 from girthcover.partition import EdgePartition, HostSpec, Part, verify_partition
-from conftest import is_forest, parts_cycles, searched_as, traced_peak
+from conftest import is_forest, searched_as, traced_peak
 
 
 def as_array(edges) -> np.ndarray:
@@ -48,15 +49,40 @@ def random_parts(rng: random.Random, n: int, count: int) -> list:
     return parts
 
 
+# (girth target, forbidden cycle) claims, cycled through the parts of a run.
+MIXED_CLAIMS = [(4, None), (None, 6), (None, 4), (None, None), (8, None)]
+
+
+def mixed_claims(count: int) -> list:
+    return [MIXED_CLAIMS[i % len(MIXED_CLAIMS)] for i in range(count)]
+
+
+def assert_claims_match_oracles(n: int, parts: list, claims: list, verdicts, cycles):
+    """Whether each part holds its claim, and the cycle found in it, against
+    ``networkx.girth`` for girth claims and the one-graph
+    ``has_cycle_of_length`` for no C_L claims, each part alone.  The girth
+    is taken on networkx's 2-core, which holds every cycle, so that a large
+    part with few cycles stays cheap."""
+    for part, (target, length), holds, cycle in zip(parts, claims, verdicts, cycles):
+        if target is not None:
+            girth = nx.girth(nx.k_core(nx.Graph(part.tolist()), 2))
+            assert holds == (girth >= target) and cycle is None
+        elif length is not None:
+            assert holds == (cycle is None) == (not graph.Graph(n, part).has_cycle_of_length(length))
+        else:
+            assert not holds and cycle is None
+
+
 def assert_matches_networkx(n: int, parts: list):
-    acyclic, found = _parts_check(n, parts)
+    acyclic, holds, found = _parts_check(n, parts, [(None, None)] * len(parts))
     assert acyclic == [is_forest(part) for part in parts]
-    assert found == [None] * len(parts)
-    for length in (3, 6):
-        acyclic_too, found = _parts_check(n, parts, length)
-        assert acyclic_too == acyclic
-        assert found == parts_cycles(n, parts, length)
-        assert all(cycle is None for forest, cycle in zip(acyclic, found) if forest)
+    assert holds == [False] * len(parts) and found == [None] * len(parts)  # no claim holds
+    for claim in ((None, 3), (None, 6), (4, None), (7, None)):
+        claims = [claim] * len(parts)
+        checked = _parts_check(n, parts, claims)
+        assert checked[0] == acyclic
+        assert_claims_match_oracles(n, parts, claims, *checked[1:])
+        assert all(held for forest, held in zip(acyclic, checked[1]) if forest)
 
 
 # -- the component routine -------------------------------------------------------
@@ -143,7 +169,7 @@ def test_a_part_larger_than_one_run():
     forest = tree[sorted(rng.sample(range(len(tree)), _RUN_EDGES + 200))]
     parts = [as_array([(0, 1), (1, 2), (0, 2)]), tree, with_cycle, forest, as_array([(5, 9)])]
     assert min(len(tree), len(forest)) > _RUN_EDGES
-    assert _parts_check(n, parts)[0] == [False, True, False, True, True]
+    assert _parts_check(n, parts, mixed_claims(len(parts)))[0] == [False, True, False, True, True]
     assert_matches_networkx(n, parts)
 
 
@@ -151,17 +177,21 @@ def test_a_part_larger_than_one_run():
 def test_run_boundaries_do_not_change_the_verdict(monkeypatch, run_edges):
     rng = random.Random(run_edges)
     parts = random_parts(rng, 30, 40)
-    want = [_parts_check(30, parts, length) for length in (None, 4, 6)]
+    claims = mixed_claims(len(parts))
+    want = _parts_check(30, parts, claims)
     monkeypatch.setattr(graph, "_RUN_EDGES", run_edges)
-    assert [_parts_check(30, parts, length) for length in (None, 4, 6)] == want
+    checked = _parts_check(30, parts, claims)
+    assert checked == want
+    assert checked[0] == [is_forest(part) for part in parts]
+    assert_claims_match_oracles(30, parts, claims, *checked[1:])
     assert_matches_networkx(30, parts)
 
 
 def test_faulty_parts_raise_before_any_verdict():
     with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=4"):
-        _parts_check(4, [as_array([(0, 1)]), as_array([(0, 5)])])
+        _parts_check(4, [as_array([(0, 1)]), as_array([(0, 5)])], [(8, None), (None, 6)])
     with pytest.raises(ValueError, match="duplicate edge"):
-        _parts_check(4, [np.array([(0, 1), (1, 0)])])
+        _parts_check(4, [np.array([(0, 1), (1, 0)])], [(None, None)])
 
 
 def test_faulty_part_is_named_without_host_sized_graphs():
@@ -180,27 +210,43 @@ def test_faulty_part_is_named_without_host_sized_graphs():
 # -- verify_partition ------------------------------------------------------------
 
 
-def test_verify_decides_forests_as_acyclic():
+def test_verify_decides_forests_as_acyclic(monkeypatch):
     rng = random.Random(9)
     n = 40
     parts = random_parts(rng, n, 48)
-    claims = [(8, None), (None, 6), (None, 4), (None, None)]
+    claims = mixed_claims(len(parts))
     p = EdgePartition(HostSpec.explicit(graph.Graph(n, [])),
-                      [Part(f"p{i}", e, *claims[i % 4]) for i, e in enumerate(parts)])
-    report = verify_partition(p)
-    for part, check in zip(p.parts, report.checks):
-        g = graph.Graph(n, part.edges)
-        if part.girth_target is not None:
-            assert check.passed == (nx.girth(nx.Graph(part.edges.tolist())) >= 8)
-        elif part.forbidden_cycle is not None:
-            assert check.passed == (check.witness is None) == (not g.has_cycle_of_length(part.forbidden_cycle))
-        else:
-            assert not check.passed and check.decided_by == "unclaimed"
-            continue
-        assert check.decided_by == searched_as(part.edges), part.name
-    for override in ({"girth_target": 5}, {"forbidden_cycle": 3}):
-        report = verify_partition(p, **override)
-        assert [c.decided_by for c in report.checks] == [searched_as(e) for e in parts]
+                      [Part(f"p{i}", e, *claim) for i, (e, claim) in enumerate(zip(parts, claims))])
+    for run_edges in (graph._RUN_EDGES, 1, 7, 60):
+        monkeypatch.setattr(graph, "_RUN_EDGES", run_edges)
+        report = verify_partition(p)
+        assert_claims_match_oracles(n, parts, claims, *zip(*((c.passed, c.witness) for c in report.checks)))
+        for part, claim, check in zip(p.parts, claims, report.checks):
+            want = "unclaimed" if claim == (None, None) else searched_as(part.edges)
+            assert check.decided_by == want, (run_edges, part.name)
+            if claim[1] is not None and not check.passed:
+                assert len(check.witness) == claim[1]
+        # Searched girth parts, passing and failing, share runs with the rest.
+        girth_searched = {c.passed for c, (target, _) in zip(report.checks, claims) if target and c.decided_by == "search"}
+        assert girth_searched == {False, True}
+        for override in ({"girth_target": 5}, {"forbidden_cycle": 3}):
+            report = verify_partition(p, **override)
+            assert [c.decided_by for c in report.checks] == [searched_as(e) for e in parts]
+
+
+def test_the_error_names_the_first_faulty_part_in_part_order():
+    # Parts refused by Graph, a girth part before a no C_6 part: the error
+    # is the first one's in part order, whatever its claim.
+    p = EdgePartition(HostSpec.explicit(graph.Graph(6, [])), [
+        Part("ok", [(0, 1), (1, 2)], forbidden_cycle=6),
+        Part("loop", [(0, 1), (1, 1)], girth_target=8),
+        Part("repeat", [(2, 3), (3, 2)], forbidden_cycle=6),
+    ])
+    with pytest.raises(ValueError, match=r"^loop at vertex 1$"):
+        verify_partition(p)
+    p.parts.reverse()
+    with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3\)$"):
+        verify_partition(p)
 
 
 # -- orbit roots ---------------------------------------------------------------------
@@ -264,17 +310,20 @@ if not (label == 0).all() or rounds > math.log2(1000) + 3:
     fail(f"path: {rounds} rounds")
 parts = [np.array([[0, 1], [1, 2], [0, 2]]), np.array([[0, 1], [2, 3]]), np.empty((0, 2), np.int64),
          np.array([[3, 4], [4, 5], [5, 6], [3, 6]])]
-if _parts_check(7, parts)[0] != [is_forest(p) for p in parts]:
+if _parts_check(7, parts, [(None, None)] * 4)[0] != [is_forest(p) for p in parts]:
     fail("forest verdicts")
-if _parts_check(7, parts, 4)[1] != [None, None, None, (3, 4, 5, 6)]:
+if _parts_check(7, parts, [(None, 4)] * 4)[2] != [None, None, None, (3, 4, 5, 6)]:
     fail("cycle search")
+# The C_4 fails girth 5 on the last block of the run; the triangle fails girth 4.
+if _parts_check(7, parts, [(4, None), (None, None), (8, None), (5, None)])[1:] != ([False, False, True, False], [None] * 4):
+    fail("girth search")
 report = verify_partition(EdgePartition(HostSpec.explicit(Graph(7, [])), [Part(str(i), p, 8) for i, p in enumerate(parts)]))
 if [c.decided_by for c in report.checks] != ["search", "acyclic", "acyclic", "search"]:
     fail("decided_by")
 if [c.passed for c in report.checks] != [False, True, True, False]:
     fail("girth verdicts")
 try:
-    _parts_check(4, [np.array([[0, 5]])])
+    _parts_check(4, [np.array([[0, 5]])], [(8, None)])
 except ValueError:
     pass
 else:

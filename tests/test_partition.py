@@ -227,6 +227,11 @@ def scalar_locate(loc, u, v):
     return level, solve(p, l, q), u - lo, v - mid
 
 
+def name_of(level: int, shift: tuple) -> str:
+    """The name ``L<level>_s<shift>`` of a part of the complete cover."""
+    return f"L{level}_s" + "_".join(map(str, shift))
+
+
 def halving_locate(loc, u, v):
     """(levels, points, lines) of the edges by halving every interval a
     level at a time on arrays: the array form of ``scalar_locate``'s walk,
@@ -250,12 +255,13 @@ def check_locate(loc, u, v):
     give the same."""
     u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
     want = [scalar_locate(loc, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    want = [(name_of(level, shift), p, l) for level, shift, p, l in want]
     halving = CompleteCoverLocator(loc.n, loc.target_girth)
     halving._located = -len(u) - loc.n
     for locator in (loc, halving):
         ids, points, lines = locator._locate(u, v)
         assert ids.dtype == points.dtype == lines.dtype == np.int64
-        got = [(*loc.part_key(i), p, l) for i, p, l in zip(ids.tolist(), points.tolist(), lines.tolist())]
+        got = [(loc.part_name(i), p, l) for i, p, l in zip(ids.tolist(), points.tolist(), lines.tolist())]
         assert got == want
     assert halving._code is None
     for back, forth in zip(loc._locate(v, u), (ids, points, lines)):
@@ -281,8 +287,8 @@ def test_array_locate_matches_scalar_reference(n, girth):
     u, v = np.triu_indices(n, 1)
     check_locate(loc, u, v)
     ids = loc.locate(u, v)
-    # ids sort as (level, shift)
-    keys = [loc.part_key(pid) for pid in ids.tolist()]
+    # ids sort as (level, shift): the numbers of their names, in order
+    keys = [tuple(map(int, re.findall(r"\d+", loc.part_name(pid)))) for pid in ids.tolist()]
     by_key = dict(zip(keys, ids.tolist()))
     assert [by_key[k] for k in sorted(by_key)] == sorted(by_key.values())
     check_not_edges(loc, u, v)  # at n = 131 the bad pair is in the second block of 8,192

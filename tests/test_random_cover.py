@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from girthcover.graph import Graph
+from girthcover.graph import Graph, _runs
 from girthcover.randomcover import (
     SeedGraph,
     _copy_permutation,
@@ -12,7 +12,7 @@ from girthcover.randomcover import (
     required_copies,
 )
 from girthcover.algebraic import build_quadrangle
-from girthcover.partition import verify_partition
+from girthcover.partition import CompleteCoverLocator, verify_partition
 from conftest import complete_graph, first_cover_wins_dict, path_graph, petersen_graph
 
 
@@ -186,6 +186,29 @@ def test_cover_for_cycle_k3():
     assert ep.is_exact()
     for part in ep.parts[:20]:
         assert Graph(250, part.edges).girth_exceeds(7)
+
+
+def test_verify_builds_no_graph_per_searched_part(monkeypatch):
+    # The parts that no certificate decides are searched on blocks of one
+    # union graph per run, so verify builds a Graph per run and one per
+    # certificate base (a quadrangle per prime), not one per searched part.
+    ep = cover_for_cycle(250, 3, 3.0, 1).to_partition()
+    built = []
+    init = Graph.__init__
+
+    def counted(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    report = verify_partition(ep)
+    monkeypatch.undo()
+    assert report.passed
+    todo = [part for part, check in zip(ep.parts, report.checks) if check.decided_by != "certificate"]
+    runs = len(list(_runs(todo, [len(part.edges) for part in todo])))
+    bases = len({level.prime for level in CompleteCoverLocator(250, 8).plan.levels})
+    searched = sum(check.decided_by == "search" for check in report.checks)
+    assert len(built) <= runs + bases < searched, (built, runs, bases, searched)
 
 
 def test_cover_for_cycle_rejects_weak_seed():

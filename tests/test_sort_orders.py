@@ -329,6 +329,11 @@ def test_parts_check_takes_runs_too_large_to_key_a_part_at_a_time():
     triangle = np.array([[0, 1], [1, 2], [0, 2]])
     path = np.array([[0, 1], [1, 2], [2, n - 1]])
     hexagon = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [0, 5]]) + (n - 6)
-    acyclic, found = graph._parts_check(n, [triangle, path, hexagon], 6)
+    acyclic, holds, found = graph._parts_check(n, [triangle, path, hexagon], [(None, 6), (None, 6), (4, 6)])
     assert acyclic == [False, True, False]
+    assert holds == [True, True, False]
     assert found == [None, None, tuple(range(n - 6, n))]
+    # Two parts fit (keys below 2 * n = 2**63), and the second block still
+    # ends at the union's last vertex, though 2 * n does not fit in int64.
+    checked = graph._parts_check(n, [triangle, hexagon], [(4, 3), (7, 6)])
+    assert checked == ([False, False], [False, False], [(0, 1, 2), tuple(range(n - 6, n))])
