@@ -3,7 +3,7 @@
 Builders write the shared edge-list and partition-manifest formats;
 ``verify`` re-derives every structural certificate from edge lists alone and
 never trusts what a manifest claims.  Exit codes: 0 pass, 1 verified
-failure, 2 usage or input error.
+failure, 2 usage or input error, or too little memory.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_PASS
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

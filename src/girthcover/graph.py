@@ -690,7 +690,8 @@ def forest_decompose(g: Graph, threshold: float) -> tuple[Graph, list[np.ndarray
     later = pos[shell[:, 0]] > pos[shell[:, 1]]
     tail, head = np.where(later[:, None], shell[:, ::-1], shell).T  # earlier end first
     rdeg = np.bincount(tail, minlength=n)
-    by_tail = np.lexsort((pos[head], tail))  # each tail's right-edges, by head position
+    by_head = _stable_argsort(pos[head])[0]
+    by_tail = by_head[_stable_argsort(tail[by_head])[0]]  # each tail's right-edges, by head position
     rank = np.empty(len(shell), np.int64)
     rank[by_tail] = np.arange(len(shell)) - (np.cumsum(rdeg) - rdeg)[tail[by_tail]]
     return core, [edges for _, edges in group_edges(shell, rank)]

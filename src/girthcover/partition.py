@@ -673,9 +673,13 @@ def _part_rows(keys: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def write_manifest(p: EdgePartition, directory) -> str:
-    """Write ``p`` as a v2 manifest in ``directory``; a part edge that is a
-    loop, has an id outside the host or repeats within its part raises
-    ``ValueError`` naming the part."""
+    """Write ``p`` as a v2 manifest in ``directory``; a part name that is
+    empty or holds whitespace, or a part edge that is a loop, has an id
+    outside the host or repeats within its part raises ``ValueError`` naming
+    the part."""
+    for part in p.parts:
+        if part.name.split() != [part.name]:  # read_manifest splits part lines at whitespace
+            raise ValueError(f"part {part.name!r}: a part name must be nonempty with no whitespace")
     n = p.host.n
     counts = [len(part.edges) for part in p.parts]
     pairs = _all_edges(p.parts)

@@ -123,7 +123,9 @@ def _try_rainbow(g: Graph, palette: int, rng: random.Random):
     # each neighborhood (lowest neighbor id wins), so an edge stays iff each end
     # is the lowest neighbor of its color at the other.  Deleting edges can only
     # help injectivity, so one pass suffices.  The CSR arcs come in (tail, head)
-    # order, so the first arc of a (tail, head color) has the lowest head.
+    # order, so the first arc of a (tail, head color) has the lowest head, and
+    # a stable sort by head alone puts them in (head, tail) order: the i-th arc
+    # of that order is the reverse of arc i.
     c = np.array(color, np.int64)
     indptr, heads = g._csr
     tails = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(indptr))
@@ -134,19 +136,9 @@ def _try_rainbow(g: Graph, palette: int, rng: random.Random):
         order, keys = _stable_argsort(tail.astype(np.int64) * palette + colors)
         lowest = order[np.diff(keys, prepend=-1) != 0]  # the first arc of each (tail, head color)
         keep[a + lowest] = c[tail[lowest]] != colors[lowest]
-    keep &= keep[_reverse_arcs(g)]  # and so is the reverse arc
+    keep &= keep[_stable_argsort(heads)[0]]  # and so is the reverse arc
     keep &= tails < heads
     return color, np.stack([tails[keep], heads[keep]], axis=1)
-
-
-def _reverse_arcs(g: Graph) -> np.ndarray:
-    """For each CSR arc of ``g``, in CSR order, the position of its reverse:
-    the order of the arcs by (head, tail).  Their keys head*n + tail are
-    distinct and fit in int64 (``Graph`` checks n*n), so one unstable
-    argsort gives it."""
-    indptr, heads = g._csr
-    tails = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(indptr))
-    return np.argsort(heads * np.int64(g.n) + tails)
 
 
 def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
@@ -306,7 +298,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
                 retries=rc.retries,
             )
         )
-    parts = [p for p in parts if len(p.edges)]
     cycles = _parts_check(g.n, [part.edges for part in parts], [(None, target)] * len(parts))[2]
     for part, cycle in zip(parts, cycles):
         if cycle is not None:

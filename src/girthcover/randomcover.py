@@ -119,7 +119,7 @@ def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int)
         owner[new] = used
         left -= len(new)
         used += 1
-    uncovered = np.stack(np.triu_indices(n, 1), axis=1)[owner < 0]
+    uncovered = np.stack(np.triu_indices(n, 1), axis=1)[owner < 0] if left else np.empty((0, 2), np.int64)
     return CoverOutcome(
         n=n,
         owner=owner,

@@ -116,8 +116,9 @@ def reference_hom_failures(keys, n, u, v, fu, fv, group):
 
 
 def reference_reverse_arcs(g: Graph):
-    """The CSR arcs of ``g`` in (head, tail) order, by a stable argsort of
-    the heads: the oracle for ``rainbow._reverse_arcs``."""
+    """The CSR arcs of ``g`` in (head, tail) order, by numpy's stable
+    argsort of the heads: the oracle for the reverse-arc order of
+    ``rainbow._try_rainbow``."""
     return np.argsort(g._csr[1], kind="stable")
 
 

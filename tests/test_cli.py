@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from girthcover import cli, graph, partition
+from girthcover import algebraic, cli, graph, partition
 from girthcover.algebraic import build_hexagon, build_quadrangle, index_to_tuple
 from girthcover.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, cli_main
 from girthcover.graph import cycle_graph, read_edge_list, write_edge_list
@@ -284,6 +284,23 @@ def test_build_rejects_malformed_shift(tmp_path, capsys, shift):
     edges = tmp_path / "q5.edges"
     assert run(["build-q", "--q", "5", "--shift", shift, "--out", str(edges)]) == EXIT_USAGE
     assert f"--shift {shift!r}" in capsys.readouterr().err
+    assert not edges.exists()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 15.1 TiB for an array", "error: Unable to allocate 15.1 TiB for an array\n"),
+    ("", "error: MemoryError\n"),  # what the interpreter itself raises
+])
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys, message, line):
+    # The builder raises where it would allocate: the allocation itself might
+    # succeed under overcommit and bring in the OOM killer.
+    def build(q, shift):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(algebraic, "build_quadrangle", build)
+    edges = tmp_path / "q.edges"
+    assert run(["build-q", "--q", "1009", "--out", str(edges)]) == EXIT_USAGE
+    assert capsys.readouterr().err == line
     assert not edges.exists()
 
 

@@ -663,6 +663,14 @@ def test_write_manifest_refuses_bad_part(tmp_path, edges, message):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb"])
+def test_write_manifest_refuses_a_name_it_cannot_read_back(tmp_path, name):
+    ep = EdgePartition(HostSpec.complete(4), [Part("a", [(0, 1)]), Part(name, [(1, 2)])])
+    with pytest.raises(ValueError, match=re.escape(f"part {name!r}: ")):
+        write_manifest(ep, tmp_path / "m")
+    assert not (tmp_path / "m").exists()
+
+
 def test_write_manifest_keeps_a_duplicate_across_parts(tmp_path):
     # Not a malformed part: the manifest is written and read back, and only
     # exactness fails.

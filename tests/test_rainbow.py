@@ -259,6 +259,7 @@ def test_decompose_round_log_consistent():
     last = res.rounds[-1]
     assert last.core_vertices == last.palette_size == last.max_degree_after == 0 < last.forest_parts
     assert res.threshold == default_threshold(16)
+    assert all(len(part.edges) for part in res.partition.parts)  # group_edges yields no empty class
 
 
 # Part names, ordered edges, claims, round logs and counts of seeded

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from girthcover.graph import Graph, _runs
@@ -13,7 +14,7 @@ from girthcover.randomcover import (
 )
 from girthcover.algebraic import build_quadrangle
 from girthcover.partition import CompleteCoverLocator, verify_partition
-from conftest import complete_graph, first_cover_wins_dict, path_graph, petersen_graph
+from conftest import complete_graph, first_cover_wins_dict, path_graph, petersen_graph, traced_peak
 
 
 def test_required_copies_complete_seed():
@@ -121,6 +122,7 @@ def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_
     triu = [(u, v) for u in range(n) for v in range(u + 1, n)]
     assert outcome.owner.tolist() == [assignment.get(e, -1) for e in triu]
     assert list(map(tuple, outcome.uncovered.tolist())) == uncovered
+    assert outcome.uncovered.shape == (len(uncovered), 2) and outcome.uncovered.dtype == np.int64
     assert len(uncovered) == uncovered_count
     if uncovered:
         return
@@ -132,6 +134,15 @@ def test_cover_random_matches_dict_oracle(n, seed_graph, C, rng_seed, uncovered_
         (f"copy{i:05d}", classes[i]) for i in sorted(classes)
     ]
     assert verify_partition(ep).passed
+
+
+def test_a_complete_cover_builds_no_array_of_the_pairs():
+    # Only a failed cover lists the K_n pairs left uncovered; on success the
+    # traced peak stays near the owner array, not the ~4x more of the pairs.
+    seed = SeedGraph.certify(build_quadrangle(5).graph)
+    peak, outcome = traced_peak(lambda: cover_random(600, seed, 9.0, rng_seed=1))
+    assert outcome.success
+    assert peak < 2 * outcome.owner.nbytes
 
 
 def test_coverage_calibration():

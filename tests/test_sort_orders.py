@@ -2,9 +2,10 @@
 
 Each fast path (the writer-order check of ``partition._part_rows``, the
 packed-key sorts of ``graph._hom_failures``, ``graph.group_edges`` and the
-rainbow pruning, the reverse-arc argsort) is checked against a reference
+rainbow pruning, the reverse-arc order) is checked against a reference
 copy of the sort it replaced, and the one int64 fit check is checked at its
-bound, also under ``python -O``.
+bound, also under ``python -O``.  ``decompose`` takes every order it needs
+from ``graph._stable_argsort``.
 """
 
 import math
@@ -33,10 +34,12 @@ from girthcover.partition import (
 )
 from conftest import (
     random_graph,
+    random_regular,
     reference_group_edges,
     reference_hom_failures,
     reference_part_rows,
     reference_reverse_arcs,
+    skewed_graph,
 )
 
 ROOT = math.isqrt(2**63 - 1)  # 3,037,000,499: the largest n with every key u*n + v in int64
@@ -257,22 +260,23 @@ def test_rainbow_pruning_keeps_the_lowest_neighbour_of_each_colour(seed):
 def test_reverse_arcs_match_stable_argsort(seed):
     rng = np.random.default_rng(seed)
     g = random_graph(int(rng.integers(1, 80)), float(rng.uniform(0, 0.5)), seed)
-    got = rainbow._reverse_arcs(g)
+    got = graph._stable_argsort(g._csr[1])[0]  # the reverse-arc order of the rainbow pruning
     assert got.tolist() == reference_reverse_arcs(g).tolist()
     tails = np.repeat(np.arange(g.n), np.diff(g._csr[0]))
     assert (tails[got] == g._csr[1]).all() and (g._csr[1][got] == tails).all()
 
 
-# -- no stable sort on the writer's order ---------------------------------------
+# -- no stable sort on the writer's order, no numpy sort in decompose -----------
 
 
-def count_stable_sorts(monkeypatch) -> dict:
-    """Count the calls of ``np.lexsort`` and of a stable ``np.argsort``."""
+def count_stable_sorts(monkeypatch, every_argsort=False) -> dict:
+    """Count the calls of ``np.lexsort`` and of a stable ``np.argsort``, or
+    of any ``np.argsort`` with ``every_argsort``."""
     calls = {"argsort": 0, "lexsort": 0}
     argsort, lexsort = np.argsort, np.lexsort
 
     def counted_argsort(a, *args, **kwargs):
-        if kwargs.get("kind") in ("stable", "mergesort") or kwargs.get("stable"):
+        if every_argsort or kwargs.get("kind") in ("stable", "mergesort") or kwargs.get("stable"):
             calls["argsort"] += 1
         return argsort(a, *args, **kwargs)
 
@@ -295,6 +299,19 @@ def test_manifest_round_trip_and_verify_run_no_stable_sort(tmp_path, monkeypatch
     ep.parts[0].edges = ep.parts[0].edges[::-1]
     write_manifest(ep, tmp_path / "shuffled")
     assert calls["argsort"] == 2
+
+
+def test_decompose_calls_neither_argsort_nor_lexsort(monkeypatch):
+    # The shell forests, the rainbow pruning and the reverse arcs all sort
+    # with graph._stable_argsort.
+    graphs = [skewed_graph(4000, 12000, 3), random_regular(600, 40, 2)]
+    calls = count_stable_sorts(monkeypatch, every_argsort=True)
+    for g in graphs:
+        assert rainbow.decompose(g).partition.is_exact()
+    assert calls == {"argsort": 0, "lexsort": 0}
+    # The counter sees an unstable argsort and a lexsort.
+    np.argsort(np.arange(3)), np.lexsort((np.arange(3),))
+    assert calls == {"argsort": 1, "lexsort": 1}
 
 
 # -- int64 edge keys of hosts too large for them ---------------------------------
