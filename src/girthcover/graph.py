@@ -28,8 +28,11 @@ are never inherited by derived graphs.
 Edge lists are text.  The first line that is neither blank nor a comment is
 the header, ``n m`` or ``n m bipartite a b``; every later one is an edge
 ``u v`` with u < v: exactly two ASCII decimal integers (optionally signed)
-separated by whitespace.  A comment line has ``#`` as its first non-blank
-character, and ``#`` anywhere else is an error.  Line ends may be LF or CRLF.
+separated by whitespace.  A header number, like a partition manifest's, is
+a count: such an integer, not negative (``_count``).  A comment line has
+``#`` as its first non-blank character, and ``#`` anywhere else is an error;
+every reader skips blank and comment lines alike (``_content_lines``).  Line
+ends may be LF or CRLF.
 Rows are written by a numpy digit formatter and read in chunks of whole
 lines: a chunk in the canonical form the writer produces is parsed by
 ``np.fromstring``, any other by numpy's ``loadtxt``, which stays the one
@@ -379,8 +382,6 @@ class Graph:
         its non-isolated vertices.
         """
         _check_cycle_length(length)
-        if self.m < length:
-            return False
         if self.side is not None and length % 2 == 1:
             return False
         return not _parts_check(self.n, [self._pairs()], [(None, length)])[1][0]
@@ -727,6 +728,21 @@ _INT64 = np.iinfo(np.int64)
 _COMMENT_AFTER_DATA = re.compile(r"^[^\S\n]*[^\s#][^\n]*#", re.M)
 
 
+def _content_lines(fh):
+    """Yield (line number, stripped text) for each line of the text file
+    ``fh`` that is neither blank nor a comment, a line at a time."""
+    for lineno, line in enumerate(fh, 1):
+        if (line := line.strip()) and not line.startswith("#"):
+            yield lineno, line
+
+
+def _count(token: str) -> int:
+    """The value of ``token`` if it is an ``_INTEGER`` and not negative, else ``ValueError``."""
+    if not _INTEGER.fullmatch(token) or (value := int(token)) < 0:
+        raise ValueError(f"{token!r} is not a count")
+    return value
+
+
 def _format_rows(rows: np.ndarray, seps: Sequence[bytes]) -> bytes:
     """The rows of the 2-d array of non-negative integers ``rows`` as text,
     each entry in decimal followed by its column's separator in ``seps``:
@@ -768,36 +784,25 @@ def _write_rows(fh, rows: np.ndarray, seps: Sequence[bytes]) -> None:
 def write_edge_list(g: Graph, path) -> None:
     if g.side is not None and 1 in g.side[: g.side.count(0)]:
         raise ValueError("the header can only record sides of the form [0]*a + [1]*b")
+    sides = "" if g.side is None else f" bipartite {g.side.count(0)} {g.side.count(1)}"
     with open(path, "wb") as fh:
-        if g.side is not None:
-            fh.write(f"{g.n} {g.m} bipartite {g.side.count(0)} {g.side.count(1)}\n".encode())
-        else:
-            fh.write(f"{g.n} {g.m}\n".encode())
+        fh.write(f"{g.n} {g.m}{sides}\n".encode())
         for block in g._row_blocks():
             _write_rows(fh, block, (b" ", b"\n"))
 
 
 def read_edge_list(path) -> Graph:
     with open(path) as fh:
-        header = None
-        header_line = 0
-        while header is None:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: empty edge-list file")
-            header_line += 1
-            line = line.strip()
-            if line and not line.startswith("#"):
-                header = line.split()
+        header_line, text = next(_content_lines(fh), (None, ""))
+        if not (header := text.split()):
+            raise ValueError(f"{path}: empty edge-list file")
         malformed = ValueError(f"{path}, line {header_line}: malformed header {' '.join(header)}")
         if len(header) not in (2, 5) or (len(header) == 5 and header[2] != "bipartite"):
             raise malformed
         try:
-            n, m, *sides = map(int, header[:2] + header[3:])
+            n, m, *sides = map(_count, header[:2] + header[3:])
         except ValueError:
             raise malformed from None
-        if min(n, m, *sides) < 0:
-            raise malformed
         side = None
         if sides:
             a, b = sides
@@ -882,11 +887,11 @@ def _canonical_rows(chunk: str) -> Optional[np.ndarray]:
 
 def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=()) -> ValueError:
     """The error for the first edge line of ``path`` that the format or a
-    graph on n vertices with ``side`` rejects, found line by line.  With
-    ``header`` the first line that is neither blank nor a comment is the
-    header and is skipped.  ``groups`` holds the row counts of consecutive
-    groups of edges, each checked for repeats on its own; rows past them,
-    or all rows if it is empty, form one more group.  Called only once the
+    graph on n vertices with ``side`` rejects, found line by line
+    (``_content_lines``), the first skipped as the header if ``header``.
+    ``groups`` holds the row counts of consecutive groups of edges, each
+    checked for repeats on its own; rows past them, or all rows if it is
+    empty, form one more group.  Called only once the
     array parse, its checks or the graph build have failed; with no line to
     name, or no regular file to read again (a pipe has been read to its
     end), the error gives ``reason``."""
@@ -896,10 +901,7 @@ def _edge_line_error(path, n: int, side, reason, header: bool = True, groups=())
     seen = set()
     row = 0
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in _content_lines(fh):
             if header:
                 header = False
                 continue

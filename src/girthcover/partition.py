@@ -47,6 +47,8 @@ from .algebraic import (
 from .graph import (
     _RUN_EDGES,
     Graph,
+    _content_lines,
+    _count,
     _edge_line_error,
     _hom_failures,
     _key_fits,
@@ -601,6 +603,8 @@ class CompleteCoverLocator:
 
     def part_name(self, part_id: int) -> str:
         """``L<level>_s<shift>``, the name of a part of the cover."""
+        if not 0 <= part_id < self._offsets[-1]:
+            raise ValueError(f"part id {part_id} outside [0, {self._offsets[-1]})")
         k = bisect.bisect_right(self._offsets, part_id) - 1
         info = self.plan.levels[k]
         return f"L{info.level}_" + _shift_name(part_id - self._offsets[k], info.prime, self.arity)
@@ -650,20 +654,20 @@ def cover_complete(n: int, target_girth: int) -> tuple[EdgePartition, CoverPlan]
 _MANIFEST_V2 = "# girthcover partition manifest v2"
 
 
-def _part_rows(keys: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _part_rows(keys: np.ndarray, counts) -> tuple:
     """For the edge keys of the parts back to back, ``counts`` rows per part:
     the order of the rows by (part, key), and for each ordered row its part
     index and whether it repeats the row before it in that part.
 
     Keys that strictly rise within every part, as the writer emits them,
     are already in that order with no repeat: one pass over the keys finds
-    this, and the identity order is returned.  Otherwise a stable sort by
-    key and then one by part give the order; sorting by part alone after
-    the key sort keeps the result exact for any key, where a packed
-    part*n*n + key could overflow."""
+    this, and the identity order is returned as ``slice(None)``, which
+    copies nothing.  Otherwise a stable sort by key and then one by part
+    give the order; sorting by part alone after the key sort keeps the
+    result exact for any key, where part*n*n + key could overflow."""
     index = np.repeat(np.arange(len(counts)), counts)
     if ((keys[1:] > keys[:-1]) | (index[1:] != index[:-1])).all():
-        return np.arange(len(keys)), index, np.zeros(len(keys), bool)
+        return slice(None), index, np.zeros(len(keys), bool)
     by_key = np.argsort(keys, kind="stable")
     order = by_key[np.argsort(index[by_key], kind="stable")]
     keys, index = keys[order], index[order]
@@ -727,15 +731,9 @@ def read_manifest(manifest_path) -> EdgePartition:
 
     def number(token: str, line: str) -> int:
         try:
-            return int(token)
+            return _count(token)
         except ValueError:
             raise malformed(line) from None
-
-    def size(token: str, line: str) -> int:
-        """A host size or an edge count, which may not be negative."""
-        if (value := number(token, line)) < 0:
-            raise malformed(line)
-        return value
 
     def claim(tokens: list, line: str) -> tuple[Optional[int], Optional[int]]:
         """(girth target, forbidden cycle) of a part line's claim."""
@@ -754,25 +752,22 @@ def read_manifest(manifest_path) -> EdgePartition:
     with open(manifest_path) as fh:
         if fh.readline().strip() != _MANIFEST_V2:
             raise ValueError(f"{manifest_path}: first line is not {_MANIFEST_V2!r}")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+        for _, line in _content_lines(fh):
             match line.split():
                 case ["host", *_] if host is not None:
                     raise ValueError(f"{manifest_path}: repeated host line: {line}")
                 case ["parts", *_] if n_parts is not None:
                     raise ValueError(f"{manifest_path}: repeated parts line: {line}")
                 case ["host", "complete", n]:
-                    host = HostSpec.complete(size(n, line))
+                    host = HostSpec.complete(number(n, line))
                 case ["host", "bipartite", a, b]:
-                    host = HostSpec.bipartite(size(a, line), size(b, line))
+                    host = HostSpec.bipartite(number(a, line), number(b, line))
                 case ["host", "file", "host.edges"]:
                     host = HostSpec.explicit(read_edge_list(os.path.join(directory, "host.edges")))
                 case ["parts", count]:
                     n_parts = number(count, line)
                 case ["part", name, *tokens, count]:
-                    edges = size(count, line)
+                    edges = number(count, line)
                     specs.append((name, *claim(tokens, line), edges))
                 case _:
                     raise malformed(line)

@@ -157,19 +157,17 @@ def rainbow_color(g: Graph, cfg: DecompositionConfig) -> RainbowColoring:
     if not _key_fits(g.n, palette):  # the pruning sorts the keys tail * palette + colour
         raise ValueError(f"palette of {palette} colours on {g.n} vertices is too large for int64 keys")
     degree = np.diff(g._csr[0])
-    worst_v, worst_ratio = -1, 1.0
+    worst = (math.inf, -1)  # the lowest (kept / degree, vertex) over the tries
     for retry in range(_MAX_RETRIES):
         rng = random.Random(cfg.rng_seed * 1_000_003 + retry)
         color, kept = _try_rainbow(g, palette, rng)
         kept_degree = np.bincount(kept.ravel(), minlength=g.n)
-        short = np.flatnonzero((degree > 0) & (kept_degree < cfg.retention * degree))
-        if short.size == 0:
+        if not ((degree > 0) & (kept_degree < cfg.retention * degree)).any():
             return RainbowColoring(g, Graph(g.n, kept), color, palette_size=palette, retries=retry)
-        v = int(short[0])
-        ratio = int(kept_degree[v]) / int(degree[v])
-        if ratio < worst_ratio:
-            worst_v, worst_ratio = v, ratio
-    raise RainbowRetentionError(worst_v, worst_ratio, _MAX_RETRIES)
+        ratio = np.divide(kept_degree, degree, out=np.full(g.n, math.inf), where=degree > 0)
+        v = int(ratio.argmin())  # the first lowest: ties to the smallest id
+        worst = min(worst, (float(ratio[v]), v))
+    raise RainbowRetentionError(worst[1], worst[0], _MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,6 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
     threshold = default_threshold(delta0)
     parts: list[Part] = []
     rounds: list[RoundLog] = []
-    locators: dict[int, CompleteCoverLocator] = {}
     current = g
     rnd = 0
     while current.m > 0:
@@ -273,9 +270,7 @@ def decompose(g: Graph, cfg: Optional[DecompositionConfig] = None) -> Decomposit
         except RainbowRetentionError as err:
             err.rounds = rounds
             raise
-        if rc.palette_size not in locators:
-            locators[rc.palette_size] = CompleteCoverLocator(rc.palette_size, cfg.palette_girth)
-        locator = locators[rc.palette_size]
+        locator = CompleteCoverLocator(rc.palette_size, cfg.palette_girth)
         pulled = pullback_partition(rc, locator, target)
         for part in pulled.parts:
             part.name = f"r{rnd}_{part.name}"

@@ -96,6 +96,14 @@ def _copy_permutation(n: int, rng_seed: int, i: int) -> list[int]:
     return perm
 
 
+def _triu_pairs(n: int, keys: np.ndarray) -> np.ndarray:
+    """The (k, 2) int64 pairs (lo, hi) of K_n at positions ``keys`` in triu
+    order: a key is in the last row lo whose start lo(2n - lo - 1)/2 it reaches."""
+    starts = np.arange(n - 1, dtype=np.int64) * (2 * n - np.arange(n - 1) - 1) // 2
+    lo = np.searchsorted(starts, keys, side="right") - 1
+    return np.stack([lo, keys - starts[lo] + lo + 1], axis=1)
+
+
 def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int) -> CoverOutcome:
     """Sample the permuted-copy cover of K_n once.
 
@@ -119,11 +127,10 @@ def cover_random(n: int, seed: SeedGraph, safety_constant: float, rng_seed: int)
         owner[new] = used
         left -= len(new)
         used += 1
-    uncovered = np.stack(np.triu_indices(n, 1), axis=1)[owner < 0] if left else np.empty((0, 2), np.int64)
     return CoverOutcome(
         n=n,
         owner=owner,
-        uncovered=uncovered,
+        uncovered=_triu_pairs(n, np.flatnonzero(owner < 0)),
         copy_count=t,
         copies_used=used,
         safety_constant=safety_constant,

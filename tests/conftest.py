@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import re
 import tracemalloc
 
 import networkx as nx
@@ -325,6 +326,30 @@ def random_pieces_graph(seed: int) -> Graph:
     label = list(range(n))
     rng.shuffle(label)
     return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+# Tokens that bare int() reads or refuses differently from the edge-list
+# grammar's integers, for the reader tests.
+WEIRD_TOKENS = ["+1", "-1", "01", "1.0", "1.5", "1_0", "\u0661", "\uff11", "1e0", "0x1", "#", "1#", "x", ""]
+# The same, with counts and two-digit Arabic-Indic ten, for the header and
+# manifest number tests.
+COUNT_TOKENS = ["0", "3", "-0", "+2", "\u0661\u0660"] + WEIRD_TOKENS
+
+
+def is_count(token: str) -> bool:
+    """Whether ``token`` is a count of the file formats: an ASCII decimal
+    integer, optionally signed, that is not negative."""
+    return re.fullmatch(r"[+-]?[0-9]+", token) is not None and int(token) >= 0
+
+
+def int_value(token: str) -> int:
+    """What bare ``int()`` made of ``token`` if that is 0..10, else 0: the
+    value a test file holding the token is made valid for."""
+    try:
+        value = int(token)
+    except ValueError:
+        return 0
+    return value if 0 <= value <= 10 else 0
 
 
 def read_edge_list_lines(path) -> Graph:

@@ -195,6 +195,19 @@ def test_decompose_refuses_palette_too_large_for_keys(tmp_path, capsys, multipli
     assert run(["verify", "--manifest", str(tmp_path / "ok" / "manifest.txt")]) == EXIT_PASS
 
 
+def test_decompose_that_no_try_can_colour_is_one_error_line(tmp_path, capsys):
+    # A palette of the max degree cannot keep 90 % of every degree: every
+    # try falls short, and the round's error is one line, with no output.
+    edges, out = tmp_path / "g.edges", tmp_path / "dec"
+    write_edge_list(random_regular(100, 16, seed=3), edges)
+    argv = ["decompose", "--input", str(edges), "--cycle", "6", "--retention", "0.9", "--multiplier", "1"]
+    assert run(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: retention not achieved after 20 retries; worst vertex ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_decompose_reports_the_retries_of_each_round(tmp_path, capsys):
     write_edge_list(random_regular(100, 16, seed=3), tmp_path / "g.edges")
     argv = ["decompose", "--input", str(tmp_path / "g.edges"), "--cycle", "6",
@@ -379,6 +392,20 @@ def test_verify_refuses_a_manifest_without_the_v2_first_line(tmp_path, capsys, f
     assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err == f"error: {manifest}: first line is not {partition._MANIFEST_V2!r}\n"
+
+
+@pytest.mark.parametrize("line", [
+    "host complete \u0664", "host complete 0_4", "host bipartite 2 \uff12",
+    "parts 1_0", "part a girth -8 1", "part a cycle-free +-6 1", "part a girth 8 \u0661",
+])
+def test_verify_refuses_a_number_that_is_not_a_count(tmp_path, capsys, line):
+    (tmp_path / "parts.edges").write_text("0 1\n")
+    manifest = tmp_path / "manifest.txt"
+    host = "" if line.startswith("host") else "host complete 4\n"
+    manifest.write_text(f"{partition._MANIFEST_V2}\n{host}{line}\n", encoding="utf-8")
+    assert run(["verify", "--manifest", str(manifest)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}: malformed manifest line: {line}\n"
 
 
 def test_verify_one_token_edge_list_header(tmp_path, capsys):

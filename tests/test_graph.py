@@ -23,11 +23,15 @@ from girthcover.graph import (
     write_edge_list,
 )
 from conftest import (
+    COUNT_TOKENS,
+    WEIRD_TOKENS,
     all_roots_girth,
     complete_graph,
     disjoint_union,
     forest_decompose_buckets,
     has_edge,
+    int_value,
+    is_count,
     is_locally_injective_hom,
     neighbors,
     path_graph,
@@ -971,7 +975,7 @@ def test_edge_list_reader_matches_line_oracle(tmp_path, monkeypatch):
 def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
     # Random edge lines, about half of them mangled with forms the old int()
     # reader accepted or rejected; the new reader may reject more, never less.
-    weird = ["+1", "-1", "01", "1.0", "1.5", "1_0", "\u0661", "\uff11", "1e0", "0x1", "#", "1#", "x", ""]
+    weird = WEIRD_TOKENS
     blanks = [" ", "\t", "\xa0", "\x0b", "\x0c", " # x"]
     rng = random.Random(29)
     path = tmp_path / "f.edges"
@@ -1001,6 +1005,32 @@ def test_edge_list_reader_accepts_nothing_the_oracle_rejects(tmp_path):
             assert want is not None, path.read_text()
             assert list(got.edges()) == list(want.edges())
     assert accepted > 100
+
+
+@pytest.mark.parametrize("at", ["n", "m", "a", "b"])
+def test_header_numbers_are_counts(tmp_path, at):
+    # A header number is accepted exactly when it is an ASCII decimal
+    # integer that is not negative.  Each file is valid in every other
+    # respect for the value bare int() gave the token, which read 1_0 as
+    # 10, and Arabic-Indic or fullwidth digits as their values.
+    path = tmp_path / "h.edges"
+    for token in COUNT_TOKENS:
+        value = int_value(token)
+        if at == "n":
+            text = f"{token} 0\n"
+        elif at == "m":
+            text = f"12 {token}\n" + "".join(f"0 {v}\n" for v in range(1, value + 1))
+        else:
+            a, b = (token, 1) if at == "a" else (1, token)
+            text = f"{value + 1} 0 bipartite {a} {b}\n"
+        path.write_text(text)
+        try:
+            read_edge_list(path)
+            accepted = True
+        except ValueError as exc:
+            accepted = False
+            assert "malformed header" in str(exc) or "empty edge-list file" in str(exc), (token, str(exc))
+        assert accepted == is_count(token), (at, token)
 
 
 @pytest.mark.parametrize("line", ["1.5 2", "1e0 2", "0 2.0"])

@@ -121,6 +121,26 @@ def test_rainbow_retention_failure_surfaced(monkeypatch):
     assert 0 <= exc.value.worst_ratio < 0.9 and exc.value.retries == 5
 
 
+def test_retention_error_names_the_worst_vertex_of_every_try():
+    # The 20 tries replayed by the scalar pruning: the error reports the
+    # lowest kept/degree ratio over all of them, ties to the smallest id.
+    g = random_regular(100, 16, seed=3)
+    cfg = DecompositionConfig(color_multiplier=1, retention=0.9)
+    with pytest.raises(RainbowRetentionError) as exc:
+        rainbow_color(g, cfg)
+    ratios = []
+    for retry in range(rainbow._MAX_RETRIES):
+        _, kept = scalar_rainbow_pruning(g, 16, random.Random(cfg.rng_seed * 1_000_003 + retry))
+        kept_degree = [0] * g.n
+        for u, v in kept:
+            kept_degree[u] += 1
+            kept_degree[v] += 1
+        ratios += [(kept_degree[v] / g.degree(v), v) for v in range(g.n)]
+    worst_ratio, worst_vertex = min(ratios)
+    assert (exc.value.worst_vertex, exc.value.worst_ratio) == (worst_vertex, worst_ratio)
+    assert f"worst vertex {worst_vertex} kept only {worst_ratio:.3f}" in str(exc.value)
+
+
 def test_retention_failure_in_decompose_carries_completed_rounds(monkeypatch):
     # One try per round, so round 2 draws its colours from seed 4 + 1.
     monkeypatch.setattr(rainbow, "_MAX_RETRIES", 1)

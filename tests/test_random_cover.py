@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from girthcover.graph import Graph, _runs
 from girthcover.randomcover import (
     SeedGraph,
     _copy_permutation,
+    _triu_pairs,
     builtin_seed_for_cycle,
     cover_for_cycle,
     cover_random,
@@ -143,6 +145,33 @@ def test_a_complete_cover_builds_no_array_of_the_pairs():
     peak, outcome = traced_peak(lambda: cover_random(600, seed, 9.0, rng_seed=1))
     assert outcome.success
     assert peak < 2 * outcome.owner.nbytes
+
+
+def test_a_failed_cover_builds_no_array_of_the_pairs():
+    # The uncovered pairs are decoded from their triu positions: listing
+    # them from the whole K_n pair array peaked at 5.02x the owner array.
+    seed = SeedGraph.certify(build_quadrangle(5).graph)
+    peak, outcome = traced_peak(lambda: cover_random(600, seed, 1.0, rng_seed=1))
+    assert len(outcome.uncovered) == 295
+    assert peak < 2 * outcome.owner.nbytes
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_triu_pairs_match_triu_indices_on_every_subset(n):
+    pairs = np.stack(np.triu_indices(n, 1), axis=1)
+    for mask in itertools.product([False, True], repeat=len(pairs)):
+        got = _triu_pairs(n, np.flatnonzero(mask))
+        assert got.dtype == np.int64 and got.shape == (sum(mask), 2)
+        assert got.tolist() == pairs[list(mask)].tolist()
+
+
+@pytest.mark.parametrize("n, C, rng_seed", [(40, 0.01, 1), (40, 0.5, 1), (260, 0.3, 1), (601, 1.0, 2)])
+def test_uncovered_pairs_match_triu_indices(n, C, rng_seed):
+    seed = SeedGraph.certify(build_quadrangle(5).graph if n > 250 else petersen_graph())
+    outcome = cover_random(n, seed, C, rng_seed)
+    assert not outcome.success
+    want = np.stack(np.triu_indices(n, 1), axis=1)[outcome.owner < 0]
+    assert outcome.uncovered.dtype == np.int64 and outcome.uncovered.tolist() == want.tolist()
 
 
 def test_coverage_calibration():
